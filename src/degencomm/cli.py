@@ -76,7 +76,7 @@ from .info import (
 )
 from .protocols import degen_decide_fast, degen_search
 from .reduction import NaivePeeler, StoreAllDecider, full_report, simulate_streaming_reduction
-from .sisolver import make_reveal_solver, reveal_lambda, solver_experiment
+from .sisolver import RevealSolver, reveal_lambda, solver_experiment
 
 
 def spawn_seed(master: int, index: int) -> int:
@@ -186,7 +186,8 @@ def _reduction_trial(task: tuple[int, int, int, str | None]) -> dict:
     m, r, seed, emit_dir = task
     rng = random.Random(seed)
     inst = sample_bmhpc(m, r, rng)
-    rep = full_report(inst)
+    gg = build_gadget(inst)
+    rep = full_report(gg, inst)
     row = {
         "m": m,
         "r": r,
@@ -197,7 +198,6 @@ def _reduction_trial(task: tuple[int, int, int, str | None]) -> dict:
         "trace_ok": all(rec.ok for rec in rep.trace),
     }
     if emit_dir is not None:
-        gg = build_gadget(inst)
         path = os.path.join(emit_dir, f"gadget_m{m}_r{r}_{seed:016x}.txt")
         save_gadget(gg, path)
         reloaded = load_gadget(path)
@@ -214,11 +214,12 @@ def _streaming_trial(task: tuple[int, int, int, str, int | None]) -> dict:
     m, r, seed, algname, budget = task
     rng = random.Random(seed)
     inst = sample_bmhpc(m, r, rng)
-    n = 3 * m * (2 * r + 1) + 3 + (6 * m * r + 3 * m)
+    gg = build_gadget(inst)
+    n = gg.graph.n
     if budget is None:
         budget = 1 if algname == "store-all" else n
     alg = StoreAllDecider() if algname == "store-all" else NaivePeeler()
-    sim = simulate_streaming_reduction(inst, alg, budget)
+    sim = simulate_streaming_reduction(gg, alg, budget)
     bit_true = chase(inst).bit
     return {
         "m": m,
@@ -390,7 +391,7 @@ def cmd_info(args) -> int:
 def cmd_sisolver(args) -> int:
     eps = args.eps if args.eps is not None else reveal_lambda(args.p, args.m)
     rng = random.Random(spawn_seed(args.seed, 0))
-    solver = make_reveal_solver(args.p)
+    solver = RevealSolver(args.p)
     result = solver_experiment(solver, eps, args.m, args.gamma, args.trials, rng)
     rate = result["success"] / args.trials
     payload = {

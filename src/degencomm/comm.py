@@ -86,13 +86,6 @@ def lp_list(items: list[Field], max_len: int) -> Field:
     return Field(tuple(i.value for i in items), prefix + sum(i.bits for i in items))
 
 
-def bitstring(s: str) -> Field:
-    """Raw bit string (used for streaming-state handoffs)."""
-    if any(c not in "01" for c in s):
-        raise ValueError("bit string must be over {0,1}")
-    return Field(s, len(s))
-
-
 def nothing() -> Field:
     """Zero-bit handshake, e.g. an idle round's broadcast."""
     return Field(None, 0)
@@ -213,7 +206,7 @@ def run_two_party(alice: Party, bob: Party) -> tuple[object, CommLedger]:
     last_sender = None
     active = 0
 
-    def advance(i: int, send_value=None, throw=False) -> None:
+    def advance(i: int, send_value=None) -> None:
         try:
             pending[i] = gens[i].send(send_value) if started[i] else next(gens[i])
             started[i] = True

@@ -70,6 +70,13 @@ class GadgetGraph:
     def layer_count(self) -> int:
         return 2 * self.r + 1
 
+    def check_fits(self, inst: MHPCInstance) -> None:
+        """Raise ValueError unless inst has this gadget's (m, r)."""
+        if (inst.m, inst.r) != (self.m, self.r):
+            raise ValueError(
+                f"instance is {inst.m}x{inst.r}, gadget is {self.m}x{self.r}"
+            )
+
 
 @dataclass(frozen=True)
 class GadgetCheck:
@@ -265,10 +272,15 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
         deficiencies=padding.deficiencies,
         matchings_added=padding.matchings,
     )
+    return _audited(gg, RuntimeError)
+
+
+def _audited(gg: GadgetGraph, error: type[Exception]) -> GadgetGraph:
+    """Return gg if verify_gadget passes, else raise error naming the check."""
     report = verify_gadget(gg)
     if not report.ok:
         bad = report.failed()[0]
-        raise RuntimeError(f"gadget audit failed: {bad.name}: {bad.detail}")
+        raise error(f"gadget audit failed: {bad.name}: {bad.detail}")
     return gg
 
 
@@ -304,7 +316,7 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         len(gg.labels) == g.n
         and len(special_of) == 3
         and len(aux_set) == d
-        and len(triples) == layers * m
+        and set(triples) == {(ell, i) for ell in range(layers) for i in range(m)}
         and all(sorted(t) == [1, 2, 3] for t in triples.values())
         and d == 6 * m * r + 3 * m
     )
@@ -461,10 +473,7 @@ def pointer_path_triples(
     contributes its triple in both layers that replay that step. These
     are exactly the triples a min-degree peel removes first.
     """
-    if (inst.m, inst.r) != (gg.m, gg.r):
-        raise ValueError(
-            f"instance is {inst.m}x{inst.r}, gadget is {gg.m}x{gg.r}"
-        )
+    gg.check_fits(inst)
     walk = chase(inst)
     seq = [gg.triple_index[(0, 0)]]
     for step, (_, idx) in enumerate(walk.z[1:], start=1):
@@ -487,34 +496,81 @@ def sidecar_json(gg: GadgetGraph) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# integer fields after the kind, per label kind
+_LABEL_ARITY = {"layer": 3, "special": 1, "aux": 1}
+
+
+def _positive_int(obj: dict, key: str) -> int:
+    value = obj.get(key)
+    if type(value) is not int or value < 1:
+        raise ValueError(
+            f"sidecar field {key!r} must be a positive integer, got {value!r}"
+        )
+    return value
+
+
 def gadget_from_strings(graph_text: str, sidecar_text: str) -> GadgetGraph:
+    """Parse a gadget from its graph text and JSON label sidecar.
+
+    Fails closed: a malformed sidecar raises ValueError naming the
+    field. Only shape and types are checked here; load_gadget also runs
+    the structural audit.
+    """
     g = loads_graph(graph_text)
     obj = json.loads(sidecar_text)
-    labels = [tuple(label) for label in obj["labels"]]
-    if len(labels) != g.n:
+    if not isinstance(obj, dict):
+        raise ValueError("sidecar must be a JSON object")
+    raw = obj.get("labels")
+    if not isinstance(raw, list):
+        raise ValueError("sidecar field 'labels' must be a list")
+    if len(raw) != g.n:
         raise ValueError(
-            f"sidecar lists {len(labels)} labels for {g.n} vertices"
+            f"sidecar lists {len(raw)} labels for {g.n} vertices"
         )
+    m, r, d = (_positive_int(obj, key) for key in ("m", "r", "d"))
+    labels: list[Label] = []
     trip: dict[tuple[int, int], dict[int, int]] = {}
     specials: dict[int, int] = {}
     aux: list[int] = []
-    for v, label in enumerate(labels):
-        if label[0] == "layer":
-            trip.setdefault((label[1], label[2]), {})[label[3]] = v
-        elif label[0] == "special":
-            specials[label[1]] = v
-        elif label[0] == "aux":
-            aux.append(v)
+    for v, label in enumerate(raw):
+        if not (isinstance(label, list) and label and isinstance(label[0], str)):
+            raise ValueError(
+                f"sidecar field 'labels[{v}]' must be a list starting with "
+                f"a kind, got {label!r}"
+            )
+        kind, *fields = label
+        if kind not in _LABEL_ARITY:
+            raise ValueError(f"unknown label kind {kind!r} at vertex {v}")
+        if (len(fields) != _LABEL_ARITY[kind]
+                or any(type(x) is not int for x in fields)):
+            raise ValueError(
+                f"sidecar field 'labels[{v}]': a {kind} label takes "
+                f"{_LABEL_ARITY[kind]} integers, got {label!r}"
+            )
+        if kind == "layer":
+            trip.setdefault((fields[0], fields[1]), {})[fields[2]] = v
+        elif kind == "special":
+            specials[fields[0]] = v
         else:
-            raise ValueError(f"unknown label kind {label[0]!r} at vertex {v}")
+            aux.append(v)
+        labels.append(tuple(label))
+    for j in (1, 2, 3):
+        if j not in specials:
+            raise ValueError(f"sidecar field 'labels' has no special vertex {j}")
+    for key, t in trip.items():
+        for c in (1, 2, 3):
+            if c not in t:
+                raise ValueError(
+                    f"sidecar field 'labels': triple {key} is missing copy {c}"
+                )
     triple_index = {
         key: (t[1], t[2], t[3]) for key, t in sorted(trip.items())
     }
     return GadgetGraph(
         graph=g,
-        m=obj["m"],
-        r=obj["r"],
-        d=obj["d"],
+        m=m,
+        r=r,
+        d=d,
         labels=labels,
         triple_index=triple_index,
         special_ids=tuple(specials[j] for j in (1, 2, 3)),
@@ -531,11 +587,16 @@ def save_gadget(gg: GadgetGraph, path: str) -> None:
 
 
 def load_gadget(path: str) -> GadgetGraph:
+    """Read a saved gadget and audit it.
+
+    Raises ValueError naming the malformed field or the first failed
+    check of verify_gadget, so a loaded gadget is safe to hand on.
+    """
     with open(path, "r", encoding="ascii") as fh:
         graph_text = fh.read()
     with open(path + ".json", "r", encoding="ascii") as fh:
         sidecar_text = fh.read()
-    return gadget_from_strings(graph_text, sidecar_text)
+    return _audited(gadget_from_strings(graph_text, sidecar_text), ValueError)
 
 
 def with_graph(gg: GadgetGraph, g: Graph) -> GadgetGraph:

@@ -190,30 +190,6 @@ def is_k_ordering(g: Graph, order: list[int], k: int) -> bool:
     return max(profile, default=0) <= k
 
 
-def k_core(g: Graph, k: int) -> frozenset[int]:
-    """The unique maximal vertex set inducing minimum degree >= k.
-
-    Computed by deleting vertices of residual degree < k until stable.
-    Empty when no such set exists.
-    """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    stack = [v for v in range(g.n) if deg[v] < k]
-    while stack:
-        v = stack.pop()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        for u in g.adj[v]:
-            if alive[u]:
-                deg[u] -= 1
-                if deg[u] < k:
-                    stack.append(u)
-    return frozenset(v for v in range(g.n) if alive[v])
-
-
 def peel_decision(g: Graph, k: int) -> Accept | Reject:
     """Peel at threshold k: remove vertices while one has degree <= k.
 
@@ -244,6 +220,18 @@ def peel_decision(g: Graph, k: int) -> Accept | Reject:
     if survivors:
         return Reject(survivors)
     return Accept(order)
+
+
+def k_core(g: Graph, k: int) -> frozenset[int]:
+    """The unique maximal vertex set inducing minimum degree >= k.
+
+    A view over peel_decision at threshold k-1: the survivors of that
+    peel are the k-core. Empty when no such set exists.
+    """
+    if k == 0:
+        return frozenset(range(g.n))
+    res = peel_decision(g, k - 1)
+    return res.core if isinstance(res, Reject) else frozenset()
 
 
 def brute_force_degeneracy(g: Graph) -> int:

@@ -1,10 +1,12 @@
-"""Streaming harness around the gadget: split checks and pass simulation.
+"""Streaming harness around a built gadget: split checks and pass simulation.
 
-Three things live here. verify_split confirms that a gadget's degeneracy
-lands on the side of d-3 dictated by the instance's answer bit, and
-trace_invariants replays the min-degree peel to confirm the structured
-prefix: the pointer-path triples go first, each below the threshold,
-while the special and auxiliary degrees march down in lockstep.
+Every function takes a GadgetGraph the caller built or loaded, so one
+gadget per instance is both audited and streamed. verify_split confirms
+that its degeneracy lands on the side of d-3 dictated by the instance's
+answer bit, and trace_invariants replays the min-degree peel to confirm
+the structured prefix: the pointer-path triples go first, each below
+the threshold, while the special and auxiliary degrees march down in
+lockstep.
 
 simulate_streaming_reduction then drives an arbitrary multi-pass
 streaming algorithm through the four-player protocol. The edge set
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 from .comm import CommLedger, ProtocolError, uint_width
-from .gadget import GadgetGraph, aux_padding, build_gadget, pointer_path_triples
+from .gadget import GadgetGraph, aux_padding, pointer_path_triples
 from .graphs import Graph, degeneracy, peel
 from .hpc import MHPCInstance, chase
 
@@ -149,26 +151,26 @@ def partition_edges(gg: GadgetGraph) -> dict[str, list[tuple[int, int]]]:
 
 def _split_report(gg: GadgetGraph, inst: MHPCInstance,
                   kappa: int) -> ReductionReport:
+    gg.check_fits(inst)
     bit = chase(inst).bit
     ok = kappa <= gg.d - 3 if bit == 1 else kappa >= gg.d - 2
     return ReductionReport(bit_true=bit, kappa=kappa, d=gg.d, split_ok=ok)
 
 
-def verify_split(inst: MHPCInstance) -> ReductionReport:
-    """Build the gadget and check which side of d-3 its degeneracy took."""
-    gg = build_gadget(inst)
+def verify_split(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
+    """Check which side of d-3 the degeneracy took; gg must fit inst."""
     return _split_report(gg, inst, degeneracy(gg.graph))
 
 
-def trace_invariants(inst: MHPCInstance) -> ReductionReport:
-    """Peel the gadget and audit the structured prefix, never raising.
+def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
+    """Peel gg and audit the structured prefix; gg must fit inst.
 
-    Record ell is ok when the peel's iterations 3*ell+1 .. 3*ell+3
-    removed exactly the pointer triple of layer ell at residual degree
-    <= d-3, with every special vertex at degree d+6r-3*ell and every
-    auxiliary vertex at degree >= d+6r+3-3*ell just beforehand.
+    A broken invariant is recorded, never raised. Record ell is ok when
+    the peel's iterations 3*ell+1 .. 3*ell+3 removed exactly the pointer
+    triple of layer ell at residual degree <= d-3, with every special
+    vertex at degree d+6r-3*ell and every auxiliary vertex at degree
+    >= d+6r+3-3*ell just beforehand.
     """
-    gg = build_gadget(inst)
     tr = peel(gg.graph)
     report = _split_report(gg, inst, tr.degeneracy)
     d, r = gg.d, gg.r
@@ -195,7 +197,7 @@ def trace_invariants(inst: MHPCInstance) -> ReductionReport:
 # streaming simulation
 
 
-def simulate_streaming_reduction(inst: MHPCInstance, alg: StreamingAlgorithm,
+def simulate_streaming_reduction(gg: GadgetGraph, alg: StreamingAlgorithm,
                                  p: int) -> SimulationResult:
     """Drive alg through the four-player feed and read the answer bit.
 
@@ -208,7 +210,6 @@ def simulate_streaming_reduction(inst: MHPCInstance, alg: StreamingAlgorithm,
     """
     if p < 1:
         raise ValueError(f"pass budget must be >= 1, got {p}")
-    gg = build_gadget(inst)
     parts = partition_edges(gg)
     n = gg.graph.n
     table_bits = n * uint_width(n)
@@ -284,14 +285,15 @@ def simulate_streaming_reduction(inst: MHPCInstance, alg: StreamingAlgorithm,
     return SimulationResult(bit, phases, max_state, ledger)
 
 
-def full_report(inst: MHPCInstance, alg: StreamingAlgorithm | None = None,
+def full_report(gg: GadgetGraph, inst: MHPCInstance,
+                alg: StreamingAlgorithm | None = None,
                 p: int | None = None) -> ReductionReport:
     """Split check, invariant trace, and (optionally) a simulation run."""
-    report = trace_invariants(inst)
+    report = trace_invariants(gg, inst)
     if alg is not None:
         if p is None:
             raise ValueError("a pass budget is required to run an algorithm")
-        sim = simulate_streaming_reduction(inst, alg, p)
+        sim = simulate_streaming_reduction(gg, alg, p)
         report.phases = sim.phases
         report.max_state_bits = sim.max_state_bits
         report.bits_total = sim.ledger.bits_total

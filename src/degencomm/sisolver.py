@@ -38,7 +38,6 @@ __all__ = [
     "ScoreState",
     "calibrate_tau",
     "exact_from_eps",
-    "make_reveal_solver",
     "reveal_lambda",
     "score",
     "scored_round",
@@ -247,11 +246,6 @@ class RevealSolver:
         out = [0.0] * m
         out[transcript] = 1.0
         return out
-
-
-def make_reveal_solver(p: float) -> RevealSolver:
-    """Build a :class:`RevealSolver`; kept as a factory for experiment configs."""
-    return RevealSolver(p)
 
 
 def reveal_lambda(p: float, m: int) -> float:

@@ -64,7 +64,7 @@ from degencomm.reduction import (
     trace_invariants,
 )
 from degencomm.sisolver import (
-    make_reveal_solver,
+    RevealSolver,
     reveal_lambda,
     scored_round,
     solver_experiment,
@@ -188,7 +188,8 @@ def test_criterion_03_degree_update_budget(scaling_runs):
 
 
 # ---------------------------------------------------------------------------
-# criteria 4 + 5 + 6: reduction sweep, one build/peel/audit per instance
+# criteria 4 + 5 + 6: reduction sweep, one build and one peel per instance;
+# build_gadget audits its own output and criterion 6 audits it once more
 
 
 SPLIT_COMBOS = ((4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3))
@@ -202,8 +203,8 @@ def reduction_sweep():
         for i in range(100):
             rng = random.Random(1_000_000 * m + 10_000 * r + i)
             inst = sample_bmhpc(m, r, rng)
-            rep = trace_invariants(inst)
             gg = build_gadget(inst)
+            rep = trace_invariants(gg, inst)
             reports.append((m, r, i, rep, verify_gadget(gg), gg.graph.n))
     return {"reports": reports, "elapsed": time.perf_counter() - t0}
 
@@ -245,9 +246,10 @@ def streaming_runs():
     for i in range(50):
         rng = random.Random(777_000 + i)
         inst = sample_bmhpc(4, 1, rng)
-        n = build_gadget(inst).graph.n
+        gg = build_gadget(inst)
+        n = gg.graph.n
         w = uint_width(n)
-        sim = simulate_streaming_reduction(inst, NaivePeeler(), p=n)
+        sim = simulate_streaming_reduction(gg, NaivePeeler(), p=n)
         snapshot = 1 + n + w + n * w  # in-pass flag, removed bitmap, kappa, degrees
         rows.append({
             "n": n,
@@ -471,7 +473,7 @@ def test_criterion_11_scoring_amplification():
     with reported(11, "scored amplification") as detail:
         p_reveal, m, gamma = 0.5, 64, 0.5
         lam = reveal_lambda(p_reveal, m)
-        result = solver_experiment(make_reveal_solver(p_reveal), lam, m,
+        result = solver_experiment(RevealSolver(p_reveal), lam, m,
                                    gamma, 200, random.Random(11_000))
         rate = result["success"] / result["trials"]
         detail.append(f"success {rate:.3f} over {result['trials']}")
@@ -480,7 +482,7 @@ def test_criterion_11_scoring_amplification():
         overflow = result["failure_kind"]["overflow"] / result["trials"]
         assert overflow <= 1 / 5 + 3 * math.sqrt(0.2 * 0.8 / result["trials"])
 
-        solver = make_reveal_solver(p_reveal)
+        solver = RevealSolver(p_reveal)
         srng = random.Random(11_001)
         rounds = 20_000
         star, gaps, others = [], [], []

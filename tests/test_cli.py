@@ -1,8 +1,10 @@
 import json
 import os
+import sys
 
 import pytest
 
+from degencomm import gadget
 from degencomm.cli import main, spawn_seed
 from degencomm.graphs import cycle_graph, save_graph
 
@@ -123,6 +125,31 @@ def test_reduction_emit_gadget_roundtrip(tmp_path, capsys):
     assert row["reload_ok"] is True
     assert os.path.exists(row["gadget_file"])
     assert os.path.exists(row["gadget_file"] + ".json")
+
+
+@pytest.mark.parametrize("extra", [[], ["--emit-gadget", None],
+                                   ["--streaming", "naive"]])
+def test_each_reduction_trial_builds_its_gadget_once(extra, tmp_path,
+                                                      monkeypatch, capsys):
+    original = gadget.build_gadget
+    calls = []
+
+    def counting(inst):
+        calls.append(inst)
+        return original(inst)
+
+    # modules import build_gadget by name, so every binding is wrapped;
+    # a build hidden in any degencomm module still counts
+    for name, module in list(sys.modules.items()):
+        if name == "degencomm" or name.startswith("degencomm."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    extra = [str(tmp_path) if arg is None else arg for arg in extra]
+    code, _, _ = run(["reduction", "--m", "4", "--r", "1", "--trials", "3",
+                      "--seed", "6"] + extra, capsys)
+    assert code == 0
+    assert len(calls) == 3
 
 
 def test_streaming_harness_rows(capsys):

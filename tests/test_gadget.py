@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -248,3 +249,94 @@ def test_sidecar_rejects_wrong_length():
     bad = sidecar_json(gg).replace('["special",1],', "", 1)
     with pytest.raises(ValueError, match="labels"):
         gadget_from_strings(dumps_graph(gg.graph), bad)
+
+
+# ---------------------------------------------------------------------------
+# fail-closed loading
+
+
+def _sidecar_obj(seed=15):
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(seed)))
+    return gg, json.loads(sidecar_json(gg))
+
+
+def test_sidecar_rejects_an_empty_object():
+    gg, _ = _sidecar_obj()
+    with pytest.raises(ValueError, match="'labels' must be a list"):
+        gadget_from_strings(dumps_graph(gg.graph), "{}")
+
+
+def test_sidecar_rejects_a_top_level_list():
+    gg, obj = _sidecar_obj()
+    with pytest.raises(ValueError, match="JSON object"):
+        gadget_from_strings(dumps_graph(gg.graph), json.dumps([obj]))
+
+
+def test_sidecar_rejects_empty_labels():
+    obj = {"m": 4, "r": 1, "d": 36, "labels": [[], [], []]}
+    with pytest.raises(ValueError, match=r"labels\[0\]"):
+        gadget_from_strings("3 0\n", json.dumps(obj))
+
+
+def test_sidecar_rejects_integer_labels():
+    obj = {"m": 4, "r": 1, "d": 36, "labels": [0, 1, 2]}
+    with pytest.raises(ValueError, match=r"labels\[0\]"):
+        gadget_from_strings("3 0\n", json.dumps(obj))
+
+
+def test_sidecar_rejects_a_short_layer_label():
+    gg, obj = _sidecar_obj()
+    obj["labels"][5] = ["layer", 0]
+    with pytest.raises(ValueError, match=r"labels\[5\].*3 integers"):
+        gadget_from_strings(dumps_graph(gg.graph), json.dumps(obj))
+
+
+def test_sidecar_rejects_missing_specials():
+    gg, obj = _sidecar_obj()
+    for v in gg.special_ids:
+        obj["labels"][v] = ["aux", 1000 + v]
+    with pytest.raises(ValueError, match="no special vertex 1"):
+        gadget_from_strings(dumps_graph(gg.graph), json.dumps(obj))
+
+
+@pytest.mark.parametrize("key,value", [("m", "4"), ("r", 1.5), ("d", True),
+                                       ("m", None)])
+def test_sidecar_rejects_non_integer_parameters(key, value):
+    gg, obj = _sidecar_obj()
+    obj[key] = value
+    with pytest.raises(ValueError, match=f"'{key}' must be a positive integer"):
+        gadget_from_strings(dumps_graph(gg.graph), json.dumps(obj))
+
+
+def test_sidecar_rejects_a_triple_missing_a_copy():
+    gg, obj = _sidecar_obj()
+    obj["labels"][gg.triple_index[(0, 1)][2]] = ["aux", 999]
+    with pytest.raises(ValueError, match=r"triple \(0, 1\) is missing copy 3"):
+        gadget_from_strings(dumps_graph(gg.graph), json.dumps(obj))
+
+
+def test_load_audits_the_structure(tmp_path):
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(16)))
+    path = str(tmp_path / "gadget.txt")
+    save_gadget(gg, path)
+    aux = set(gg.aux_ids)
+    victim = next((u, v) for u, v in gg.graph.edges()
+                  if (u in aux) != (v in aux))
+    edges = [e for e in gg.graph.edges() if e != victim]
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(dumps_graph(Graph(gg.graph.n, edges)))
+    with pytest.raises(ValueError, match="degree-targets"):
+        load_gadget(path)
+
+
+def test_load_rejects_a_triple_outside_the_layers(tmp_path):
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(17)))
+    path = str(tmp_path / "gadget.txt")
+    save_gadget(gg, path)
+    obj = json.loads(sidecar_json(gg))
+    for c, v in enumerate(gg.triple_index[(0, 1)], start=1):
+        obj["labels"][v] = ["layer", 0, 99, c]
+    with open(path + ".json", "w", encoding="ascii") as fh:
+        fh.write(json.dumps(obj))
+    with pytest.raises(ValueError, match="shape"):
+        load_gadget(path)

@@ -21,6 +21,24 @@ def small_graphs(draw, max_n=12):
     return G.Graph(n, edges)
 
 
+def reference_k_core(g, k):
+    """The k-core by its own deletion loop: the oracle for G.k_core."""
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
+    stack = [v for v in range(g.n) if deg[v] < k]
+    while stack:
+        v = stack.pop()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        for u in g.adj[v]:
+            if alive[u]:
+                deg[u] -= 1
+                if deg[u] < k:
+                    stack.append(u)
+    return frozenset(v for v in range(g.n) if alive[v])
+
+
 # ---------------------------------------------------------------------------
 # frozen expected values (checked against brute_force_degeneracy first)
 
@@ -167,6 +185,7 @@ def test_degeneracy_matches_brute_force(g):
 @given(small_graphs(), st.integers(min_value=0, max_value=12))
 def test_k_core_nonempty_iff_degeneracy_reaches_k(g, k):
     core = G.k_core(g, k)
+    assert core == reference_k_core(g, k)
     if g.n > 0:
         assert bool(core) == (G.degeneracy(g) >= k)
     else:

@@ -89,7 +89,7 @@ def test_split_holds_on_samples():
     for m, r in ((4, 1), (4, 2), (8, 1)):
         for _ in range(3):
             inst = sample_bmhpc(m, r, rng)
-            rep = verify_split(inst)
+            rep = verify_split(build_gadget(inst), inst)
             assert rep.split_ok
             assert rep.bit_true == chase(inst).bit
             if rep.bit_true == 1:
@@ -104,23 +104,33 @@ def test_split_survives_an_off_path_pair_swap():
     rng = random.Random(8)
     for _ in range(3):
         inst = sample_bmhpc(4, 1, rng)
-        before = verify_split(inst)
+        before = verify_split(build_gadget(inst), inst)
         a0, b0 = list(inst.A[0]), list(inst.B[0])
         a0[1], a0[2] = a0[2], a0[1]
         b0[1], b0[2] = b0[2], b0[1]
         mutated = MHPCInstance(inst.m, inst.r, [a0], [b0],
                                [list(inst.C[0])], [list(inst.D[0])])
         assert chase(mutated).z == chase(inst).z
-        after = verify_split(mutated)
+        after = verify_split(build_gadget(mutated), mutated)
         assert after.split_ok
         assert after.kappa == before.kappa
+
+
+def test_split_and_trace_reject_a_mismatched_gadget():
+    rng = random.Random(20)
+    gg = build_gadget(sample_bmhpc(4, 2, rng))
+    other = sample_bmhpc(4, 1, rng)
+    with pytest.raises(ValueError, match="4x1, gadget is 4x2"):
+        verify_split(gg, other)
+    with pytest.raises(ValueError, match="4x1, gadget is 4x2"):
+        trace_invariants(gg, other)
 
 
 def test_trace_is_clean_on_samples():
     rng = random.Random(9)
     for m, r in ((4, 1), (4, 3), (8, 2)):
         inst = sample_bmhpc(m, r, rng)
-        rep = trace_invariants(inst)
+        rep = trace_invariants(build_gadget(inst), inst)
         assert len(rep.trace) == 2 * r + 1
         assert all(t.ok for t in rep.trace)
         assert all(t.max_degree_at_removal <= rep.d - 3 for t in rep.trace)
@@ -129,9 +139,9 @@ def test_trace_is_clean_on_samples():
 
 def test_trace_on_the_padded_worked_example():
     inst = pad_instance(worked_example(), 4)
-    rep = trace_invariants(inst)
-    assert all(t.ok for t in rep.trace)
     gg = build_gadget(inst)
+    rep = trace_invariants(gg, inst)
+    assert all(t.ok for t in rep.trace)
     first = peel(gg.graph).order[:3]
     assert set(first) == set(gg.triple_index[(0, 0)])
 
@@ -169,8 +179,9 @@ def test_structured_prefix_survives_any_tie_break():
 
 def test_store_all_single_pass():
     inst = sample_bmhpc(4, 1, random.Random(12))
-    sim = simulate_streaming_reduction(inst, StoreAllDecider(), 1)
-    n = build_gadget(inst).graph.n
+    gg = build_gadget(inst)
+    sim = simulate_streaming_reduction(gg, StoreAllDecider(), 1)
+    n = gg.graph.n
     snap = n * (n - 1) // 2
     assert sim.bit == chase(inst).bit
     assert sim.phases == 1
@@ -183,7 +194,7 @@ def test_naive_peeler_full_run():
     inst = sample_bmhpc(4, 1, random.Random(13))
     gg = build_gadget(inst)
     n, w = gg.graph.n, uint_width(gg.graph.n)
-    sim = simulate_streaming_reduction(inst, NaivePeeler(), n)
+    sim = simulate_streaming_reduction(gg, NaivePeeler(), n)
     snap = 1 + n + w + n * w
     assert sim.bit == chase(inst).bit
     assert sim.phases == 2 * n - 1
@@ -197,17 +208,18 @@ def test_both_references_agree_with_the_chase():
     for _ in range(3):
         inst = sample_bmhpc(4, 1, rng)
         want = chase(inst).bit
-        n = build_gadget(inst).graph.n
-        assert simulate_streaming_reduction(inst, StoreAllDecider(), 1).bit == want
-        assert simulate_streaming_reduction(inst, NaivePeeler(), n).bit == want
+        gg = build_gadget(inst)
+        n = gg.graph.n
+        assert simulate_streaming_reduction(gg, StoreAllDecider(), 1).bit == want
+        assert simulate_streaming_reduction(gg, NaivePeeler(), n).bit == want
 
 
 def test_pass_budget_is_enforced():
-    inst = sample_bmhpc(4, 1, random.Random(15))
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(15)))
     with pytest.raises(ProtocolError, match="budget is 3"):
-        simulate_streaming_reduction(inst, NaivePeeler(), 3)
+        simulate_streaming_reduction(gg, NaivePeeler(), 3)
     with pytest.raises(ValueError, match=">= 1"):
-        simulate_streaming_reduction(inst, StoreAllDecider(), 0)
+        simulate_streaming_reduction(gg, StoreAllDecider(), 0)
 
 
 class _FeedRecorder:
@@ -243,10 +255,10 @@ class _FeedRecorder:
 
 
 def test_every_pass_feeds_the_same_stream():
-    inst = sample_bmhpc(4, 1, random.Random(16))
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(16)))
     _FeedRecorder.log = []
-    n = build_gadget(inst).graph.n
-    simulate_streaming_reduction(inst, _FeedRecorder(), n)
+    n = gg.graph.n
+    simulate_streaming_reduction(gg, _FeedRecorder(), n)
     chunks = []
     for entry in _FeedRecorder.log:
         if entry == "pass":
@@ -258,9 +270,9 @@ def test_every_pass_feeds_the_same_stream():
 
 
 def test_simulation_is_reproducible():
-    inst = sample_bmhpc(4, 1, random.Random(17))
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(17)))
     runs = [
-        simulate_streaming_reduction(inst, StoreAllDecider(), 1)
+        simulate_streaming_reduction(gg, StoreAllDecider(), 1)
         for _ in range(2)
     ]
     assert runs[0].ledger.to_json() == runs[1].ledger.to_json()
@@ -301,7 +313,8 @@ def test_restore_rejects_wrong_width():
 
 def test_report_json_shape():
     inst = sample_bmhpc(4, 1, random.Random(19))
-    rep = full_report(inst, StoreAllDecider(), 1)
+    gg = build_gadget(inst)
+    rep = full_report(gg, inst, StoreAllDecider(), 1)
     obj = json.loads(rep.to_json())
     assert set(obj) == {
         "bit_true", "kappa", "d", "split_ok", "trace",
@@ -313,4 +326,4 @@ def test_report_json_shape():
     assert all(set(t) == {"ell", "ok", "max_degree_at_removal"}
                for t in obj["trace"])
     with pytest.raises(ValueError, match="budget"):
-        full_report(inst, StoreAllDecider())
+        full_report(gg, inst, StoreAllDecider())

@@ -10,7 +10,6 @@ from degencomm.sisolver import (
     RevealSolver,
     calibrate_tau,
     exact_from_eps,
-    make_reveal_solver,
     reveal_lambda,
     score,
     scored_round,
@@ -141,7 +140,7 @@ def test_reveal_solver_rejects_bad_p():
     with pytest.raises(ValueError, match="reveal probability"):
         RevealSolver(-0.1)
     with pytest.raises(ValueError, match="reveal probability"):
-        make_reveal_solver(1.1)
+        RevealSolver(1.1)
 
 
 def test_reveal_lambda_known_values():
