@@ -203,7 +203,8 @@ def _reduction_trial(task: tuple[int, int, int, str | None]) -> dict:
         reloaded = load_gadget(path)
         row["gadget_file"] = path
         row["reload_ok"] = (
-            sorted(reloaded.graph.edges()) == sorted(gg.graph.edges())
+            reloaded.graph.n == gg.graph.n
+            and reloaded.graph.adj == gg.graph.adj
             and reloaded.labels == gg.labels
         )
     row["ok"] = row["split_ok"] and row["trace_ok"] and row.get("reload_ok", True)

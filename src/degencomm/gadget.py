@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 
 from .graphs import Graph, dumps_graph, loads_graph
-from .hpc import MHPCInstance, chase, validate_instance
+from .hpc import MHPCInstance, PointerPath, chase, validate_instance
 
 Label = tuple
 
@@ -156,15 +156,9 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
     aux_load = [degrees[u] for u in aux]
     cursor = 0
     for v in range(n_layer + 3):
-        if v >= n_layer:
-            want = d + 6 * r
-        else:
-            ell, i = v // 3 // m, v // 3 % m
-            if ell == 0:
-                want = d - 3 if i == 0 else d
-            else:
-                want = d - 1 if ell % 2 == 1 else d
-        need = want - degrees[v]
+        label = (("special", v - n_layer + 1) if v >= n_layer
+                 else ("layer", v // 3 // m, v // 3 % m, v % 3 + 1))
+        need = _target_degree(label, d, r) - degrees[v]
         if need < 0:
             raise ValueError(
                 f"vertex {v} already exceeds its target degree by {-need}"
@@ -465,16 +459,18 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
 
 
 def pointer_path_triples(
-    gg: GadgetGraph, inst: MHPCInstance
+    gg: GadgetGraph, inst: MHPCInstance, walk: PointerPath | None = None
 ) -> list[tuple[int, int, int]]:
     """The 2r+1 triples along the pointer path, in layer order.
 
     Entry 0 is the start triple in layer 0; each later pointer
     contributes its triple in both layers that replay that step. These
-    are exactly the triples a min-degree peel removes first.
+    are exactly the triples a min-degree peel removes first. A caller
+    that already has chase(inst) passes it as walk to skip a second walk.
     """
     gg.check_fits(inst)
-    walk = chase(inst)
+    if walk is None:
+        walk = chase(inst)
     seq = [gg.triple_index[(0, 0)]]
     for step, (_, idx) in enumerate(walk.z[1:], start=1):
         seq.append(gg.triple_index[(2 * step - 1, idx)])

@@ -133,14 +133,18 @@ def _pair_target(inst: MHPCInstance, j: int, side: str, i: int) -> int:
 
 
 def sample_setint(m: int, rng: Random) -> SetIntInstance:
-    """One hard instance: two size-m/4 sets intersecting in a single point."""
+    """One hard instance: two size-m/4 sets intersecting in a single point.
+
+    One ordered draw s of 2q-1 distinct elements (q = m/4) gives
+    X = s[:q] and Y = s[q-1:], sharing e = s[q-1]. So (X - e, e, Y - e)
+    is uniform over the disjoint triples of a (q-1)-set, a point and a
+    (q-1)-set, which is the hard distribution.
+    """
     if m < 4 or m % 4:
         raise ValueError("universe size must be a positive multiple of 4")
     q = m // 4
-    xp = set(rng.sample(range(m), q - 1))
-    yp = set(rng.sample(sorted(set(range(m)) - xp), q - 1))
-    e = rng.choice(sorted(set(range(m)) - xp - yp))
-    return SetIntInstance(m, frozenset(xp | {e}), frozenset(yp | {e}))
+    s = rng.sample(range(m), 2 * q - 1)
+    return SetIntInstance(m, frozenset(s[:q]), frozenset(s[q - 1:]))
 
 
 def sample_side_marginal(m: int, rng: Random) -> frozenset[int]:
@@ -482,12 +486,36 @@ def instance_to_json(inst: MHPCInstance) -> str:
     )
 
 
+def _json_family(obj: dict, key: str) -> list[list[frozenset[int]]]:
+    fam = obj.get(key)
+    if not (isinstance(fam, list) and all(
+        isinstance(layer, list) and all(
+            isinstance(s, list) and all(type(e) is int for e in s)
+            for s in layer
+        )
+        for layer in fam
+    )):
+        raise ValueError(
+            f"instance field {key!r} must be a list of layers of integer lists"
+        )
+    return [[frozenset(s) for s in layer] for layer in fam]
+
+
 def instance_from_json(text: str) -> MHPCInstance:
+    """Parse an instance written by instance_to_json and validate it.
+
+    Fails closed: a malformed document raises ValueError naming the
+    field, and a well-formed one must still pass validate_instance.
+    """
     obj = json.loads(text)
-    load = lambda fam: [[frozenset(s) for s in layer] for layer in fam]
-    inst = MHPCInstance(
-        obj["m"], obj["r"],
-        load(obj["A"]), load(obj["B"]), load(obj["C"]), load(obj["D"]),
-    )
+    if not isinstance(obj, dict):
+        raise ValueError("instance must be a JSON object")
+    for key in ("m", "r"):
+        if type(obj.get(key)) is not int:
+            raise ValueError(
+                f"instance field {key!r} must be an integer, got {obj.get(key)!r}"
+            )
+    inst = MHPCInstance(obj["m"], obj["r"],
+                        *(_json_family(obj, key) for key in "ABCD"))
     validate_instance(inst)
     return inst

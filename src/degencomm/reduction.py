@@ -149,17 +149,15 @@ def partition_edges(gg: GadgetGraph) -> dict[str, list[tuple[int, int]]]:
 # split and invariant checks
 
 
-def _split_report(gg: GadgetGraph, inst: MHPCInstance,
-                  kappa: int) -> ReductionReport:
-    gg.check_fits(inst)
-    bit = chase(inst).bit
+def _split_report(gg: GadgetGraph, bit: int, kappa: int) -> ReductionReport:
     ok = kappa <= gg.d - 3 if bit == 1 else kappa >= gg.d - 2
     return ReductionReport(bit_true=bit, kappa=kappa, d=gg.d, split_ok=ok)
 
 
 def verify_split(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
     """Check which side of d-3 the degeneracy took; gg must fit inst."""
-    return _split_report(gg, inst, degeneracy(gg.graph))
+    gg.check_fits(inst)
+    return _split_report(gg, chase(inst).bit, degeneracy(gg.graph))
 
 
 def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
@@ -171,12 +169,14 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
     vertex at degree d+6r-3*ell and every auxiliary vertex at degree
     >= d+6r+3-3*ell just beforehand.
     """
+    gg.check_fits(inst)
+    walk = chase(inst)
     tr = peel(gg.graph)
-    report = _split_report(gg, inst, tr.degeneracy)
+    report = _split_report(gg, walk.bit, tr.degeneracy)
     d, r = gg.d, gg.r
     resid = [gg.graph.degree(v) for v in range(gg.graph.n)]
     records = []
-    for ell, z in enumerate(pointer_path_triples(gg, inst)):
+    for ell, z in enumerate(pointer_path_triples(gg, inst, walk)):
         got = tr.order[3 * ell:3 * ell + 3]
         worst = max(tr.degree_at_removal[3 * ell:3 * ell + 3])
         ok = (

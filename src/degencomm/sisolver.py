@@ -13,7 +13,10 @@ element of the left set by how confidently the posterior singled it out,
 and thresholds the accumulated scores.  Relabeling makes every round an
 independent draw from the distribution the solver was measured on, so a
 small per-round advantage accumulates linearly while the noise only
-grows like the square root of the number of rounds.
+grows like the square root of the number of rounds.  A round relabels
+only X∪Y, by one uniform injection into the universe: the solver sees
+nothing else, so this has the law of a full permutation with fewer
+draws.
 
 ``exact_from_eps`` either returns the intersection element or a
 :class:`Failure` naming which of the two checkable things went wrong
@@ -86,27 +89,57 @@ def _promise_universe(X: frozenset[int], Y: frozenset[int]) -> int:
     return m
 
 
-def _scramble(
-    m: int, X: frozenset[int], Y: frozenset[int], rng: random.Random
+def _layout(X: frozenset[int], Y: frozenset[int]) -> tuple[list[int], int]:
+    """Check the promise and lay X∪Y out as X - e, e, Y - e; return it and m.
+
+    A relabel s of this layout sends layout[j] to s[j], so X lands on
+    s[:n] and Y on s[n-1:] with n = m/4, and the target on s[n-1].
+    """
+    X, Y = frozenset(X), frozenset(Y)
+    m = _promise_universe(X, Y)
+    (e,) = X & Y
+    return sorted(X - Y) + [e] + sorted(Y - X), m
+
+
+def _relabel(
+    layout: list[int], m: int, rng: random.Random
 ) -> tuple[list[int], frozenset[int], frozenset[int]]:
-    perm = list(range(m))
-    rng.shuffle(perm)
-    return perm, frozenset(perm[e] for e in X), frozenset(perm[e] for e in Y)
+    """Draw a uniform injection of the laid-out X∪Y into [m).
+
+    Returns the new labels in layout order and the relabeled X and Y.
+    """
+    n = (len(layout) + 1) // 2
+    s = rng.sample(range(m), len(layout))
+    return s, frozenset(s[:n]), frozenset(s[n - 1:])
+
+
+def _score_rounds(
+    layout: list[int], m: int, solver: EpsSolver, rng: random.Random, k: int
+) -> list[float]:
+    """Play k relabel-run-score rounds; return X's summed scores in layout order."""
+    n = m // 4
+    totals = [0.0] * n
+    for _ in range(k):
+        s, sx, sy = _relabel(layout, m, rng)
+        q = solver.posterior(solver.run(sx, sy, rng), sx)
+        totals = [t + score(q[i], n) for t, i in zip(totals, s)]
+    return totals
 
 
 def scrambled_instance(
     X: frozenset[int], Y: frozenset[int], rng: random.Random
-) -> tuple[list[int], frozenset[int], frozenset[int]]:
-    """Relabel a promise instance by a fresh uniform permutation.
+) -> tuple[dict[int, int], frozenset[int], frozenset[int]]:
+    """Relabel a promise instance by a fresh uniform injection of X∪Y into [m).
 
-    Returns ``(perm, perm(X), perm(Y))`` where ``perm`` maps old labels
-    to new ones.  Feeding the relabeled sets to a solver makes the round
-    distributionally identical to a fresh average-case instance, which
-    is what lets a one-shot accuracy guarantee be replayed.
+    Returns ``(perm, perm(X), perm(Y))`` where ``perm`` maps each old
+    label in X∪Y to its new one.  A solver sees only the two sets, so
+    this gives the relabeled pair the same law as a uniform permutation
+    of all of ``[m)`` would: a fresh average-case instance, which is
+    what lets a one-shot accuracy guarantee be replayed.
     """
-    X, Y = frozenset(X), frozenset(Y)
-    m = _promise_universe(X, Y)
-    return _scramble(m, X, Y, rng)
+    layout, m = _layout(X, Y)
+    s, sx, sy = _relabel(layout, m, rng)
+    return dict(zip(layout, s)), sx, sy
 
 
 def scored_round(
@@ -116,12 +149,8 @@ def scored_round(
     rng: random.Random,
 ) -> dict[int, float]:
     """One relabel-run-score round; scores are keyed by original labels."""
-    X, Y = frozenset(X), frozenset(Y)
-    m = _promise_universe(X, Y)
-    n = m // 4
-    perm, sx, sy = _scramble(m, X, Y, rng)
-    q = solver.posterior(solver.run(sx, sy, rng), sx)
-    return {e: score(q[perm[e]], n) for e in X}
+    layout, m = _layout(X, Y)
+    return dict(zip(layout, _score_rounds(layout, m, solver, rng, 1)))
 
 
 def calibrate_tau(solver: EpsSolver, m: int, k_rounds: int, rng: random.Random) -> float:
@@ -189,8 +218,8 @@ def exact_from_eps(
     :func:`calibrate_tau` with the same round count) to amortize
     calibration across many runs; otherwise one is calibrated here.
     """
-    X, Y = frozenset(X), frozenset(Y)
-    m = _promise_universe(X, Y)
+    Y = frozenset(Y)
+    layout, m = _layout(X, Y)
     if not 8 / m <= eps <= 1.0:
         raise ValueError(f"advantage must be in [8/m, 1] = [{8 / m}, 1], got {eps}")
     if not 0.0 < gamma < 1.0:
@@ -200,16 +229,7 @@ def exact_from_eps(
     if tau is None:
         tau = calibrate_tau(solver, m, k, rng)
 
-    totals = dict.fromkeys(X, 0.0)
-    for _ in range(k):
-        perm = list(range(m))
-        rng.shuffle(perm)
-        sx = frozenset(perm[e] for e in X)
-        sy = frozenset(perm[e] for e in Y)
-        q = solver.posterior(solver.run(sx, sy, rng), sx)
-        for e in totals:
-            totals[e] += score(q[perm[e]], n)
-
+    totals = dict(zip(layout, _score_rounds(layout, m, solver, rng, k)))
     state = ScoreState(n=n, totals=totals, k_rounds=k, tau=tau)
     survivors = {e for e, total in totals.items() if total >= tau}
     if len(survivors) > math.floor(gamma * gamma * m / 10) + 1:
@@ -239,12 +259,13 @@ class RevealSolver:
         return target if rng.random() < self.p else None
 
     def posterior(self, transcript: int | None, xs: frozenset[int]) -> list[float]:
-        m = 4 * len(xs)
+        out = [0.0] * (4 * len(xs))
         if transcript is None:
             u = 1.0 / len(xs)
-            return [u if i in xs else 0.0 for i in range(m)]
-        out = [0.0] * m
-        out[transcript] = 1.0
+            for i in xs:
+                out[i] = u
+        else:
+            out[transcript] = 1.0
         return out
 
 

@@ -127,6 +127,32 @@ def test_reduction_emit_gadget_roundtrip(tmp_path, capsys):
     assert os.path.exists(row["gadget_file"] + ".json")
 
 
+def test_reduction_reload_check_sees_a_moved_edge(tmp_path, monkeypatch,
+                                                  capsys):
+    from degencomm import cli
+
+    def load_with_a_moved_edge(path):
+        gg = gadget.load_gadget(path)
+        adj = gg.graph.adj
+        u = 0
+        v = min(adj[u])
+        w = min(x for x in range(gg.graph.n) if x != u and x not in adj[u])
+        adj[u].discard(v)
+        adj[v].discard(u)
+        adj[u].add(w)
+        adj[w].add(u)
+        return gg
+
+    monkeypatch.setattr(cli, "load_gadget", load_with_a_moved_edge)
+    code, out, _ = run(
+        ["reduction", "--m", "4", "--r", "1", "--trials", "1", "--seed", "2",
+         "--emit-gadget", str(tmp_path)], capsys
+    )
+    assert code == 1
+    row = json.loads(out)["rows"][0]
+    assert row["reload_ok"] is False
+
+
 @pytest.mark.parametrize("extra", [[], ["--emit-gadget", None],
                                    ["--streaming", "naive"]])
 def test_each_reduction_trial_builds_its_gadget_once(extra, tmp_path,

@@ -377,3 +377,20 @@ def test_json_loader_revalidates():
     obj["B"][0][0] = sorted(set(range(4)) - set(obj["A"][0][0]))
     with pytest.raises(ValueError, match="intersects"):
         instance_from_json(json.dumps(obj))
+
+
+def test_json_loader_rejects_a_missing_field():
+    with pytest.raises(ValueError, match="'m'"):
+        instance_from_json("{}")
+
+
+def test_json_loader_rejects_a_non_object():
+    with pytest.raises(ValueError, match="JSON object"):
+        instance_from_json("[]")
+
+
+def test_json_loader_rejects_an_integer_family():
+    obj = json.loads(instance_to_json(sample_bmhpc(4, 1, random.Random(3))))
+    obj["C"] = 7
+    with pytest.raises(ValueError, match="'C'"):
+        instance_from_json(json.dumps(obj))

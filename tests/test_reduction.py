@@ -1,8 +1,10 @@
 import json
 import random
+import sys
 
 import pytest
 
+from degencomm import hpc
 from degencomm.comm import ProtocolError, uint_width
 from degencomm.gadget import aux_padding, build_gadget
 from degencomm.graphs import degeneracy, peel
@@ -135,6 +137,28 @@ def test_trace_is_clean_on_samples():
         assert all(t.ok for t in rep.trace)
         assert all(t.max_degree_at_removal <= rep.d - 3 for t in rep.trace)
         assert rep.split_ok
+
+
+def test_trace_invariants_walks_the_chain_once(monkeypatch):
+    inst = sample_bmhpc(4, 2, random.Random(12))
+    gg = build_gadget(inst)
+    original = hpc.chase
+    calls = []
+
+    def counting(arg):
+        calls.append(arg)
+        return original(arg)
+
+    # chase is imported by name, so wrap every degencomm binding of it
+    for name, module in list(sys.modules.items()):
+        if name == "degencomm" or name.startswith("degencomm."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    rep = trace_invariants(gg, inst)
+    assert len(calls) == 1
+    assert rep.bit_true == original(inst).bit
+    assert all(t.ok for t in rep.trace)
 
 
 def test_trace_on_the_padded_worked_example():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -65,7 +66,10 @@ def test_scramble_preserves_the_promise():
     rng = random.Random(11)
     inst = sample_setint(16, rng)
     perm, sx, sy = scrambled_instance(inst.X, inst.Y, rng)
-    assert sorted(perm) == list(range(16))
+    assert set(perm) == inst.X | inst.Y
+    assert len(set(perm.values())) == len(perm)
+    assert all(v in range(16) for v in perm.values())
+    assert sx == {perm[e] for e in inst.X} and sy == {perm[e] for e in inst.Y}
     assert len(sx) == len(sy) == 4
     assert sx & sy == {perm[inst.e_star]}
 
@@ -83,6 +87,42 @@ def test_scramble_covers_every_low_m_outcome():
     for _ in range(500):
         _, sx, sy = scrambled_instance(inst.X, inst.Y, rng)
         assert (sx, sy) in legal8
+
+
+def _assert_uniform_over_setint8(draws):
+    # Every one of the 336 promise pairs at m = 8 shows up, and each
+    # count sits within 4.5 sigma of its binomial mean.  A 3 sigma band
+    # per pair would be breached by about one of the 336 pairs per run
+    # of an exact sampler; 4.5 sigma keeps the family-wise false-alarm
+    # rate under 0.3 %.  The chi-square total, 335 degrees of freedom,
+    # must stay within five of its standard deviations of the mean.
+    outcomes = enumerate_setint(8)
+    counts = Counter(draws)
+    total = sum(counts.values())
+    assert set(counts) == {(X, Y) for X, Y, _ in outcomes}
+    chi2 = 0.0
+    for X, Y, p in outcomes:
+        dev = counts[(X, Y)] - total * p
+        assert abs(dev) <= 4.5 * math.sqrt(total * p * (1 - p)), (X, Y, counts[(X, Y)])
+        chi2 += dev * dev / (total * p)
+    df = len(outcomes) - 1
+    assert chi2 <= df + 5 * math.sqrt(2 * df)
+
+
+def test_sample_setint_is_uniform_at_m8():
+    rng = random.Random(31)
+    draws = []
+    for _ in range(100_000):
+        si = sample_setint(8, rng)
+        draws.append((si.X, si.Y))
+    _assert_uniform_over_setint8(draws)
+
+
+def test_scramble_is_uniform_at_m8():
+    rng = random.Random(32)
+    inst = sample_setint(8, rng)
+    draws = [scrambled_instance(inst.X, inst.Y, rng)[1:] for _ in range(100_000)]
+    _assert_uniform_over_setint8(draws)
 
 
 def test_scramble_rejects_broken_promises():
