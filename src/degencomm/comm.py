@@ -1,9 +1,12 @@
 """Deterministic message-passing simulation with exact bit accounting.
 
-Two runners live here: a two-party one (Alice/Bob) used by the degeneracy
-protocols, and a four-party one (A/B vs C/D pairs with a round schedule)
-used by the pointer-chasing protocols. Parties are written as generators
-that yield action tuples:
+One runner loop drives every protocol here; two routing policies sit on
+top of it. The two-party policy (Alice/Bob) serves the degeneracy
+protocols, and the four-party policy (A/B vs C/D pairs with a round
+schedule) serves the pointer-chasing protocols. The loop owns the
+generators, inboxes, outputs and deadlock check; a policy only decides
+whether an action is allowed, what it costs and who receives it.
+Parties are written as generators that yield action tuples:
 
     ("send", field)            two-party: send to the peer
     ("send", dest, field)      four-party: intra-pair message
@@ -21,8 +24,9 @@ charged to the ledger.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Generator, Iterable
+from typing import Callable, Generator, Iterable
 
 from .graphs import Graph
 
@@ -185,97 +189,81 @@ def random_partition(g: Graph, rng) -> EdgePartition:
 
 
 # ---------------------------------------------------------------------------
-# two-party runner
+# runners: one generator loop, two routing policies
 
 Party = Generator  # yields the action tuples documented at module top
+Route = Callable[[str, tuple, CommLedger], Iterable[str]]
+
+
+def _drive(parties: dict[str, Party], route: Route) -> tuple[object, CommLedger]:
+    """Drive party generators round-robin until all have output.
+
+    Each sweep gives every party one action: a recv takes the head of its
+    inbox or waits, an output is stored, and anything else goes to
+    ``route(party, action, ledger)``, which checks it, charges the ledger
+    and returns the recipients of its payload. A sweep in which no party
+    acts is a deadlock. Outputs must agree. The sweep order fixes the
+    ledger's message order only when two parties have a send ready at
+    once, which no protocol in this package does.
+    """
+    ledger = CommLedger()
+    inbox = {p: deque() for p in parties}
+    outputs: dict[str, object] = {}
+    pending: dict[str, tuple | None] = {}
+
+    def step(p: str, value=None) -> None:
+        try:
+            pending[p] = parties[p].send(value)
+        except StopIteration:
+            if p not in outputs:
+                raise ProtocolError(f"party {p} stopped without output")
+            pending[p] = None
+
+    for p in parties:
+        step(p)
+    while len(outputs) < len(parties):
+        progressed = False
+        for p, act in pending.items():
+            if act is None:
+                continue
+            kind, value = act[0], None
+            if kind == "recv":
+                if not inbox[p]:
+                    continue
+                value = inbox[p].popleft()
+            elif kind == "output":
+                outputs[p] = act[1]
+            else:
+                for q in route(p, act, ledger):
+                    inbox[q].append(act[-1].value)
+            step(p, value)
+            progressed = True
+        if not progressed:
+            raise ProtocolError("deadlock: no party can make progress")
+
+    first, *rest = outputs.values()
+    if any(v != first for v in rest):
+        raise ProtocolError(f"output disagreement: {outputs!r}")
+    return first, ledger
 
 
 def run_two_party(alice: Party, bob: Party) -> tuple[object, CommLedger]:
-    """Drive two party generators to joint output.
+    """Drive Alice ("A") and Bob ("B") to joint output.
 
-    Control alternates on message boundaries: a send hands control to the
-    receiver, a recv on an empty inbox hands it back. Outputs must agree.
+    A send goes to the peer; a round is a maximal block of messages from
+    one sender.
     """
-    ledger = CommLedger()
-    names = ("A", "B")
-    gens = [alice, bob]
-    inbox: list[list[object]] = [[], []]
-    pending: list[tuple | None] = [None, None]  # last unserviced yield
-    outputs: list[object] = [_UNSET, _UNSET]
-    started = [False, False]
-    last_sender = None
-    active = 0
 
-    def advance(i: int, send_value=None) -> None:
-        try:
-            pending[i] = gens[i].send(send_value) if started[i] else next(gens[i])
-            started[i] = True
-        except StopIteration:
-            if outputs[i] is _UNSET:
-                raise ProtocolError(f"party {names[i]} stopped without output")
-            pending[i] = ("done",)
+    def route(p: str, act: tuple, ledger: CommLedger) -> tuple[str]:
+        if act[0] != "send":
+            raise ProtocolError(f"unknown action {act[0]!r}")
+        peer = "B" if p == "A" else "A"
+        if not ledger.per_message or ledger.per_message[-1][0] != p:
+            ledger.rounds += 1
+        ledger.record(p, peer, act[1].bits)
+        return (peer,)
 
-    advance(active)
-    stall = 0
-    while outputs[0] is _UNSET or outputs[1] is _UNSET:
-        act = pending[active]
-        if act is None:
-            advance(active)
-            continue
-        kind = act[0]
-        if kind == "send":
-            fld: Field = act[1]
-            peer = 1 - active
-            sender = names[active]
-            ledger.record(sender, names[peer], fld.bits)
-            if sender != last_sender:
-                ledger.rounds += 1
-                last_sender = sender
-            inbox[peer].append(fld.value)
-            pending[active] = None
-            advance(active)
-            active = peer
-            stall = 0
-        elif kind == "recv":
-            if inbox[active]:
-                msg = inbox[active].pop(0)
-                pending[active] = None
-                advance(active, send_value=msg)
-                stall = 0
-            else:
-                active = 1 - active
-                stall += 1
-                if stall > 2:
-                    raise ProtocolError("deadlock: both parties waiting to receive")
-        elif kind == "output":
-            outputs[active] = act[1]
-            pending[active] = None
-            advance(active)
-            active = 1 - active
-            stall = 0
-        elif kind == "done":
-            active = 1 - active
-            stall += 1
-            if stall > 2:
-                raise ProtocolError("deadlock: live party starved")
-        else:
-            raise ProtocolError(f"unknown action {kind!r}")
-    if outputs[0] != outputs[1]:
-        raise ProtocolError(
-            f"output disagreement: A={outputs[0]!r} B={outputs[1]!r}"
-        )
-    return outputs[0], ledger
-
-
-class _Unset:
-    __repr__ = lambda self: "<unset>"
-
-
-_UNSET = _Unset()
-
-
-# ---------------------------------------------------------------------------
-# four-party runner
+    return _drive({"A": alice, "B": bob}, route)
 
 
 @dataclass(frozen=True)
@@ -296,102 +284,42 @@ class RoundSchedule:
         return self.starter if round_no % 2 == 1 else other
 
 
-_PAIR_OF = {"A": "AB", "B": "AB", "C": "CD", "D": "CD"}
 _PARTNER = {"A": "B", "B": "A", "C": "D", "D": "C"}
+_OTHERS = {p: tuple("ABCD".replace(p, "")) for p in "ABCD"}
 
 
 def run_four_party(schedule: RoundSchedule,
                    parties: dict[str, Party]) -> tuple[object, CommLedger]:
     """Drive four party generators under a pair-speaking schedule.
 
-    Within a round only the speaking pair may send; intra-pair messages go
-    to the partner and the round ends with exactly one broadcast to the
-    other pair (both members receive it). Outputs of all four must agree.
-    The protocol may finish mid-round once every party has output.
+    Within a round only the speaking pair may send; an intra-pair send goes
+    to the partner and the round ends with exactly one broadcast, which
+    the other three parties receive. Outputs of all four must agree. The
+    protocol may finish mid-round once every party has output.
     """
-    ledger = CommLedger()
-    names = [p for p in ("A", "B", "C", "D") if p in parties]
-    if set(names) != {"A", "B", "C", "D"}:
+    if set(parties) != set("ABCD"):
         raise ValueError("need exactly parties A, B, C, D")
-    gens = dict(parties)
-    inbox: dict[str, list[object]] = {p: [] for p in names}
-    pending: dict[str, tuple | None] = {p: None for p in names}
-    outputs: dict[str, object] = {p: _UNSET for p in names}
-    started: dict[str, bool] = {p: False for p in names}
-    round_no = 1
 
-    def advance(p: str, send_value=None) -> None:
-        try:
-            pending[p] = gens[p].send(send_value) if started[p] else next(gens[p])
-            started[p] = True
-        except StopIteration:
-            if outputs[p] is _UNSET:
-                raise ProtocolError(f"party {p} stopped without output")
-            pending[p] = ("done",)
+    def route(p: str, act: tuple, ledger: CommLedger) -> tuple[str, ...]:
+        round_no = ledger.rounds + 1  # each finished round is one broadcast
+        if round_no > schedule.r:
+            raise ProtocolError(f"{p} tried to speak after the final round")
+        kind = act[0]
+        if kind not in ("send", "broadcast"):
+            raise ProtocolError(f"unknown action {kind!r}")
+        speaking = schedule.speaking_pair(round_no)
+        if p not in speaking:
+            verb = "sent" if kind == "send" else "broadcast"
+            raise ProtocolError(f"{p} {verb} in round {round_no} but {speaking} speaks")
+        if kind == "send":
+            if act[1] != _PARTNER[p]:
+                raise ProtocolError(
+                    f"intra-pair send from {p} must target {_PARTNER[p]}"
+                )
+            ledger.record(p, act[1], act[2].bits)
+            return (act[1],)
+        ledger.record(p, "CD" if speaking == "AB" else "AB", act[1].bits, cross=True)
+        ledger.rounds += 1
+        return _OTHERS[p]
 
-    for p in names:
-        advance(p)
-
-    while any(outputs[p] is _UNSET for p in names):
-        progressed = False
-        for p in names:
-            act = pending[p]
-            if act is None or act[0] == "done":
-                continue
-            kind = act[0]
-            if kind == "recv":
-                if inbox[p]:
-                    msg = inbox[p].pop(0)
-                    pending[p] = None
-                    advance(p, send_value=msg)
-                    progressed = True
-                continue
-            if kind == "output":
-                outputs[p] = act[1]
-                pending[p] = None
-                advance(p)
-                progressed = True
-                continue
-            if round_no > schedule.r:
-                raise ProtocolError(f"{p} tried to speak after the final round")
-            speaking = schedule.speaking_pair(round_no)
-            if kind == "send":
-                dest, fld = act[1], act[2]
-                if _PAIR_OF[p] != speaking:
-                    raise ProtocolError(
-                        f"{p} sent in round {round_no} but {speaking} speaks"
-                    )
-                if dest != _PARTNER[p]:
-                    raise ProtocolError(
-                        f"intra-pair send from {p} must target {_PARTNER[p]}"
-                    )
-                ledger.record(p, dest, fld.bits, cross=False)
-                inbox[dest].append(fld.value)
-                pending[p] = None
-                advance(p)
-                progressed = True
-            elif kind == "broadcast":
-                fld = act[1]
-                if _PAIR_OF[p] != speaking:
-                    raise ProtocolError(
-                        f"{p} broadcast in round {round_no} but {speaking} speaks"
-                    )
-                ledger.record(p, "CD" if speaking == "AB" else "AB", fld.bits,
-                              cross=True)
-                for q in names:
-                    if q != p:
-                        inbox[q].append(fld.value)
-                pending[p] = None
-                ledger.rounds += 1
-                round_no += 1
-                advance(p)
-                progressed = True
-            else:
-                raise ProtocolError(f"unknown action {kind!r}")
-        if not progressed:
-            raise ProtocolError("deadlock: no party can make progress")
-
-    vals = [outputs[p] for p in names]
-    if any(v != vals[0] for v in vals):
-        raise ProtocolError(f"output disagreement: {outputs!r}")
-    return vals[0], ledger
+    return _drive({p: parties[p] for p in "ABCD"}, route)

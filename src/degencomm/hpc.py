@@ -31,21 +31,9 @@ from .comm import (
 )
 
 
-class Abstain:
-    """Returned by the misaligned protocol when the walk cannot finish."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Abstain"
-
-
-ABSTAIN = Abstain()
+# Returned by the misaligned protocol when the walk cannot finish; test
+# with ``out is ABSTAIN``.
+ABSTAIN = object()
 
 
 # ---------------------------------------------------------------------------
@@ -60,18 +48,14 @@ class SetIntInstance:
 
     @property
     def e_star(self) -> int:
-        (e,) = self.X & self.Y
-        return e
+        return _meet(self.X, self.Y, "pair X/Y")
 
 
 def validate_setint(si: SetIntInstance) -> None:
     for side, s in (("first", si.X), ("second", si.Y)):
         if any(not 0 <= e < si.m for e in s):
             raise ValueError(f"{side} set leaves the universe [{si.m})")
-    if len(si.X & si.Y) != 1:
-        raise ValueError(
-            f"sets intersect in {len(si.X & si.Y)} elements, need exactly 1"
-        )
+    _meet(si.X, si.Y, "pair X/Y")
 
 
 @dataclass
@@ -116,15 +100,21 @@ def _pair_target(inst: MHPCInstance, j: int, side: str, i: int) -> int:
         first, second, names = inst.A[j][i], inst.B[j][i], ("A", "B")
     else:
         first, second, names = inst.C[j][i], inst.D[j][i], ("C", "D")
+    t = _meet(first, second,
+              f"layer {j} pair {names[0]}[{j}][{i}]/{names[1]}[{j}][{i}]")
+    if not 0 <= t < inst.m:
+        raise ValueError(f"target {t} outside universe [{inst.m})")
+    return t
+
+
+def _meet(first: frozenset[int], second: frozenset[int], where: str) -> int:
+    """The one element of first & second; ValueError naming where otherwise."""
     inter = first & second
     if len(inter) != 1:
         raise ValueError(
-            f"layer {j} pair {names[0]}[{j}][{i}]/{names[1]}[{j}][{i}] "
-            f"intersects in {len(inter)} elements, need exactly 1"
+            f"{where} intersects in {len(inter)} elements, need exactly 1"
         )
     (t,) = inter
-    if not 0 <= t < inst.m:
-        raise ValueError(f"target {t} outside universe [{inst.m})")
     return t
 
 
@@ -256,12 +246,7 @@ def _aligned_party(name, inst):
             idx = t
         elif my_round:
             theirs = yield ("recv",)
-            inter = fam[j][idx] & theirs
-            if len(inter) != 1:
-                raise ValueError(
-                    f"layer {j} pair intersects in {len(inter)} elements"
-                )
-            (t,) = inter
+            t = _meet(fam[j][idx], theirs, f"layer {j} pair")
             yield ("send", partner, uint(t, m))
             got = yield ("recv",)
             idx = got[0]
@@ -276,7 +261,7 @@ def _aligned_party(name, inst):
 
 
 def misaligned_bhpc_protocol(inst: MHPCInstance, N: int,
-                             rng: Random) -> tuple[int | Abstain, CommLedger]:
+                             rng: Random) -> tuple[object, CommLedger]:
     """Walk the pointer under a schedule where the wrong pair opens.
 
     Round 1: the y-side pair solves N uniformly chosen y-coordinates and
@@ -311,12 +296,7 @@ def _misaligned_party(name, inst, sel):
         pairs = []
         for y in sel:
             theirs = yield ("recv",)
-            inter = fam[0][y] & theirs
-            if len(inter) != 1:
-                raise ValueError(
-                    f"layer 0 pair intersects in {len(inter)} elements"
-                )
-            (t,) = inter
+            t = _meet(fam[0][y], theirs, "layer 0 pair")
             pairs.append((y, t))
         got = tuple(pairs)
         yield ("broadcast", vec(*(vec(uint(y, m), uint(t, m)) for y, t in pairs)))
@@ -350,12 +330,7 @@ def _misaligned_party(name, inst, sel):
         elif my_round:
             if active:
                 theirs = yield ("recv",)
-                inter = fam[frontier][idx] & theirs
-                if len(inter) != 1:
-                    raise ValueError(
-                        f"layer {frontier} pair intersects in {len(inter)} elements"
-                    )
-                (t,) = inter
+                t = _meet(fam[frontier][idx], theirs, f"layer {frontier} pair")
                 yield ("send", "A" if name == "B" else "C", uint(t, m))
                 yield ("recv",)
                 idx, frontier = t, frontier + 1

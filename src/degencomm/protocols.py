@@ -244,6 +244,8 @@ def degen_search(part: EdgePartition,
 
     The ordering comes from the accepting run at k = kappa and the core from
     the rejecting run at k = kappa - 1 (the whole vertex set when kappa = 0).
+    ``stats``, when given, gets the probe list as "decisions" next to what
+    ``decide`` filled in on its accepting run at kappa (nothing when n = 0).
     """
     n = part.n
     total = CommLedger()
@@ -253,8 +255,11 @@ def degen_search(part: EdgePartition,
             stats["decisions"] = probes
         return 0, [], frozenset(), total
 
+    stats_at: dict[int, dict | None] = {}
+
     def probe(k):
-        out, led = decide(part, k, priority=priority)
+        stats_at[k] = None if stats is None else {}
+        out, led = decide(part, k, priority=priority, stats=stats_at[k])
         total.merge(led)
         probes.append((k, "accept" if isinstance(out, Accept) else "reject"))
         return out
@@ -283,5 +288,6 @@ def degen_search(part: EdgePartition,
         assert best_reject is not None and best_reject[0] == kappa - 1
         core = best_reject[1]
     if stats is not None:
+        stats.update(stats_at[kappa])
         stats["decisions"] = probes
     return kappa, best_accept[1], core, total

@@ -201,6 +201,17 @@ class Failure:
     state: ScoreState
 
 
+def _round_count(m: int, eps: float, gamma: float) -> int:
+    """Check the amplifier's parameters before any work; return its round count."""
+    if m < 4 or m % 4:
+        raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
+    if not 8 / m <= eps <= 1.0:
+        raise ValueError(f"advantage must be in [8/m, 1] = [{8 / m}, 1], got {eps}")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    return math.ceil(1600 / (eps * gamma * gamma))
+
+
 def exact_from_eps(
     X: frozenset[int],
     Y: frozenset[int],
@@ -220,12 +231,8 @@ def exact_from_eps(
     """
     Y = frozenset(Y)
     layout, m = _layout(X, Y)
-    if not 8 / m <= eps <= 1.0:
-        raise ValueError(f"advantage must be in [8/m, 1] = [{8 / m}, 1], got {eps}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    k = _round_count(m, eps, gamma)
     n = m // 4
-    k = math.ceil(1600 / (eps * gamma * gamma))
     if tau is None:
         tau = calibrate_tau(solver, m, k, rng)
 
@@ -302,7 +309,7 @@ def solver_experiment(
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    k = math.ceil(1600 / (eps * gamma * gamma))
+    k = _round_count(m, eps, gamma)
     tau = calibrate_tau(solver, m, k, rng)
     success = 0
     failure_kind = {"overflow": 0, "empty-intersection": 0}

@@ -39,7 +39,7 @@ from degencomm.graphs import (
     star_graph,
 )
 from degencomm.hpc import (
-    Abstain,
+    ABSTAIN,
     MHPCInstance,
     aligned_protocol,
     chase,
@@ -366,7 +366,7 @@ def hpc_runs():
         inst = sample_bhpc(m, r, mrng)
         out, led = misaligned_bhpc_protocol(inst, n_presolve, mrng)
         mis_bits_ok &= led.bits_total <= bound
-        if not isinstance(out, Abstain):
+        if out is not ABSTAIN:
             finished += 1
             correct += out == chase(inst).bit
     return {

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from degencomm import gadget
+from degencomm import cli, gadget, protocols, sisolver
 from degencomm.cli import main, spawn_seed
 from degencomm.graphs import cycle_graph, save_graph
 
@@ -259,3 +259,49 @@ def test_sisolver_rejects_an_unusable_advantage(capsys):
     )
     assert code == 2
     assert "advantage" in err
+
+
+@pytest.mark.parametrize("bad", [["--gamma", "0"], ["--eps", "0"], ["--p", "0"]])
+def test_sisolver_degenerate_parameters_exit_2(bad, capsys):
+    code, out, err = run(["sisolver", "--m", "16", "--trials", "1"] + bad, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("degencomm: error:")
+    assert "Traceback" not in err
+
+
+def test_sisolver_checks_parameters_before_calibrating(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(sisolver, "calibrate_tau",
+                        lambda *args: calls.append(args) or 0.0)
+    code, _, err = run(
+        ["sisolver", "--m", "16", "--p", "0.5", "--trials", "1"], capsys
+    )
+    assert code == 2
+    assert "advantage" in err
+    assert calls == []
+
+
+def test_degeneracy_trial_runs_each_probe_once(monkeypatch, capsys):
+    # The trial reads updates_max from degen_search's accepting probe at
+    # kappa: every two-party run is one of the recorded probes.
+    runs, probes = [], []
+    original_run, original_search = protocols.run_two_party, cli.degen_search
+
+    def counting_run(*args):
+        runs.append(1)
+        return original_run(*args)
+
+    def recording_search(part, *args, **kwargs):
+        stats = kwargs.setdefault("stats", {})
+        result = original_search(part, *args, **kwargs)
+        probes.extend(stats["decisions"])
+        return result
+
+    monkeypatch.setattr(protocols, "run_two_party", counting_run)
+    monkeypatch.setattr(cli, "degen_search", recording_search)
+    code, out, _ = run(["degeneracy", "--n", "20", "--trials", "1", "--seed", "5"],
+                       capsys)
+    assert code == 0
+    assert probes and len(runs) == len(probes)
+    assert json.loads(out)["rows"][0]["updates_max"] >= 1

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +8,7 @@ from degencomm.comm import (
     CommLedger,
     EdgePartition,
     Field,
+    Party,
     ProtocolError,
     RoundSchedule,
     charvec,
@@ -21,7 +23,16 @@ from degencomm.comm import (
     vec,
     vertex_id,
 )
-from degencomm.graphs import complete_graph, cycle_graph
+from degencomm.graphs import complete_graph, cycle_graph, empty_graph, gnm_random_graph
+from degencomm.hpc import (
+    ABSTAIN,
+    _aligned_party,
+    _misaligned_party,
+    chase,
+    sample_bhpc,
+    sample_bmhpc,
+)
+from degencomm.protocols import _fast_party, _sqrt_party
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +164,23 @@ def test_stopping_without_output_is_an_error():
 
     with pytest.raises(ProtocolError, match="without output"):
         run_two_party(quitter(), fine())
+
+
+@pytest.mark.parametrize("kind", ["broadcast", "shout"])
+def test_unknown_actions_are_errors(kind):
+    def speaker():
+        yield (kind, flag(True))
+        yield ("output", 1)
+
+    def fine():
+        yield ("output", 1)
+
+    with pytest.raises(ProtocolError, match="unknown action"):
+        run_two_party(speaker(), fine())
+    if kind != "broadcast":
+        parties = {"A": speaker(), "B": fine(), "C": fine(), "D": fine()}
+        with pytest.raises(ProtocolError, match="unknown action"):
+            run_four_party(RoundSchedule(1, "AB"), parties)
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +389,258 @@ def test_round_schedule_validation():
         RoundSchedule(2, "XY")
     sched = RoundSchedule(3, "CD")
     assert [sched.speaking_pair(i) for i in (1, 2, 3)] == ["CD", "AB", "CD"]
+
+
+# ---------------------------------------------------------------------------
+# the runner against its two former loops
+#
+# reference_run_two_party and reference_run_four_party are the two
+# hand-written runner loops that run_two_party and run_four_party replaced,
+# kept verbatim as oracles: on every protocol in the package the shared
+# loop must give the same output and the same ledger, message by message.
+
+
+def reference_run_two_party(alice: Party, bob: Party) -> tuple[object, CommLedger]:
+    """Drive two party generators to joint output.
+
+    Control alternates on message boundaries: a send hands control to the
+    receiver, a recv on an empty inbox hands it back. Outputs must agree.
+    """
+    ledger = CommLedger()
+    names = ("A", "B")
+    gens = [alice, bob]
+    inbox: list[list[object]] = [[], []]
+    pending: list[tuple | None] = [None, None]  # last unserviced yield
+    outputs: list[object] = [_UNSET, _UNSET]
+    started = [False, False]
+    last_sender = None
+    active = 0
+
+    def advance(i: int, send_value=None) -> None:
+        try:
+            pending[i] = gens[i].send(send_value) if started[i] else next(gens[i])
+            started[i] = True
+        except StopIteration:
+            if outputs[i] is _UNSET:
+                raise ProtocolError(f"party {names[i]} stopped without output")
+            pending[i] = ("done",)
+
+    advance(active)
+    stall = 0
+    while outputs[0] is _UNSET or outputs[1] is _UNSET:
+        act = pending[active]
+        if act is None:
+            advance(active)
+            continue
+        kind = act[0]
+        if kind == "send":
+            fld: Field = act[1]
+            peer = 1 - active
+            sender = names[active]
+            ledger.record(sender, names[peer], fld.bits)
+            if sender != last_sender:
+                ledger.rounds += 1
+                last_sender = sender
+            inbox[peer].append(fld.value)
+            pending[active] = None
+            advance(active)
+            active = peer
+            stall = 0
+        elif kind == "recv":
+            if inbox[active]:
+                msg = inbox[active].pop(0)
+                pending[active] = None
+                advance(active, send_value=msg)
+                stall = 0
+            else:
+                active = 1 - active
+                stall += 1
+                if stall > 2:
+                    raise ProtocolError("deadlock: both parties waiting to receive")
+        elif kind == "output":
+            outputs[active] = act[1]
+            pending[active] = None
+            advance(active)
+            active = 1 - active
+            stall = 0
+        elif kind == "done":
+            active = 1 - active
+            stall += 1
+            if stall > 2:
+                raise ProtocolError("deadlock: live party starved")
+        else:
+            raise ProtocolError(f"unknown action {kind!r}")
+    if outputs[0] != outputs[1]:
+        raise ProtocolError(
+            f"output disagreement: A={outputs[0]!r} B={outputs[1]!r}"
+        )
+    return outputs[0], ledger
+
+
+class _Unset:
+    __repr__ = lambda self: "<unset>"
+
+
+_UNSET = _Unset()
+
+
+_PAIR_OF = {"A": "AB", "B": "AB", "C": "CD", "D": "CD"}
+_PARTNER = {"A": "B", "B": "A", "C": "D", "D": "C"}
+
+
+def reference_run_four_party(schedule: RoundSchedule,
+                   parties: dict[str, Party]) -> tuple[object, CommLedger]:
+    """Drive four party generators under a pair-speaking schedule.
+
+    Within a round only the speaking pair may send; intra-pair messages go
+    to the partner and the round ends with exactly one broadcast to the
+    other pair (both members receive it). Outputs of all four must agree.
+    The protocol may finish mid-round once every party has output.
+    """
+    ledger = CommLedger()
+    names = [p for p in ("A", "B", "C", "D") if p in parties]
+    if set(names) != {"A", "B", "C", "D"}:
+        raise ValueError("need exactly parties A, B, C, D")
+    gens = dict(parties)
+    inbox: dict[str, list[object]] = {p: [] for p in names}
+    pending: dict[str, tuple | None] = {p: None for p in names}
+    outputs: dict[str, object] = {p: _UNSET for p in names}
+    started: dict[str, bool] = {p: False for p in names}
+    round_no = 1
+
+    def advance(p: str, send_value=None) -> None:
+        try:
+            pending[p] = gens[p].send(send_value) if started[p] else next(gens[p])
+            started[p] = True
+        except StopIteration:
+            if outputs[p] is _UNSET:
+                raise ProtocolError(f"party {p} stopped without output")
+            pending[p] = ("done",)
+
+    for p in names:
+        advance(p)
+
+    while any(outputs[p] is _UNSET for p in names):
+        progressed = False
+        for p in names:
+            act = pending[p]
+            if act is None or act[0] == "done":
+                continue
+            kind = act[0]
+            if kind == "recv":
+                if inbox[p]:
+                    msg = inbox[p].pop(0)
+                    pending[p] = None
+                    advance(p, send_value=msg)
+                    progressed = True
+                continue
+            if kind == "output":
+                outputs[p] = act[1]
+                pending[p] = None
+                advance(p)
+                progressed = True
+                continue
+            if round_no > schedule.r:
+                raise ProtocolError(f"{p} tried to speak after the final round")
+            speaking = schedule.speaking_pair(round_no)
+            if kind == "send":
+                dest, fld = act[1], act[2]
+                if _PAIR_OF[p] != speaking:
+                    raise ProtocolError(
+                        f"{p} sent in round {round_no} but {speaking} speaks"
+                    )
+                if dest != _PARTNER[p]:
+                    raise ProtocolError(
+                        f"intra-pair send from {p} must target {_PARTNER[p]}"
+                    )
+                ledger.record(p, dest, fld.bits, cross=False)
+                inbox[dest].append(fld.value)
+                pending[p] = None
+                advance(p)
+                progressed = True
+            elif kind == "broadcast":
+                fld = act[1]
+                if _PAIR_OF[p] != speaking:
+                    raise ProtocolError(
+                        f"{p} broadcast in round {round_no} but {speaking} speaks"
+                    )
+                ledger.record(p, "CD" if speaking == "AB" else "AB", fld.bits,
+                              cross=True)
+                for q in names:
+                    if q != p:
+                        inbox[q].append(fld.value)
+                pending[p] = None
+                ledger.rounds += 1
+                round_no += 1
+                advance(p)
+                progressed = True
+            else:
+                raise ProtocolError(f"unknown action {kind!r}")
+        if not progressed:
+            raise ProtocolError("deadlock: no party can make progress")
+
+    vals = [outputs[p] for p in names]
+    if any(v != vals[0] for v in vals):
+        raise ProtocolError(f"output disagreement: {outputs!r}")
+    return vals[0], ledger
+
+
+def _same_run(result, reference):
+    (out, ledger), (ref_out, ref_ledger) = result, reference
+    assert out == ref_out
+    assert ledger.to_json() == ref_ledger.to_json()
+    assert (ledger.intra_bits, ledger.cross_bits) == (
+        ref_ledger.intra_bits, ref_ledger.cross_bits)
+    return out
+
+
+def _two_party_cases():
+    rng = random.Random(2024)
+    yield EdgePartition(empty_graph(0), [], [])
+    yield random_partition(empty_graph(7), rng)  # kappa = 0
+    g = complete_graph(6)
+    yield EdgePartition(g, g.edges(), [])  # every edge on Alice's side
+    yield EdgePartition(g, [], g.edges())
+    for _ in range(12):
+        n = rng.randrange(2, 24)
+        g = gnm_random_graph(n, rng.randrange(0, 3 * n), rng)
+        yield random_partition(g, rng)
+
+
+@pytest.mark.parametrize("party", [_fast_party, _sqrt_party])
+def test_two_party_runner_matches_reference(party):
+    for part in _two_party_cases():
+        n = part.n
+        for k in sorted({0, 1, n // 2, max(n - 1, 0)}):
+            for priority in (None, list(range(n))[::-1]):
+                stats, ref_stats = {}, {}
+                make = lambda into: (
+                    party(0, part.adj_a, n, k, priority, into),
+                    party(1, part.adj_b, n, k, priority, None),
+                )
+                _same_run(run_two_party(*make(stats)),
+                          reference_run_two_party(*make(ref_stats)))
+                assert stats == ref_stats
+
+
+def test_four_party_runner_matches_reference():
+    rng = random.Random(77)
+    outcomes = set()
+    for m in (4, 8, 16):
+        for r in range(1, 6):
+            inst = sample_bmhpc(m, r, rng)
+            sched = RoundSchedule(r, "AB")
+            make = lambda: {p: _aligned_party(p, inst) for p in "ABCD"}
+            out = _same_run(run_four_party(sched, make()),
+                            reference_run_four_party(sched, make()))
+            assert out == chase(inst).bit
+
+            inst = sample_bhpc(m, r, rng)
+            sched = RoundSchedule(r, "CD")
+            for n_presolve in range(m + 1):
+                sel = sorted(rng.sample(range(m), n_presolve))
+                make = lambda: {p: _misaligned_party(p, inst, sel) for p in "ABCD"}
+                out = _same_run(run_four_party(sched, make()),
+                                reference_run_four_party(sched, make()))
+                outcomes.add("abstain" if out is ABSTAIN else "finished")
+    assert outcomes == {"abstain", "finished"}
