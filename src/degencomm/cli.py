@@ -202,9 +202,7 @@ def _reduction_trial(task: tuple[int, int, int, str | None]) -> dict:
         reloaded = load_gadget(path)
         row["gadget_file"] = path
         row["reload_ok"] = (
-            reloaded.graph.n == gg.graph.n
-            and reloaded.graph.adj == gg.graph.adj
-            and reloaded.labels == gg.labels
+            reloaded.graph == gg.graph and reloaded.labels == gg.labels
         )
     row["ok"] = row["split_ok"] and row["trace_ok"] and row.get("reload_ok", True)
     return row
@@ -287,6 +285,8 @@ def _hpc_trial(task: tuple[int, int, bool, int, int]) -> dict:
 
 
 def cmd_hpc(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"need at least one trial, got {args.trials}")
     tasks = [
         (args.m, args.r, args.misaligned, args.N, spawn_seed(args.seed, i))
         for i in range(args.trials)

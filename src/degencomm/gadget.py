@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .graphs import Graph, dumps_graph, loads_graph
+from .graphs import Graph, load_graph, loads_graph, save_graph
 from .hpc import MHPCInstance, PointerPath, chase, validate_instance
 
 Label = tuple
@@ -125,18 +127,35 @@ def _target_degree(label: Label, d: int, r: int) -> int | None:
 class AuxPadding:
     """The padding determined by the pre-padding vertex degrees.
 
-    edges lists the auxiliary edges in the exact order the builder adds
-    them; deficiencies maps each layer/special vertex to its degree gap;
-    matchings is the number of disjoint auxiliary matchings appended.
+    deficiencies maps each layer/special vertex, in id order, to its
+    degree gap; matchings is the number of disjoint auxiliary matchings
+    appended; aux lists the auxiliary ids. The edges themselves are not
+    stored: edges() regenerates them from these three.
     """
 
-    edges: list[tuple[int, int]]
     deficiencies: dict[int, int]
     matchings: int
+    aux: tuple[int, ...]
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Yield the auxiliary edges in the exact order the builder adds them.
+
+        Each deficient vertex takes its edges from the auxiliary vertices
+        handed out round-robin; then come the matchings.
+        """
+        aux, d = self.aux, len(self.aux)
+        cursor = 0
+        for v, need in self.deficiencies.items():
+            for t in range(cursor, cursor + need):
+                yield v, aux[t % d]
+            cursor = (cursor + need) % d
+        for k in range(self.matchings):
+            for a, b in _round_robin_matching(d, k):
+                yield aux[a], aux[b]
 
 
 def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
-    """Compute the auxiliary edges from vertex degrees alone.
+    """Compute the auxiliary padding from vertex degrees alone.
 
     degrees[v] is the degree of vertex v in the graph built so far, in
     canonical id order with the d auxiliary vertices last (still degree
@@ -151,10 +170,7 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
     if len(degrees) != n:
         raise ValueError(f"expected {n} degrees, got {len(degrees)}")
     aux = tuple(n_layer + 3 + t for t in range(d))
-    edges: list[tuple[int, int]] = []
     deficiencies: dict[int, int] = {}
-    aux_load = [degrees[u] for u in aux]
-    cursor = 0
     for v in range(n_layer + 3):
         label = (("special", v - n_layer + 1) if v >= n_layer
                  else ("layer", v // 3 // m, v // 3 % m, v % 3 + 1))
@@ -164,17 +180,14 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
                 f"vertex {v} already exceeds its target degree by {-need}"
             )
         deficiencies[v] = need
-        for _ in range(need):
-            edges.append((v, aux[cursor]))
-            aux_load[cursor] += 1
-            cursor = (cursor + 1) % d
-    x = max(0, d + 6 * r + 3 - min(aux_load))
+    # the round-robin hands every auxiliary vertex one edge per full
+    # sweep, and one more to the first (total mod d) of them
+    sweeps, rest = divmod(sum(deficiencies.values()), d)
+    floor = min(degrees[u] + sweeps + (t < rest) for t, u in enumerate(aux))
+    x = max(0, d + 6 * r + 3 - floor)
     if x > d - 1:
         raise ValueError(f"padding needs {x} matchings, only {d - 1} exist")
-    for k in range(x):
-        for a, b in _round_robin_matching(d, k):
-            edges.append((aux[a], aux[b]))
-    return AuxPadding(edges, deficiencies, x)
+    return AuxPadding(deficiencies, x, aux)
 
 
 def build_gadget(inst: MHPCInstance) -> GadgetGraph:
@@ -192,14 +205,14 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     n_layer = 3 * m * layers
     specials = tuple(n_layer + j for j in range(3))
     aux = tuple(n_layer + 3 + t for t in range(d))
-    g = Graph(n_layer + 3 + d)
+    n = n_layer + 3 + d
     trip = {
         (ell, i): tuple(_vid(m, ell, i, c) for c in (1, 2, 3))
         for ell in range(layers)
         for i in range(m)
     }
 
-    labels: list[Label] = [()] * g.n
+    labels: list[Label] = [()] * n
     for (ell, i), t in trip.items():
         for c, v in zip((1, 2, 3), t):
             labels[v] = ("layer", ell, i, c)
@@ -208,17 +221,26 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     for t_idx, u in enumerate(aux):
         labels[u] = ("aux", t_idx)
 
+    # edges go straight into neighbour rows, unchecked: verify_gadget
+    # audits the packed graph. Every id appended is an object from trip,
+    # specials or aux, so the rows share one int per vertex.
+    rows: list[list[int]] = [[] for _ in range(n)]
+
+    def join(u: int, v: int) -> None:
+        rows[u].append(v)
+        rows[v].append(u)
+
     for t in trip.values():
-        g.add_edge(t[0], t[1])
-        g.add_edge(t[0], t[2])
-        g.add_edge(t[1], t[2])
+        join(t[0], t[1])
+        join(t[0], t[2])
+        join(t[1], t[2])
 
     # complete 3x3 join between the two layers replaying the same step
     for ell in range(1, r + 1):
         for i in range(m):
             for u in trip[(2 * ell - 1, i)]:
                 for v in trip[(2 * ell, i)]:
-                    g.add_edge(u, v)
+                    join(u, v)
 
     def encode(src: int, fam1, fam2) -> None:
         # copy 1 of the source triple carries fam1, copy 2 carries fam2;
@@ -226,33 +248,34 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
         # triple in layer src+1, so a set-pair intersection shows up as
         # all four cross edges and a one-sided member as exactly two
         for i in range(m):
-            for copy, fam in ((1, fam1), (2, fam2)):
-                u = _vid(m, src, i, copy)
+            for u, fam in zip(trip[(src, i)], (fam1, fam2)):
                 for j in sorted(fam[i]):
-                    g.add_edge(u, _vid(m, src + 1, j, 1))
-                    g.add_edge(u, _vid(m, src + 1, j, 2))
+                    target = trip[(src + 1, j)]
+                    join(u, target[0])
+                    join(u, target[1])
 
     for ell in range((r + 1) // 2):
         encode(4 * ell, inst.A[2 * ell], inst.B[2 * ell])
     for ell in range(r // 2):
         encode(4 * ell + 2, inst.C[2 * ell + 1], inst.D[2 * ell + 1])
 
-    g.add_edge(specials[0], specials[1])
-    g.add_edge(specials[0], specials[2])
-    g.add_edge(specials[1], specials[2])
+    join(specials[0], specials[1])
+    join(specials[0], specials[2])
+    join(specials[1], specials[2])
     for (ell, i), t in trip.items():
         if ell == 2 * r and _element_bit(i) == 0:
             continue
         for v in t:
             for s in specials:
-                g.add_edge(s, v)
+                join(s, v)
 
     # pad every layer/special vertex up to its target with auxiliary
     # edges handed out round-robin, then lift the auxiliary floor with
     # disjoint matchings; the plan depends only on the degrees so far
-    padding = aux_padding(m, r, [g.degree(v) for v in range(g.n)])
-    for u, v in padding.edges:
-        g.add_edge(u, v)
+    padding = aux_padding(m, r, [len(row) for row in rows])
+    for u, v in padding.edges():
+        join(u, v)
+    g = Graph.from_rows(rows)
 
     gg = GadgetGraph(
         graph=g,
@@ -306,10 +329,14 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         elif kind == "aux":
             aux_set.add(v)
 
+    # the auxiliary ids must be the last d, as the builder numbers them,
+    # so that the checks below can cut them off each sorted row
+    aux_lo = g.n - len(aux_set)
     shape_ok = (
         len(gg.labels) == g.n
         and len(special_of) == 3
         and len(aux_set) == d
+        and min(aux_set, default=aux_lo) == aux_lo
         and set(triples) == {(ell, i) for ell in range(layers) for i in range(m)}
         and all(sorted(t) == [1, 2, 3] for t in triples.values())
         and d == 6 * m * r + 3 * m
@@ -384,7 +411,7 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     expected_layer_side = set().union(*trip.values()) - q_nodes
     for s in specials:
         others = {v for v in specials if v != s}
-        seen = set(g.adj[s])
+        seen = set(g.neighbors(s))
         if not others <= seen:
             bad_wire = f"special {s} misses a special neighbor"
         layer_seen = {v for v in seen if gg.labels[v][0] == "layer"}
@@ -398,13 +425,12 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         f"|Q|={len(q_nodes)}, expected {3 * m // 2}",
     )
 
-    # no edge may fall outside the allowed families
+    # no edge may fall outside the allowed families; aux may touch
+    # anything, so only the edges between non-aux vertices are walked
     stray = ""
-    for u, v in g.edges():
+    for u, v in _edges_below(g, aux_lo):
         lu, lv = gg.labels[u], gg.labels[v]
         ku, kv = lu[0], lv[0]
-        if ku == "aux" or kv == "aux":
-            continue  # aux may touch anything
         if ku == "special" and kv == "special":
             continue
         if "special" in (ku, kv):
@@ -448,7 +474,7 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     check("degree-targets", not bad_deg, bad_deg)
 
     worst = max(
-        (sum(1 for w in g.adj[u] if w in aux_set), u) for u in aux_set
+        (g.degree(u) - bisect_left(g.neighbors(u), aux_lo), u) for u in aux_set
     )
     check(
         "aux-induced-degree",
@@ -456,6 +482,14 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         f"aux vertex {worst[1]} has {worst[0]} aux neighbors > {d - 3}",
     )
     return report
+
+
+def _edges_below(g: Graph, bound: int) -> Iterator[tuple[int, int]]:
+    """Yield the edges (u, v) with u < v < bound, row by row."""
+    for u in range(bound):
+        row = g.neighbors(u)
+        for v in row[bisect_right(row, u):bisect_left(row, bound)]:
+            yield u, v
 
 
 def pointer_path_triples(
@@ -512,7 +546,11 @@ def gadget_from_strings(graph_text: str, sidecar_text: str) -> GadgetGraph:
     field. Only shape and types are checked here; load_gadget also runs
     the structural audit.
     """
-    g = loads_graph(graph_text)
+    return _with_sidecar(loads_graph(graph_text), sidecar_text)
+
+
+def _with_sidecar(g: Graph, sidecar_text: str) -> GadgetGraph:
+    """Attach the labels of a JSON sidecar to a parsed graph."""
     obj = json.loads(sidecar_text)
     if not isinstance(obj, dict):
         raise ValueError("sidecar must be a JSON object")
@@ -576,8 +614,7 @@ def gadget_from_strings(graph_text: str, sidecar_text: str) -> GadgetGraph:
 
 def save_gadget(gg: GadgetGraph, path: str) -> None:
     """Write the graph text at path and the label sidecar at path.json."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_graph(gg.graph))
+    save_graph(gg.graph, path)
     with open(path + ".json", "w", encoding="ascii") as fh:
         fh.write(sidecar_json(gg) + "\n")
 
@@ -588,11 +625,9 @@ def load_gadget(path: str) -> GadgetGraph:
     Raises ValueError naming the malformed field or the first failed
     check of verify_gadget, so a loaded gadget is safe to hand on.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        graph_text = fh.read()
     with open(path + ".json", "r", encoding="ascii") as fh:
         sidecar_text = fh.read()
-    return _audited(gadget_from_strings(graph_text, sidecar_text), ValueError)
+    return _audited(_with_sidecar(load_graph(path), sidecar_text), ValueError)
 
 
 def with_graph(gg: GadgetGraph, g: Graph) -> GadgetGraph:

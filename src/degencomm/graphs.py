@@ -2,8 +2,10 @@
 
 Everything downstream (the two-party protocols, the hardness gadget, the
 streaming harness) sits on top of this module, so it stays deliberately
-small: a plain adjacency-set graph, the min-degree peeling loop with a
-bucket queue, and the handful of orderings/cores derived from it.
+small: an immutable compact graph (sorted neighbour rows packed into two
+integer arrays), the min-degree peeling loop with a bucket queue, the
+handful of orderings/cores derived from it, and a line-based text format
+read and written one line at a time.
 
 Vertices are integers 0..n-1 throughout. Graphs are simple: no loops,
 no parallel edges.
@@ -11,70 +13,112 @@ no parallel edges.
 
 from __future__ import annotations
 
+import io
 import random
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import IO, Callable, Iterable, Iterator, NamedTuple
 
 
 class Graph:
-    """Undirected simple graph on vertices 0..n-1.
+    """Immutable undirected simple graph on vertices 0..n-1.
+
+    Stored as compressed sparse rows: the neighbours of v are
+    nbrs[offsets[v]:offsets[v + 1]], sorted ascending, and each edge sits
+    in the rows of both its endpoints. Two graphs are equal when they
+    have the same n and the same edges.
 
     Args:
         n: number of vertices.
-        edges: iterable of (u, v) pairs, any orientation. Loops and
-            duplicates raise ValueError.
+        edges: iterable of (u, v) pairs, any orientation. Loops,
+            endpoints outside 0..n-1 and duplicates raise ValueError
+            naming the first offending edge.
     """
 
-    __slots__ = ("n", "adj", "_m")
+    __slots__ = ("n", "offsets", "nbrs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        self.n = n
-        self.adj: list[set[int]] = [set() for _ in range(n)]
-        self._m = 0
+        rows: list[list[int]] = [[] for _ in range(n)]
+        seen: set[tuple[int, int]] = set()
         for u, v in edges:
-            self.add_edge(u, v)
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            key = (u, v) if u < v else (v, u)
+            if key in seen:
+                raise ValueError(f"duplicate edge ({u},{v})")
+            seen.add(key)
+            rows[u].append(v)
+            rows[v].append(u)
+        self._pack(rows)
 
-    def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-        if v in self.adj[u]:
-            raise ValueError(f"duplicate edge ({u},{v})")
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        self._m += 1
+    @classmethod
+    def from_rows(cls, rows: list[list[int]]) -> "Graph":
+        """Pack neighbour lists into a Graph on len(rows) vertices.
+
+        rows[v] lists the neighbours of v. The caller guarantees that
+        each edge sits in both rows, with no loops and no entry outside
+        the vertex range; a repeated entry raises ValueError. The rows
+        are consumed: each is sorted and then dropped as it is packed.
+        """
+        g = cls.__new__(cls)
+        g._pack(rows)
+        return g
+
+    def _pack(self, rows: list[list[int]]) -> None:
+        self.n = len(rows)
+        self.offsets = array("i", [0])
+        self.nbrs = array("i")
+        for v in range(self.n):
+            row = rows[v]
+            rows[v] = None
+            row.sort()
+            if len(set(row)) != len(row):
+                w = next(a for a, b in zip(row, row[1:]) if a == b)
+                raise ValueError(f"duplicate edge ({min(v, w)},{max(v, w)})")
+            self.nbrs.fromlist(row)
+            self.offsets.append(len(self.nbrs))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        hi = self.offsets[u + 1]
+        i = bisect_left(self.nbrs, v, self.offsets[u], hi)
+        return i < hi and self.nbrs[i] == v
 
     @property
     def m(self) -> int:
-        return self._m
+        return len(self.nbrs) // 2
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.offsets[v + 1] - self.offsets[v]
+
+    def neighbors(self, v: int) -> array:
+        """The sorted row of v (a copy)."""
+        return self.nbrs[self.offsets[v]:self.offsets[v + 1]]
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted (u, v) pairs with u < v, sorted overall."""
-        out = []
+        out: list[tuple[int, int]] = []
         for u in range(self.n):
-            for v in self.adj[u]:
-                if u < v:
-                    out.append((u, v))
-        out.sort()
+            out.extend((u, v) for v in self._upper(u))
         return out
 
-    def copy(self) -> "Graph":
-        g = Graph(self.n)
-        g.adj = [set(s) for s in self.adj]
-        g._m = self._m
-        return g
+    def _upper(self, u: int) -> array:
+        """The neighbours of u above u, ascending."""
+        hi = self.offsets[u + 1]
+        return self.nbrs[bisect_right(self.nbrs, u, self.offsets[u], hi):hi]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n and self.offsets == other.offsets
+                and self.nbrs == other.nbrs)
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self._m})"
+        return f"Graph(n={self.n}, m={self.m})"
 
 
 @dataclass
@@ -116,6 +160,7 @@ class _BucketQueue:
     Classic structure for linear-time peeling: bucket[d] holds the live
     vertices of residual degree d and a cursor tracks the smallest
     nonempty bucket (it only needs to move down by one per decrement).
+    A popped vertex is retired: its degree entry becomes -1.
     """
 
     def __init__(self, degrees: list[int]):
@@ -131,15 +176,22 @@ class _BucketQueue:
         bucket = self.buckets[self.floor]
         v = pick(bucket)
         bucket.discard(v)
-        return v, self.deg[v]
+        d, self.deg[v] = self.deg[v], -1
+        return v, d
 
-    def decrement(self, v: int) -> None:
-        d = self.deg[v]
-        self.buckets[d].discard(v)
-        self.deg[v] = d - 1
-        self.buckets[d - 1].add(v)
-        if d - 1 < self.floor:
-            self.floor = d - 1
+    def decrement_live(self, row: Iterable[int]) -> None:
+        """Lower by one the degree of every live vertex in row."""
+        deg, buckets, floor = self.deg, self.buckets, self.floor
+        for u in row:
+            d = deg[u]
+            if d < 0:
+                continue
+            buckets[d].discard(u)
+            deg[u] = d - 1
+            buckets[d - 1].add(u)
+            if d <= floor:
+                floor = d - 1
+        self.floor = floor
 
 
 def peel(g: Graph, tie_break: str | TieBreak = "min") -> PeelTrace:
@@ -152,18 +204,15 @@ def peel(g: Graph, tie_break: str | TieBreak = "min") -> PeelTrace:
     trace = PeelTrace()
     if g.n == 0:
         return trace
+    nbrs, off = g.nbrs, g.offsets
     queue = _BucketQueue([g.degree(v) for v in range(g.n)])
-    alive = [True] * g.n
     for _ in range(g.n):
         v, d = queue.pop_min(pick)
-        alive[v] = False
         trace.order.append(v)
         trace.degree_at_removal.append(d)
         if d > trace.degeneracy:
             trace.degeneracy = d
-        for u in g.adj[v]:
-            if alive[u]:
-                queue.decrement(u)
+        queue.decrement_live(nbrs[off[v]:off[v + 1]])
     return trace
 
 
@@ -181,7 +230,8 @@ def outdegree_profile(g: Graph, order: list[int]) -> list[int]:
     pos = [0] * g.n
     for idx, v in enumerate(order):
         pos[v] = idx
-    return [sum(1 for u in g.adj[v] if pos[u] > pos[v]) for v in range(g.n)]
+    return [sum(1 for u in g.neighbors(v) if pos[u] > pos[v])
+            for v in range(g.n)]
 
 
 def is_k_ordering(g: Graph, order: list[int], k: int) -> bool:
@@ -199,6 +249,7 @@ def peel_decision(g: Graph, k: int) -> Accept | Reject:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    nbrs, off = g.nbrs, g.offsets
     deg = [g.degree(v) for v in range(g.n)]
     alive = [True] * g.n
     order: list[int] = []
@@ -211,7 +262,7 @@ def peel_decision(g: Graph, k: int) -> Accept | Reject:
             continue
         alive[v] = False
         order.append(v)
-        for u in g.adj[v]:
+        for u in nbrs[off[v]:off[v + 1]]:
             if alive[u]:
                 deg[u] -= 1
                 if deg[u] == k:
@@ -249,7 +300,7 @@ def brute_force_degeneracy(g: Graph) -> int:
         if len(members) <= best:
             continue
         min_deg = min(
-            sum(1 for u in g.adj[v] if mask >> u & 1) for v in members
+            sum(1 for u in g.neighbors(v) if mask >> u & 1) for v in members
         )
         if min_deg > best:
             best = min_deg
@@ -260,19 +311,75 @@ def brute_force_degeneracy(g: Graph) -> int:
 # text format
 
 
-def dumps_graph(g: Graph) -> str:
-    """Serialize to the line format: "n m" then one "u v" line per edge."""
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+def _write_graph(g: Graph, fh: IO[str]) -> None:
+    """Write the line format, one row of the graph at a time."""
+    fh.write(f"{g.n} {g.m}\n")
+    for u in range(g.n):
+        upper = g._upper(u)
+        if upper:
+            head = f"{u} "
+            fh.write(head + f"\n{head}".join(map(str, upper)) + "\n")
 
 
-def loads_graph(text: str) -> Graph:
-    """Parse the line format; raises ValueError naming the offending line."""
-    lines = [ln for ln in text.splitlines()]
-    if not lines or not lines[0].strip():
-        raise ValueError("line 1: expected header 'n m'")
-    head = lines[0].split()
+def _scan_edges(fh: IO[str], n: int,
+                rows: list[list[int]] | None = None) -> int:
+    """Read the edge lines after the header; return how many there are.
+
+    With rows, each edge (u, v) is appended to rows[u] and rows[v]
+    unchecked for repeats. Without, a repeat of an earlier line raises
+    ValueError naming it. Either way blank lines are skipped, and a
+    malformed line or one without 0 <= u < v < n raises ValueError
+    naming the line. An id already read in canonical form is looked up
+    rather than parsed again, so the rows share one int per vertex.
+    """
+    ids: dict[str, int] = {}
+    seen: set[tuple[int, int]] = set()
+    count = 0
+    for lineno, raw in enumerate(fh, start=2):
+        try:
+            a, b = raw.split()
+            u, v = ids[a], ids[b]
+            ok = u < v
+        except (ValueError, KeyError):
+            ok = False
+        if not ok:
+            parts = raw.split()
+            if not parts:
+                continue
+            u, v = _parse_edge(parts, lineno, n)
+            u = ids.setdefault(str(u), u)
+            v = ids.setdefault(str(v), v)
+        if rows is not None:
+            rows[u].append(v)
+            rows[v].append(u)
+        elif (u, v) in seen:
+            raise ValueError(f"line {lineno}: duplicate edge ({u},{v})")
+        else:
+            seen.add((u, v))
+        count += 1
+    return count
+
+
+def _parse_edge(parts: list[str], lineno: int, n: int) -> tuple[int, int]:
+    if len(parts) != 2:
+        raise ValueError(f"line {lineno}: expected 'u v'")
+    try:
+        u, v = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"line {lineno}: endpoints must be integers") from None
+    if not (0 <= u < v < n):
+        raise ValueError(f"line {lineno}: need 0 <= u < v < n, got {u} {v}")
+    return u, v
+
+
+def _read_graph(fh: IO[str]) -> Graph:
+    """Parse the line format from a seekable text stream, line by line.
+
+    The rows are filled as the lines stream past and packed once, so no
+    edge list or per-line integer is held. Raises ValueError naming the
+    first offending line.
+    """
+    head = fh.readline().split()
     if len(head) != 2:
         raise ValueError("line 1: expected header 'n m'")
     try:
@@ -281,38 +388,42 @@ def loads_graph(text: str) -> Graph:
         raise ValueError("line 1: header fields must be integers") from None
     if n < 0 or m < 0:
         raise ValueError("line 1: header fields must be nonnegative")
-    g = Graph(n)
-    count = 0
-    for lineno, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"line {lineno}: endpoints must be integers") from None
-        if not (0 <= u < v < n):
-            raise ValueError(f"line {lineno}: need 0 <= u < v < n, got {u} {v}")
-        try:
-            g.add_edge(u, v)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        count += 1
+    rows: list[list[int]] = [[] for _ in range(n)]
+    try:
+        count = _scan_edges(fh, n, rows)
+        g = Graph.from_rows(rows)
+    except ValueError as exc:
+        # packing only sees that some pair repeats; read the lines again
+        # checking repeats, so the error names the first faulty line
+        fh.seek(0)
+        fh.readline()
+        _scan_edges(fh, n)
+        raise exc
     if count != m:
         raise ValueError(f"header claims {m} edges but file has {count}")
     return g
 
 
+def dumps_graph(g: Graph) -> str:
+    """Serialize to the line format: "n m" then one "u v" line per edge."""
+    buf = io.StringIO()
+    _write_graph(g, buf)
+    return buf.getvalue()
+
+
+def loads_graph(text: str) -> Graph:
+    """Parse the line format; raises ValueError naming the offending line."""
+    return _read_graph(io.StringIO(text, newline=None))
+
+
 def load_graph(path: str) -> Graph:
     with open(path, "r", encoding="ascii") as fh:
-        return loads_graph(fh.read())
+        return _read_graph(fh)
 
 
 def save_graph(g: Graph, path: str) -> None:
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_graph(g))
+        _write_graph(g, fh)
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +461,8 @@ def petersen_graph() -> Graph:
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
-    g = Graph(a.n + b.n)
-    for u, v in a.edges():
-        g.add_edge(u, v)
-    for u, v in b.edges():
-        g.add_edge(a.n + u, a.n + v)
-    return g
+    shifted = [(a.n + u, a.n + v) for u, v in b.edges()]
+    return Graph(a.n + b.n, a.edges() + shifted)
 
 
 def gnm_random_graph(n: int, m: int, rng: random.Random) -> Graph:
@@ -363,25 +470,16 @@ def gnm_random_graph(n: int, m: int, rng: random.Random) -> Graph:
     limit = n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"m={m} exceeds max {limit} for n={n}")
-    g = Graph(n)
     chosen: set[tuple[int, int]] = set()
     while len(chosen) < m:
         u = rng.randrange(n)
         v = rng.randrange(n)
         if u == v:
             continue
-        e = (min(u, v), max(u, v))
-        if e in chosen:
-            continue
-        chosen.add(e)
-        g.add_edge(*e)
-    return g
+        chosen.add((min(u, v), max(u, v)))
+    return Graph(n, chosen)
 
 
 def gnp_random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    g = Graph(n)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])

@@ -161,6 +161,8 @@ def sample_bmhpc(m: int, r: int, rng: Random) -> MHPCInstance:
     """All r layers drawn independently per coordinate."""
     if r < 1:
         raise ValueError("need r >= 1")
+    if m < 4 or m % 4:
+        raise ValueError("universe size must be a positive multiple of 4")
     A, B, C, D = [], [], [], []
     for _ in range(r):
         ab = [sample_setint(m, rng) for _ in range(m)]

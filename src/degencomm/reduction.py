@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 from .comm import CommLedger, ProtocolError, uint_width
-from .gadget import GadgetGraph, aux_padding, pointer_path_triples
+from .gadget import AuxPadding, GadgetGraph, aux_padding, pointer_path_triples
 from .graphs import Graph, degeneracy, peel
 from .hpc import MHPCInstance, chase
 
@@ -187,7 +187,7 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
         )
         records.append(TraceRecord(ell, ok, worst))
         for v in got:
-            for w in gg.graph.adj[v]:
+            for w in gg.graph.neighbors(v):
                 resid[w] -= 1
     report.trace = records
     return report
@@ -227,7 +227,7 @@ def simulate_streaming_reduction(gg: GadgetGraph, alg: StreamingAlgorithm,
     phases = 0
     max_state = 0
     degrees = [0] * n
-    aux_edges: list[tuple[int, int]] | None = None
+    padding: AuxPadding | None = None
     carry: str | None = None
     passes = 0
 
@@ -235,7 +235,7 @@ def simulate_streaming_reduction(gg: GadgetGraph, alg: StreamingAlgorithm,
         mind = minds[name]
         for u, v in feeds[name]:
             mind.process_edge(u, v)
-            if aux_edges is None:
+            if padding is None:
                 degrees[u] += 1
                 degrees[v] += 1
 
@@ -268,9 +268,9 @@ def simulate_streaming_reduction(gg: GadgetGraph, alg: StreamingAlgorithm,
 
         minds["B"].restore_state(state)
         feed("B")
-        if aux_edges is None:
-            aux_edges = aux_padding(gg.m, gg.r, degrees).edges
-        for u, v in aux_edges:
+        if padding is None:
+            padding = aux_padding(gg.m, gg.r, degrees)
+        for u, v in padding.edges():
             minds["B"].process_edge(u, v)
         if not minds["B"].end_pass():
             bit = int(minds["B"].finalize(gg.d - 3))

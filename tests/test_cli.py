@@ -6,7 +6,7 @@ import pytest
 
 from degencomm import cli, gadget, protocols, sisolver
 from degencomm.cli import main, spawn_seed
-from degencomm.graphs import cycle_graph, save_graph
+from degencomm.graphs import Graph, cycle_graph, save_graph
 
 
 def run(args, capsys):
@@ -133,15 +133,12 @@ def test_reduction_reload_check_sees_a_moved_edge(tmp_path, monkeypatch,
 
     def load_with_a_moved_edge(path):
         gg = gadget.load_gadget(path)
-        adj = gg.graph.adj
+        g = gg.graph
         u = 0
-        v = min(adj[u])
-        w = min(x for x in range(gg.graph.n) if x != u and x not in adj[u])
-        adj[u].discard(v)
-        adj[v].discard(u)
-        adj[u].add(w)
-        adj[w].add(u)
-        return gg
+        v = min(g.neighbors(u))
+        w = min(x for x in range(g.n) if x != u and not g.has_edge(u, x))
+        edges = [e for e in g.edges() if e != (u, v)] + [(u, w)]
+        return gadget.with_graph(gg, Graph(g.n, edges))
 
     monkeypatch.setattr(cli, "load_gadget", load_with_a_moved_edge)
     code, out, _ = run(
@@ -219,6 +216,19 @@ def test_hpc_misaligned_presolve_extremes(capsys):
     code, out, _ = run(base + ["--N", "8"], capsys)
     assert code == 0
     assert json.loads(out)["summary"]["success_rate"] == 1.0
+
+
+@pytest.mark.parametrize("bad,message", [
+    (["--m", "0"], "positive multiple of 4"),
+    (["--m", "0", "--misaligned"], "positive multiple of 4"),
+    (["--trials", "0"], "need at least one trial, got 0"),
+])
+def test_hpc_degenerate_parameters_exit_2(bad, message, capsys):
+    code, out, err = run(["hpc", "--m", "8", "--r", "2"] + bad, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("degencomm: error:") and message in err
+    assert "Traceback" not in err
 
 
 def test_info_fuzz_finds_no_violations(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -172,7 +173,7 @@ def test_last_layer_bit_wiring():
 def test_verify_catches_a_missing_edge():
     gg = build_gadget(sample_bmhpc(4, 1, random.Random(9)))
     victim = gg.triple_index[(1, 2)][0]
-    other = next(iter(gg.graph.adj[victim]))
+    other = next(iter(gg.graph.neighbors(victim)))
     edges = [e for e in gg.graph.edges()
              if e != (min(victim, other), max(victim, other))]
     report = verify_gadget(with_graph(gg, Graph(gg.graph.n, edges)))
@@ -223,7 +224,7 @@ def test_aux_floor_and_induced_degree():
     aux = set(gg.aux_ids)
     for u in aux:
         assert gg.graph.degree(u) >= floor
-        induced = sum(1 for w in gg.graph.adj[u] if w in aux)
+        induced = sum(1 for w in gg.graph.neighbors(u) if w in aux)
         assert induced == gg.matchings_added <= gg.d - 3
 
 
@@ -242,6 +243,51 @@ def test_export_roundtrip(tmp_path):
     assert gadget_from_strings(
         dumps_graph(gg.graph), sidecar_json(gg)
     ).labels == gg.labels
+
+
+def test_saved_gadget_files_match_the_text_forms(tmp_path):
+    gg = build_gadget(sample_bmhpc(8, 2, random.Random(13)))
+    path = tmp_path / "gadget.txt"
+    save_gadget(gg, str(path))
+    assert path.read_bytes() == dumps_graph(gg.graph).encode("ascii")
+    sidecar = tmp_path / "gadget.txt.json"
+    assert sidecar.read_bytes() == (sidecar_json(gg) + "\n").encode("ascii")
+    back = load_gadget(str(path))
+    assert back.graph == gg.graph and back.labels == gg.labels
+
+
+def test_verify_names_a_stray_edge_and_an_aux_clique():
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
+    u, v = gg.triple_index[(0, 1)][0], gg.triple_index[(2, 3)][0]
+    stray = verify_gadget(with_graph(gg, Graph(gg.graph.n,
+                                               gg.graph.edges() + [(u, v)])))
+    bad = {c.name: c.detail for c in stray.failed()}
+    assert bad["edge-families"] == f"edge skips layers: ({u},{v})"
+
+    q, s = gg.triple_index[(2 * gg.r, 1)][2], gg.special_ids[2]
+    stray = verify_gadget(with_graph(gg, Graph(gg.graph.n,
+                                               gg.graph.edges() + [(q, s)])))
+    bad = {c.name: c.detail for c in stray.failed()}
+    assert bad["edge-families"] == (
+        f"special edge into the excluded last-layer set: ({q},{s})")
+
+    hub = gg.aux_ids[-1]
+    extra = [(a, hub) for a in gg.aux_ids[:-1] if not gg.graph.has_edge(a, hub)]
+    clique = verify_gadget(with_graph(gg, Graph(gg.graph.n,
+                                                gg.graph.edges() + extra)))
+    bad = {c.name: c.detail for c in clique.failed()}
+    assert set(bad) == {"aux-induced-degree"}
+    assert bad["aux-induced-degree"] == (
+        f"aux vertex {hub} has {gg.d - 1} aux neighbors > {gg.d - 3}")
+
+
+def test_verify_rejects_scattered_aux_ids():
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
+    labels = list(gg.labels)
+    a, b = gg.aux_ids[0], gg.special_ids[0]
+    labels[a], labels[b] = labels[b], labels[a]
+    report = verify_gadget(dataclasses.replace(gg, labels=labels))
+    assert "shape" in {c.name for c in report.failed()}
 
 
 def test_sidecar_rejects_wrong_length():

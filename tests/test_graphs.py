@@ -31,7 +31,7 @@ def reference_k_core(g, k):
         if not alive[v]:
             continue
         alive[v] = False
-        for u in g.adj[v]:
+        for u in g.neighbors(v):
             if alive[u]:
                 deg[u] -= 1
                 if deg[u] < k:
@@ -192,7 +192,7 @@ def test_k_core_nonempty_iff_degeneracy_reaches_k(g, k):
         assert core == frozenset()
     # every member keeps >= k neighbors inside the core
     for v in core:
-        assert sum(1 for u in g.adj[v] if u in core) >= k
+        assert sum(1 for u in g.neighbors(v) if u in core) >= k
 
 
 @PROPERTY_SETTINGS
@@ -205,4 +205,250 @@ def test_peel_decision_agrees_with_degeneracy(g, k):
     else:
         assert G.degeneracy(g) > k
         for v in res.core:
-            assert sum(1 for u in g.adj[v] if u in res.core) >= k + 1
+            assert sum(1 for u in g.neighbors(v) if u in res.core) >= k + 1
+
+
+# ---------------------------------------------------------------------------
+# the adjacency-set graph and peels this module used before its compact
+# rows, kept verbatim (renamed) as the oracle for the differential tests
+
+
+class ReferenceGraph:
+    """Undirected simple graph on vertices 0..n-1.
+
+    Args:
+        n: number of vertices.
+        edges: iterable of (u, v) pairs, any orientation. Loops and
+            duplicates raise ValueError.
+    """
+
+    __slots__ = ("n", "adj", "_m")
+
+    def __init__(self, n, edges=()):
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        self.n = n
+        self.adj = [set() for _ in range(n)]
+        self._m = 0
+        for u, v in edges:
+            self.add_edge(u, v)
+
+    def add_edge(self, u, v):
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+        if v in self.adj[u]:
+            raise ValueError(f"duplicate edge ({u},{v})")
+        self.adj[u].add(v)
+        self.adj[v].add(u)
+        self._m += 1
+
+    def degree(self, v):
+        return len(self.adj[v])
+
+
+class _ReferenceBucketQueue:
+    """Residual degrees in an array of buckets; supports decrease-by-one.
+
+    Classic structure for linear-time peeling: bucket[d] holds the live
+    vertices of residual degree d and a cursor tracks the smallest
+    nonempty bucket (it only needs to move down by one per decrement).
+    """
+
+    def __init__(self, degrees):
+        self.deg = list(degrees)
+        self.buckets = [set() for _ in range(len(degrees) + 1)]
+        for v, d in enumerate(degrees):
+            self.buckets[d].add(v)
+        self.floor = 0
+
+    def pop_min(self, pick):
+        while not self.buckets[self.floor]:
+            self.floor += 1
+        bucket = self.buckets[self.floor]
+        v = pick(bucket)
+        bucket.discard(v)
+        return v, self.deg[v]
+
+    def decrement(self, v):
+        d = self.deg[v]
+        self.buckets[d].discard(v)
+        self.deg[v] = d - 1
+        self.buckets[d - 1].add(v)
+        if d - 1 < self.floor:
+            self.floor = d - 1
+
+
+def reference_peel(g, tie_break="min"):
+    """Repeatedly remove a minimum-residual-degree vertex.
+
+    Ties are broken by the smallest vertex id unless another policy is
+    given. The max residual degree seen along the way is the degeneracy.
+    """
+    pick = G.TIE_BREAKS[tie_break] if isinstance(tie_break, str) else tie_break
+    trace = G.PeelTrace()
+    if g.n == 0:
+        return trace
+    queue = _ReferenceBucketQueue([g.degree(v) for v in range(g.n)])
+    alive = [True] * g.n
+    for _ in range(g.n):
+        v, d = queue.pop_min(pick)
+        alive[v] = False
+        trace.order.append(v)
+        trace.degree_at_removal.append(d)
+        if d > trace.degeneracy:
+            trace.degeneracy = d
+        for u in g.adj[v]:
+            if alive[u]:
+                queue.decrement(u)
+    return trace
+
+
+def reference_peel_decision(g, k):
+    """Peel at threshold k: remove vertices while one has degree <= k.
+
+    Accept carries the removal order (a k-ordering) when the graph
+    empties; Reject carries the remaining vertices, which form the
+    nonempty (k+1)-core.
+    """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    deg = [g.degree(v) for v in range(g.n)]
+    alive = [True] * g.n
+    order = []
+    # A stack discipline suffices here: once degree <= k a vertex stays
+    # removable, and the order of removals does not change the outcome.
+    stack = sorted((v for v in range(g.n) if deg[v] <= k), reverse=True)
+    while stack:
+        v = stack.pop()
+        if not alive[v]:
+            continue
+        alive[v] = False
+        order.append(v)
+        for u in g.adj[v]:
+            if alive[u]:
+                deg[u] -= 1
+                if deg[u] == k:
+                    stack.append(u)
+    survivors = frozenset(v for v in range(g.n) if alive[v])
+    if survivors:
+        return G.Reject(survivors)
+    return G.Accept(order)
+
+
+def assert_matches_reference(g):
+    """peel, peel_decision and k_core agree with the adjacency-set oracle.
+
+    Accept.ordering follows neighbour iteration order, so it is only
+    required to be a k-ordering; everything else must be identical.
+    """
+    ref = ReferenceGraph(g.n, g.edges())
+    for name in G.TIE_BREAKS:
+        assert G.peel(g, name) == reference_peel(ref, name), name
+    top = max((g.degree(v) for v in range(g.n)), default=0)
+    for k in range(top + 2):
+        got, want = G.peel_decision(g, k), reference_peel_decision(ref, k)
+        assert type(got) is type(want), k
+        if isinstance(want, G.Reject):
+            assert got.core == want.core, k
+        else:
+            assert G.is_k_ordering(g, got.ordering, k), k
+        want_core = frozenset() if isinstance(want, G.Accept) else want.core
+        assert G.k_core(g, k + 1) == want_core, k
+    assert G.k_core(g, 0) == frozenset(range(g.n))
+
+
+@PROPERTY_SETTINGS
+@given(small_graphs())
+def test_compact_graph_matches_reference_on_small_graphs(g):
+    assert_matches_reference(g)
+
+
+def test_compact_graph_matches_reference_on_random_graphs():
+    rng = random.Random(6060)
+    for _ in range(20):
+        n = rng.randrange(2, 80)
+        m = rng.randrange(0, min(4 * n, n * (n - 1) // 2) + 1)
+        assert_matches_reference(G.gnm_random_graph(n, m, rng))
+
+
+def test_compact_graph_matches_reference_on_a_gadget():
+    from degencomm.gadget import build_gadget
+    from degencomm.hpc import sample_bmhpc
+
+    gg = build_gadget(sample_bmhpc(8, 2, random.Random(31)))
+    assert_matches_reference(gg.graph)
+
+
+def test_cores_match_networkx():
+    nx = pytest.importorskip("networkx")
+    g = G.gnm_random_graph(20_000, 100_000, random.Random(2003))
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    core = nx.core_number(h)
+    kappa = G.degeneracy(g)
+    assert max(core.values()) == kappa
+    for k in (1, 2, 3, kappa - 1, kappa, kappa + 1):
+        assert G.k_core(g, k) == frozenset(v for v, c in core.items() if c >= k)
+
+
+# ---------------------------------------------------------------------------
+# the compact graph itself
+
+
+def test_graph_rows_are_sorted_and_symmetric():
+    g = G.Graph(5, [(3, 1), (0, 4), (1, 0), (2, 1)])
+    assert g.m == 4
+    assert [list(g.neighbors(v)) for v in range(5)] == [
+        [1, 4], [0, 2, 3], [1], [1], [0]]
+    assert g.has_edge(1, 3) and g.has_edge(3, 1) and not g.has_edge(2, 3)
+    assert g.edges() == [(0, 1), (0, 4), (1, 2), (1, 3)]
+    assert g == G.Graph(5, g.edges()) and g != G.Graph(6, g.edges())
+    assert g != G.Graph(5, [(0, 1), (0, 4), (1, 2), (2, 3)])
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1), (1, 0)], "duplicate edge (1,0)"),
+    ([(0, 1), (2, 2)], "self-loop at vertex 2"),
+    ([(0, 1), (0, 3)], "edge (0,3) out of range for n=3"),
+    ([(0, 1), (1, 0), (2, 2)], "duplicate edge (1,0)"),
+    ([(2, 2), (0, 1), (1, 0)], "self-loop at vertex 2"),
+])
+def test_graph_names_the_first_bad_edge(edges, message):
+    with pytest.raises(ValueError) as err:
+        G.Graph(3, iter(edges))
+    assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# text format through files
+
+
+def test_save_and_load_graph_match_the_text_form(tmp_path):
+    path = tmp_path / "g.txt"
+    for g in (G.Graph(0), G.Graph(4), G.petersen_graph(),
+              G.gnm_random_graph(60, 200, random.Random(5))):
+        G.save_graph(g, str(path))
+        assert path.read_bytes() == G.dumps_graph(g).encode("ascii")
+        assert G.load_graph(str(path)) == g == G.loads_graph(G.dumps_graph(g))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("3 2\n0 1\n0 1\n", "line 3: duplicate edge (0,1)"),
+    ("3 1\n1 1\n", "line 2: need 0 <= u < v < n, got 1 1"),
+    ("3 1\n1 0\n", "line 2: need 0 <= u < v < n, got 1 0"),
+    ("3 2\n0 1\n", "header claims 2 edges but file has 1"),
+    ("4 4\n1 2\n0 1\n\n1 2\n0 1\n", "line 5: duplicate edge (1,2)"),
+    ("3 3\n0 1\n00 1\n1 5\n", "line 3: duplicate edge (0,1)"),
+    ("3 3\n0 1\n1 2\n1 2 0\n", "line 4: expected 'u v'"),
+])
+def test_load_graph_file_fails_like_the_text_parser(tmp_path, text, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="ascii")
+    with pytest.raises(ValueError) as from_file:
+        G.load_graph(str(path))
+    with pytest.raises(ValueError) as from_text:
+        G.loads_graph(text)
+    assert str(from_file.value) == str(from_text.value) == message

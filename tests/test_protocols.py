@@ -165,9 +165,7 @@ def test_relabeling_with_matching_priority_is_isomorphic():
         h_edges = [(perm[u], perm[v]) for u, v in g.edges()]
         from degencomm.graphs import Graph
 
-        h = Graph(12)
-        for u, v in h_edges:
-            h.add_edge(u, v)
+        h = Graph(12, h_edges)
         part_g = random_partition(g, random.Random(5))
         part_h = EdgePartition(
             h,

@@ -70,7 +70,7 @@ def test_padding_rederives_from_degrees_alone():
             degrees[u] += 1
             degrees[v] += 1
     plan = aux_padding(gg.m, gg.r, degrees)
-    assert _norm(plan.edges) == _norm(parts["Eaux"])
+    assert _norm(plan.edges()) == _norm(parts["Eaux"])
     assert plan.deficiencies == gg.deficiencies
     assert plan.matchings == gg.matchings_added
 
