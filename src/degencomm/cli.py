@@ -94,6 +94,11 @@ def _worker_count() -> int:
     return max(1, workers)
 
 
+def _need_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+
+
 def _run_trials(fn, tasks):
     workers = _worker_count()
     if workers == 1 or len(tasks) < 2:
@@ -163,6 +168,9 @@ def cmd_degeneracy(args) -> int:
         }]
         columns = ["n", "k", "accept", "bits_total", "updates_max"]
     else:
+        if args.n < 0:
+            raise ValueError(f"--n must be >= 0, got {args.n}")
+        _need_trials(args.trials)
         tasks = [(args.n, spawn_seed(args.seed, i)) for i in range(args.trials)]
         rows = _run_trials(_degeneracy_trial, tasks)
         columns = ["n", "kappa", "bits_total", "updates_max"]
@@ -234,6 +242,7 @@ def _streaming_trial(task: tuple[int, int, int, str, int | None]) -> dict:
 
 
 def cmd_reduction(args) -> int:
+    _need_trials(args.trials)
     if args.emit_gadget is not None:
         os.makedirs(args.emit_gadget, exist_ok=True)
     if args.streaming is not None:
@@ -285,8 +294,7 @@ def _hpc_trial(task: tuple[int, int, bool, int, int]) -> dict:
 
 
 def cmd_hpc(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"need at least one trial, got {args.trials}")
+    _need_trials(args.trials)
     tasks = [
         (args.m, args.r, args.misaligned, args.N, spawn_seed(args.seed, i))
         for i in range(args.trials)
@@ -371,6 +379,7 @@ def _info_trial(seed: int) -> int:
 
 
 def cmd_info(args) -> int:
+    _need_trials(args.fuzz_lambda)
     tasks = [spawn_seed(args.seed, i) for i in range(args.fuzz_lambda)]
     violations = sum(_run_trials(_info_trial, tasks))
     summary = {"trials": args.fuzz_lambda, "violations": violations}

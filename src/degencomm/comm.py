@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Generator, Iterable
+from typing import Callable, Generator, Iterable, NamedTuple
 
 from .graphs import Graph
 
@@ -46,8 +46,7 @@ def uint_width(bound: int) -> int:
     return max(1, (bound - 1).bit_length())
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(NamedTuple):
     """A wire value together with its exact encoded bit length."""
 
     value: object
@@ -58,6 +57,22 @@ def uint(value: int, bound: int) -> Field:
     if not 0 <= value < bound:
         raise ValueError(f"{value} out of [0, {bound})")
     return Field(value, uint_width(bound))
+
+
+def uints(values: Iterable[int], bound: int) -> Field:
+    """Fixed-length vector of integers in [0, bound), each at uint's width.
+
+    The same value and bits as ``vec`` over one ``uint`` per entry, and the
+    same ``ValueError`` for the first entry out of range; an empty vector
+    costs 0 bits whatever the bound.
+    """
+    vs = tuple(values)
+    if not vs:
+        return Field(vs, 0)
+    if min(vs) < 0 or max(vs) >= bound:
+        for v in vs:
+            uint(v, bound)
+    return Field(vs, len(vs) * uint_width(bound))
 
 
 def vertex_id(v: int, n: int) -> Field:

@@ -12,14 +12,18 @@ they do that:
   enough to matter for that bucket.
 
 Both always agree with the sequential peeling decision, and both return a
-peel order on Accept and the surviving (k+1)-core on Reject.
+peel order on Accept and the surviving (k+1)-core on Reject. Among the
+vertices ready for deletion, both delete the least by ``(priority[v], v)``
+(by ``v`` when no priority is given); the ready set is a heap, so a pick
+costs O(log n).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .comm import (
     CommLedger,
@@ -27,6 +31,7 @@ from .comm import (
     lp_list,
     run_two_party,
     uint,
+    uints,
     vec,
     vertex_id,
 )
@@ -51,10 +56,30 @@ def _bucket_index(gap: int, imax: int) -> int:
     return min(gap.bit_length(), imax)
 
 
-def _pick(ready: set[int], priority: Sequence[int] | None) -> int:
-    if priority is None:
-        return min(ready)
-    return min(ready, key=lambda v: (priority[v], v))
+class _Ready:
+    """Vertices ready for deletion, popped least ``(priority[v], v)`` first.
+
+    Both protocols add a vertex at most once while it can still be popped
+    (sqrt rebuilds the set each block, fast only readies bucketed
+    vertices), so the heap needs no lazy deletion.
+    """
+
+    __slots__ = ("heap", "priority")
+
+    def __init__(self, vs: Iterable[int], priority: Sequence[int] | None):
+        self.priority = priority
+        self.heap = list(vs) if priority is None else [(priority[v], v) for v in vs]
+        heapq.heapify(self.heap)
+
+    def __bool__(self) -> bool:
+        return bool(self.heap)
+
+    def add(self, v: int) -> None:
+        heapq.heappush(self.heap, v if self.priority is None else (self.priority[v], v))
+
+    def pop(self) -> int:
+        top = heapq.heappop(self.heap)
+        return top if self.priority is None else top[1]
 
 
 def _swap(role, fld):
@@ -91,13 +116,13 @@ def _sqrt_party(role, adj, n, k, priority, stats):
 
     while live:
         lv = sorted(live)
-        theirs = yield from _swap(role, vec(*(uint(my_deg[u], n) for u in lv)))
+        theirs = yield from _swap(role, uints([my_deg[u] for u in lv], n))
         deg = {u: my_deg[u] + d for u, d in zip(lv, theirs)}
-        ready = {u for u in lv if deg[u] <= k}
+        ready = _Ready((u for u in lv if deg[u] <= k), priority)
         low = {u for u in lv if k + 1 <= deg[u] <= k + s}
         if stats is not None:
             stats.setdefault("blocks", []).append(
-                {"safe": set(lv) - ready - low, "deleted": []}
+                {"safe": {u for u in lv if deg[u] > k + s}, "deleted": []}
             )
 
         for _ in range(s):
@@ -106,8 +131,7 @@ def _sqrt_party(role, adj, n, k, priority, stats):
             if not ready:
                 yield ("output", Reject(frozenset(live)))
                 return
-            v = _pick(ready, priority)
-            ready.discard(v)
+            v = ready.pop()
             live.discard(v)
             order.append(v)
             if stats is not None:
@@ -156,17 +180,11 @@ def _fast_party(role, adj, n, k, priority, stats):
     threshold = [0] + [max(1, 2 ** (i - 2)) for i in range(1, imax + 1)]
     updates: Counter[int] = Counter()
 
-    lv = sorted(live)
-    theirs = yield from _swap(role, vec(*(uint(my_deg[u], n) for u in lv)))
-    deg = {u: my_deg[u] + d for u, d in zip(lv, theirs)}
-    last_mine = {u: my_deg[u] for u in lv}
-    ready = set()
-    bucket: dict[int, int] = {}
-    for u in lv:
-        if deg[u] <= k:
-            ready.add(u)
-        else:
-            bucket[u] = _bucket_index(deg[u] - k, imax)
+    theirs = yield from _swap(role, uints(my_deg, n))
+    deg = [mine + d for mine, d in zip(my_deg, theirs)]
+    last_mine = my_deg[:]
+    ready = _Ready((u for u in range(n) if deg[u] <= k), priority)
+    bucket = {u: _bucket_index(deg[u] - k, imax) for u in range(n) if deg[u] > k}
 
     while live:
         if not ready:
@@ -174,10 +192,8 @@ def _fast_party(role, adj, n, k, priority, stats):
             if stats is not None:
                 _fill_update_stats(stats, updates, n)
             return
-        v = _pick(ready, priority)
-        ready.discard(v)
+        v = ready.pop()
         live.discard(v)
-        bucket.pop(v, None)
         order.append(v)
         for w in adj[v]:
             if w in live:
@@ -197,13 +213,13 @@ def _fast_party(role, adj, n, k, priority, stats):
                      for u, half in zip(detected, their_halves)}
             for u, half in their_extra:
                 known[u] = (my_deg[u], half)
-            yield ("send", vec(*(uint(my_deg[u], n) for u, _ in their_extra)))
+            yield ("send", uints([my_deg[u] for u, _ in their_extra], n))
         else:
             their_pairs = yield ("recv",)
             known = {u: (half, my_deg[u]) for u, half in their_pairs}
             extra = [u for u in detected if u not in known]
             yield ("send", vec(
-                vec(*(uint(my_deg[u], n) for u, _ in their_pairs)),
+                uints([my_deg[u] for u, _ in their_pairs], n),
                 lp_list([vec(vertex_id(u, n), uint(my_deg[u], n))
                          for u in extra], n),
             ))

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 from typing import NamedTuple, Protocol
 
 from .comm import CommLedger, ProtocolError, uint_width
-from .gadget import AuxPadding, GadgetGraph, aux_padding, pointer_path_triples
+from .gadget import (
+    AuxPadding,
+    GadgetGraph,
+    _edges_below,
+    aux_padding,
+    pointer_path_triples,
+)
 from .graphs import Graph, degeneracy, peel
 from .hpc import MHPCInstance, chase
 
@@ -108,26 +114,27 @@ class ReductionReport:
 # edge families
 
 
-FAMILY_NAMES = ("E1", "E2", "ES", "EA", "EB", "EC", "ED", "Eaux")
+FAMILY_NAMES = ("E1", "E2", "ES", "EA", "EB", "EC", "ED")
 
 _ENCODING_FAMILY = {(0, 1): "EA", (0, 2): "EB", (2, 1): "EC", (2, 2): "ED"}
 
 
 def partition_edges(gg: GadgetGraph) -> dict[str, list[tuple[int, int]]]:
-    """Split the gadget's edges into the construction's named families.
+    """Split the gadget's non-padding edges into the construction's families.
 
     E1 holds the triple triangles, E2 the 3x3 joins between replaying
-    layers, ES everything on the special vertices, EA..ED the encoding
-    edges keyed by source layer (mod 4) and carrying copy, and Eaux all
-    padding. Each family comes back sorted, so the feed order is fixed.
+    layers, ES everything on the special vertices, and EA..ED the encoding
+    edges keyed by source layer (mod 4) and carrying copy. The rows are
+    walked in id order, so each family comes back sorted and the feed
+    order is fixed. The padding edges are not listed: the auxiliary ids
+    are the last ones, so only the rows below them are walked, and the
+    player who feeds the padding derives it from degrees (``aux_padding``).
     """
     parts: dict[str, list[tuple[int, int]]] = {f: [] for f in FAMILY_NAMES}
     labels = gg.labels
-    for u, v in gg.graph.edges():
+    for u, v in _edges_below(gg.graph, gg.graph.n - len(gg.aux_ids)):
         ku, kv = labels[u][0], labels[v][0]
-        if "aux" in (ku, kv):
-            parts["Eaux"].append((u, v))
-        elif "special" in (ku, kv):
+        if "special" in (ku, kv):
             parts["ES"].append((u, v))
         else:
             _, eu, _, cu = labels[u]
@@ -140,8 +147,6 @@ def partition_edges(gg: GadgetGraph) -> dict[str, list[tuple[int, int]]]:
                 parts["E2"].append((u, v))
             else:
                 parts[_ENCODING_FAMILY[(eu % 4, cu)]].append((u, v))
-    for family in parts.values():
-        family.sort()
     return parts
 
 

@@ -231,6 +231,22 @@ def test_hpc_degenerate_parameters_exit_2(bad, message, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["degeneracy", "--trials", "0"], "need at least one trial, got 0"),
+    (["degeneracy", "--trials", "-2"], "need at least one trial, got -2"),
+    (["degeneracy", "--n", "-3"], "--n must be >= 0, got -3"),
+    (["reduction", "--trials", "0"], "need at least one trial, got 0"),
+    (["reduction", "--trials", "0", "--streaming", "naive"],
+     "need at least one trial, got 0"),
+    (["info", "--fuzz-lambda", "0"], "need at least one trial, got 0"),
+])
+def test_empty_or_negative_sweeps_exit_2(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"degencomm: error: {message}\n"
+
+
 def test_info_fuzz_finds_no_violations(capsys):
     code, out, _ = run(["info", "--fuzz-lambda", "300", "--seed", "1"], capsys)
     assert code == 0

@@ -20,6 +20,7 @@ from degencomm.comm import (
     run_two_party,
     uint,
     uint_width,
+    uints,
     vec,
     vertex_id,
 )
@@ -73,6 +74,38 @@ def test_composite_fields():
 def test_charvec_rejects_out_of_universe():
     with pytest.raises(ValueError):
         charvec({7}, 6)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 5, 2**40])
+def test_empty_uints_cost_nothing(bound):
+    assert uints([], bound) == Field((), 0)
+
+
+@given(st.integers(1, 2**20), st.data())
+def test_uints_match_a_vec_of_uints(bound, data):
+    vs = data.draw(st.lists(st.integers(0, bound - 1), max_size=12))
+    got, want = uints(iter(vs), bound), vec(*(uint(v, bound) for v in vs))
+    assert (got.value, got.bits) == (want.value, want.bits)
+
+
+@pytest.mark.parametrize("vs, bound", [
+    ([0, 5, 2], 5), ([1, -1, 7], 5), ([3, 9, -4], 8), ([0], 0), ([2, 1], 1),
+])
+def test_uints_raise_what_uint_raises(vs, bound):
+    first_bad = next(v for v in vs if not 0 <= v < bound)
+    with pytest.raises(ValueError) as want:
+        uint(first_bad, bound)
+    with pytest.raises(ValueError) as got:
+        uints(vs, bound)
+    assert str(got.value) == str(want.value)
+
+
+def test_fields_are_immutable():
+    fld = uint(3, 8)
+    for name in ("value", "bits"):
+        with pytest.raises(AttributeError):
+            setattr(fld, name, 0)
+    assert (fld.value, fld.bits) == (3, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,28 @@
 import math
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from degencomm.comm import EdgePartition, random_partition
+from degencomm.comm import (
+    EdgePartition,
+    lp_list,
+    random_partition,
+    run_two_party,
+    uint,
+    vec,
+    vertex_id,
+)
 from degencomm.graphs import (
     Accept,
+    Graph,
     Reject,
     complete_graph,
     cycle_graph,
     degeneracy,
     disjoint_union,
+    empty_graph,
     gnm_random_graph,
     is_k_ordering,
     k_core,
@@ -19,7 +30,11 @@ from degencomm.graphs import (
     star_graph,
 )
 from degencomm.protocols import (
+    _bucket_count,
     _bucket_index,
+    _ceil_sqrt,
+    _fill_update_stats,
+    _swap,
     degen_decide_fast,
     degen_decide_sqrt,
     degen_search,
@@ -245,3 +260,253 @@ def test_cycle_search():
     kappa, _, core, _ = degen_search(_split(cycle_graph(6), 4))
     assert kappa == 2
     assert core == frozenset(range(6))
+
+
+# ---------------------------------------------------------------------------
+# adversarial partitions against the sequential peeler
+
+
+def _check_against_peeler(part, k):
+    want = peel_decision(part.base, k)
+    for decide in PROTOCOLS:
+        got, _ = decide(part, k)
+        assert type(got) is type(want), (decide.__name__, k)
+        if isinstance(got, Accept):
+            assert is_k_ordering(part.base, got.ordering, k)
+        else:
+            assert got.core == k_core(part.base, k + 1)
+
+
+def _split_by_mask(g, mask):
+    edges = g.edges()
+    bits = [(mask >> i) & 1 for i in range(len(edges))]
+    return EdgePartition(g, [e for e, b in zip(edges, bits) if b],
+                         [e for e, b in zip(edges, bits) if not b])
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(0, 20), seed=st.integers(0, 2**20), alice=st.booleans(),
+       k=st.integers(0, 8))
+def test_every_edge_on_one_side(n, seed, alice, k):
+    rng = random.Random(seed)
+    g = gnm_random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), rng)
+    edges = g.edges()
+    part = EdgePartition(g, edges, []) if alice else EdgePartition(g, [], edges)
+    _check_against_peeler(part, k)
+
+
+@PROPERTY_SETTINGS
+@given(leaves=st.integers(0, 20), copies=st.integers(1, 3),
+       mask=st.integers(0, 2**60), k=st.integers(0, 3))
+def test_star_splits(leaves, copies, mask, k):
+    g = star_graph(leaves + 1)
+    for _ in range(copies - 1):
+        g = disjoint_union(g, star_graph(leaves + 1))
+    _check_against_peeler(_split_by_mask(g, mask), k)
+
+
+@PROPERTY_SETTINGS
+@given(size=st.integers(0, 11), mask=st.integers(0, 2**55), data=st.data())
+def test_clique_splits(size, mask, data):
+    g = complete_graph(size)
+    k = data.draw(st.integers(max(0, size - 3), size + 1))
+    _check_against_peeler(_split_by_mask(g, mask), k)
+
+
+@PROPERTY_SETTINGS
+@given(kappa=st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17]),
+       extra=st.integers(0, 12), seed=st.integers(0, 2**20), empty=st.booleans())
+@example(kappa=0, extra=0, seed=0, empty=True)   # n = 0
+@example(kappa=0, extra=0, seed=0, empty=False)  # n = 1
+def test_kappa_at_bucket_boundaries(kappa, extra, seed, empty):
+    """A (kappa+1)-clique plus vertices of at most kappa earlier neighbours.
+
+    The degeneracy is exactly kappa; probing kappa - 1, kappa and kappa + 1
+    puts the degree gaps above k on either side of the buckets' 2^i edges.
+    """
+    rng = random.Random(seed)
+    if empty:
+        g = empty_graph(0)
+    else:
+        edges = complete_graph(kappa + 1).edges()
+        for v in range(kappa + 1, kappa + 1 + extra):
+            edges += [(u, v) for u in rng.sample(range(v), rng.randint(0, kappa))]
+        g = Graph(kappa + 1 + extra, edges)
+        assert degeneracy(g) == kappa
+    part = random_partition(g, rng)
+    for k in range(max(0, kappa - 1), kappa + 2):
+        _check_against_peeler(part, k)
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the set-min parties the heap-ordered ones replaced
+
+
+def reference_pick(ready, priority):
+    if priority is None:
+        return min(ready)
+    return min(ready, key=lambda v: (priority[v], v))
+
+
+def reference_sqrt_party(role, adj, n, k, priority, stats):
+    live = set(range(n))
+    my_deg = [len(adj[u]) for u in range(n)]
+    order = []
+    s = _ceil_sqrt(n)
+
+    while live:
+        lv = sorted(live)
+        theirs = yield from _swap(role, vec(*(uint(my_deg[u], n) for u in lv)))
+        deg = {u: my_deg[u] + d for u, d in zip(lv, theirs)}
+        ready = {u for u in lv if deg[u] <= k}
+        low = {u for u in lv if k + 1 <= deg[u] <= k + s}
+        if stats is not None:
+            stats.setdefault("blocks", []).append(
+                {"safe": set(lv) - ready - low, "deleted": []}
+            )
+
+        for _ in range(s):
+            if not live:
+                break
+            if not ready:
+                yield ("output", Reject(frozenset(live)))
+                return
+            v = reference_pick(ready, priority)
+            ready.discard(v)
+            live.discard(v)
+            order.append(v)
+            if stats is not None:
+                stats["blocks"][-1]["deleted"].append(v)
+            for w in adj[v]:
+                if w in live:
+                    my_deg[w] -= 1
+            mine = sorted(w for w in adj[v] if w in low)
+            others = yield from _swap(
+                role, lp_list([vertex_id(w, n) for w in mine], n)
+            )
+            for w in mine + list(others):
+                deg[w] -= 1
+                if deg[w] <= k:
+                    low.discard(w)
+                    ready.add(w)
+
+    yield ("output", Accept(order))
+
+
+def reference_fast_party(role, adj, n, k, priority, stats):
+    live = set(range(n))
+    my_deg = [len(adj[u]) for u in range(n)]
+    order = []
+    imax = _bucket_count(n)
+    threshold = [0] + [max(1, 2 ** (i - 2)) for i in range(1, imax + 1)]
+    updates = Counter()
+
+    lv = sorted(live)
+    theirs = yield from _swap(role, vec(*(uint(my_deg[u], n) for u in lv)))
+    deg = {u: my_deg[u] + d for u, d in zip(lv, theirs)}
+    last_mine = {u: my_deg[u] for u in lv}
+    ready = set()
+    bucket = {}
+    for u in lv:
+        if deg[u] <= k:
+            ready.add(u)
+        else:
+            bucket[u] = _bucket_index(deg[u] - k, imax)
+
+    while live:
+        if not ready:
+            yield ("output", Reject(frozenset(live)))
+            if stats is not None:
+                _fill_update_stats(stats, updates, n)
+            return
+        v = reference_pick(ready, priority)
+        ready.discard(v)
+        live.discard(v)
+        bucket.pop(v, None)
+        order.append(v)
+        for w in adj[v]:
+            if w in live:
+                my_deg[w] -= 1
+
+        detected = sorted(
+            u for u in adj[v]
+            if u in bucket and last_mine[u] - my_deg[u] >= threshold[bucket[u]]
+        )
+        pairs = lp_list(
+            [vec(vertex_id(u, n), uint(my_deg[u], n)) for u in detected], n
+        )
+        if role == 0:
+            reply = yield from _swap(role, pairs)
+            their_halves, their_extra = reply
+            known = {u: (my_deg[u], half)
+                     for u, half in zip(detected, their_halves)}
+            for u, half in their_extra:
+                known[u] = (my_deg[u], half)
+            yield ("send", vec(*(uint(my_deg[u], n) for u, _ in their_extra)))
+        else:
+            their_pairs = yield ("recv",)
+            known = {u: (half, my_deg[u]) for u, half in their_pairs}
+            extra = [u for u in detected if u not in known]
+            yield ("send", vec(
+                vec(*(uint(my_deg[u], n) for u, _ in their_pairs)),
+                lp_list([vec(vertex_id(u, n), uint(my_deg[u], n))
+                         for u in extra], n),
+            ))
+            their_halves = yield ("recv",)
+            for u, half in zip(extra, their_halves):
+                known[u] = (half, my_deg[u])
+
+        for u, (a_half, b_half) in known.items():
+            deg[u] = a_half + b_half
+            last_mine[u] = my_deg[u]
+            updates[u] += 1
+            del bucket[u]
+            if deg[u] <= k:
+                ready.add(u)
+            else:
+                bucket[u] = _bucket_index(deg[u] - k, imax)
+
+    yield ("output", Accept(order))
+    if stats is not None:
+        _fill_update_stats(stats, updates, n)
+
+
+def _decider_cases():
+    rng = random.Random(2024)
+    yield EdgePartition(empty_graph(0), [], [])
+    yield random_partition(empty_graph(1), rng)
+    yield random_partition(empty_graph(7), rng)
+    g = complete_graph(6)
+    yield EdgePartition(g, g.edges(), [])
+    yield EdgePartition(g, [], g.edges())
+    yield random_partition(star_graph(9), rng)
+    for _ in range(10):
+        n = rng.randrange(2, 24)
+        g = gnm_random_graph(n, rng.randrange(0, min(3 * n, n * (n - 1) // 2) + 1), rng)
+        yield random_partition(g, rng)
+    for n in (64, 100):
+        yield random_partition(gnm_random_graph(n, 4 * n, rng), rng)
+
+
+@pytest.mark.parametrize("decide, reference", [
+    (degen_decide_sqrt, reference_sqrt_party),
+    (degen_decide_fast, reference_fast_party),
+])
+def test_deciders_match_the_set_min_reference(decide, reference):
+    for part in _decider_cases():
+        n = part.n
+        top = max((part.base.degree(v) for v in range(n)), default=0) + 1
+        priorities = (None, list(range(n))[::-1], [v % 3 for v in range(n)])
+        for k in range(top + 1):
+            for priority in priorities:
+                stats, ref_stats = {}, {}
+                out, ledger = decide(part, k, priority=priority, stats=stats)
+                ref_out, ref_ledger = run_two_party(
+                    reference(0, part.adj_a, n, k, priority, ref_stats),
+                    reference(1, part.adj_b, n, k, priority, None),
+                )
+                assert type(out) is type(ref_out)
+                assert out == ref_out, (n, k, priority)
+                assert ledger.to_json() == ref_ledger.to_json()
+                assert ledger.rounds == ref_ledger.rounds
+                assert stats == ref_stats

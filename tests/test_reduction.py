@@ -24,6 +24,16 @@ def _norm(edges):
     return sorted((min(u, v), max(u, v)) for u, v in edges)
 
 
+def _padding(gg, parts):
+    """The padding player B derives from the degrees of the families."""
+    degrees = [0] * gg.graph.n
+    for fam in parts.values():
+        for u, v in fam:
+            degrees[u] += 1
+            degrees[v] += 1
+    return aux_padding(gg.m, gg.r, degrees)
+
+
 # ---------------------------------------------------------------------------
 # edge families
 
@@ -33,7 +43,9 @@ def test_partition_covers_the_gadget_exactly():
     gg = build_gadget(inst)
     parts = partition_edges(gg)
     m, r = gg.m, gg.r
-    union = [e for fam in parts.values() for e in fam]
+    assert all(fam == sorted(fam) for fam in parts.values())
+    padding = _norm(_padding(gg, parts).edges())
+    union = [e for fam in parts.values() for e in fam] + padding
     assert sorted(union) == sorted(gg.graph.edges())
     assert len(union) == len(set(union))
     assert len(parts["E1"]) == 3 * m * (2 * r + 1)
@@ -41,7 +53,9 @@ def test_partition_covers_the_gadget_exactly():
     layer_side = 3 * m * (2 * r + 1) - 3 * m // 2
     assert len(parts["ES"]) == 3 + 3 * layer_side
     aux_set = set(gg.aux_ids)
-    assert all(u in aux_set or v in aux_set for u, v in parts["Eaux"])
+    assert all(u in aux_set or v in aux_set for u, v in padding)
+    assert not any(u in aux_set or v in aux_set
+                   for fam in parts.values() for u, v in fam)
 
 
 def test_encoding_families_count_the_instance_sets():
@@ -63,14 +77,10 @@ def test_encoding_families_count_the_instance_sets():
 def test_padding_rederives_from_degrees_alone():
     inst = sample_bmhpc(4, 2, random.Random(5))
     gg = build_gadget(inst)
-    parts = partition_edges(gg)
-    degrees = [0] * gg.graph.n
-    for fam in ("E1", "E2", "ES", "EA", "EB", "EC", "ED"):
-        for u, v in parts[fam]:
-            degrees[u] += 1
-            degrees[v] += 1
-    plan = aux_padding(gg.m, gg.r, degrees)
-    assert _norm(plan.edges()) == _norm(parts["Eaux"])
+    plan = _padding(gg, partition_edges(gg))
+    aux_set = set(gg.aux_ids)
+    padding = [e for e in gg.graph.edges() if aux_set & set(e)]
+    assert _norm(plan.edges()) == _norm(padding)
     assert plan.deficiencies == gg.deficiencies
     assert plan.matchings == gg.matchings_added
 
