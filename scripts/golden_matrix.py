@@ -1,0 +1,107 @@
+"""Record the golden CLI matrix: a fixed set of ``degencomm`` runs.
+
+Usage::
+
+    python3 scripts/golden_matrix.py OUTDIR
+
+Runs the command line of the checkout this script sits in (its ``src/``
+goes first on ``PYTHONPATH``) once per entry of ``RUNS``. Each run gets
+its own directory ``OUTDIR/<name>/``, which is also its working
+directory, holding ``argv``, ``stdout``, ``stderr``, ``exit_code`` and
+whatever the run wrote there (the ``--emit-gadget`` files). The
+``--graph`` runs decide ``OUTDIR/graph.txt``, a graph this script writes
+itself: K8 followed by 52 vertices that each join 3 earlier ones, so its
+degeneracy is 7 and the decision flips between k = 6 and k = 7.
+
+Everything is seeded, so two checkouts that behave the same give
+byte-identical trees; compare them with ``diff -r``. Standard library
+only; the script imports nothing from the package.
+"""
+
+from __future__ import annotations
+
+import os
+import random
+import subprocess
+import sys
+
+KAPPA = 7
+
+RUNS: list[tuple[str, list[str]]] = [
+    *[(f"degeneracy-n{n}-{fmt}",
+       ["degeneracy", "--n", str(n), "--trials", "4", "--seed", "7",
+        "--format", fmt])
+      for n in (0, 1, 20, 40, 150) for fmt in ("json", "csv")],
+    *[(f"degeneracy-graph-k{k}",
+       ["degeneracy", "--graph", "../graph.txt", "--k", str(k), "--seed", "3"])
+      for k in (0, 2, 4, 12, 59)],
+    ("reduction-sweep-m4", ["reduction", "--m", "4", "--r", "2",
+                            "--trials", "3", "--seed", "5"]),
+    ("reduction-sweep-m8-csv", ["reduction", "--m", "8", "--r", "1",
+                                "--trials", "2", "--seed", "5",
+                                "--format", "csv"]),
+    ("reduction-naive", ["reduction", "--m", "4", "--r", "1", "--trials", "2",
+                         "--seed", "5", "--streaming", "naive"]),
+    ("reduction-store-all", ["reduction", "--m", "4", "--r", "1",
+                             "--trials", "2", "--seed", "5",
+                             "--streaming", "store-all"]),
+    ("reduction-emit-gadget", ["reduction", "--m", "4", "--r", "1",
+                               "--trials", "2", "--seed", "9",
+                               "--emit-gadget", "gadgets"]),
+    ("hpc-aligned", ["hpc", "--m", "16", "--r", "3", "--trials", "20",
+                     "--seed", "4"]),
+    *[(f"hpc-misaligned-N{N}",
+       ["hpc", "--m", "16", "--r", "3", "--trials", "20", "--seed", "4",
+        "--misaligned", "--N", str(N)])
+      for N in (0, 8, 16)],
+    ("info", ["info", "--fuzz-lambda", "200", "--seed", "3"]),
+    ("sisolver", ["sisolver", "--m", "32", "--p", "0.9", "--gamma", "0.9",
+                  "--trials", "4", "--seed", "2"]),
+    ("sisolver-csv", ["sisolver", "--m", "32", "--p", "0.9", "--gamma", "0.9",
+                      "--trials", "4", "--seed", "2", "--format", "csv"]),
+    *[(f"degeneracy-graph-kappa{k - KAPPA:+d}",
+       ["degeneracy", "--graph", "../graph.txt", "--k", str(k), "--seed", "3"])
+      for k in (KAPPA - 1, KAPPA, KAPPA + 1)],
+]
+
+
+def graph_text() -> str:
+    """K8 on 0..7, then vertices 8..59 each joined to 3 earlier ones."""
+    rng = random.Random(2024)
+    edges = [(u, v) for v in range(KAPPA + 1) for u in range(v)]
+    for v in range(KAPPA + 1, 60):
+        edges += [(u, v) for u in sorted(rng.sample(range(v), 3))]
+    edges.sort()
+    return f"60 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: golden_matrix.py OUTDIR", file=sys.stderr)
+        return 2
+    out = os.path.abspath(argv[0])
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "graph.txt"), "w", encoding="ascii") as fh:
+        fh.write(graph_text())
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ, DEGENCOMM_WORKERS="1", PYTHONHASHSEED="0",
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.abspath(src)]
+                   + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for name, args in RUNS:
+        run_dir = os.path.join(out, name)
+        os.makedirs(run_dir, exist_ok=True)
+        proc = subprocess.run([sys.executable, "-m", "degencomm.cli", *args],
+                              cwd=run_dir, env=env, capture_output=True)
+        for fname, data in (("argv", " ".join(args) + "\n"),
+                            ("stdout", proc.stdout), ("stderr", proc.stderr),
+                            ("exit_code", f"{proc.returncode}\n")):
+            mode = "w" if isinstance(data, str) else "wb"
+            with open(os.path.join(run_dir, fname), mode) as fh:
+                fh.write(data)
+        print(f"{name}: exit {proc.returncode}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

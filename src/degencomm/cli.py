@@ -107,8 +107,15 @@ def _run_trials(fn, tasks):
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 
 
-def _emit(payload: dict, rows: list[dict], columns: list[str], args) -> None:
+def _emit(args, body: dict, rows: list[dict], columns: list[str],
+          ok: bool) -> int:
+    """Write the report and return the exit code: 0 when ok, else 1.
+
+    The JSON report is body plus the command, the seed and ok; the CSV
+    report is the listed columns of rows.
+    """
     if args.format == "json":
+        payload = {"command": args.command, "seed": args.seed, **body, "ok": ok}
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         buf = io.StringIO()
@@ -122,6 +129,7 @@ def _emit(payload: dict, rows: list[dict], columns: list[str], args) -> None:
     else:
         with open(args.out, "w", encoding="ascii", newline="") as fh:
             fh.write(text)
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +157,8 @@ def _degeneracy_trial(task: tuple[int, int]) -> dict:
 
 
 def cmd_degeneracy(args) -> int:
+    if args.graph is None and args.k is not None:
+        raise ValueError("--k needs --graph")
     if args.graph is not None:
         if args.k is None:
             raise ValueError("--graph needs --k to decide against")
@@ -174,15 +184,8 @@ def cmd_degeneracy(args) -> int:
         tasks = [(args.n, spawn_seed(args.seed, i)) for i in range(args.trials)]
         rows = _run_trials(_degeneracy_trial, tasks)
         columns = ["n", "kappa", "bits_total", "updates_max"]
-    ok = all(r["ok"] for r in rows)
-    payload = {
-        "command": "degeneracy",
-        "seed": args.seed,
-        "rows": rows,
-        "ok": ok,
-    }
-    _emit(payload, rows, columns, args)
-    return 0 if ok else 1
+    return _emit(args, {"rows": rows}, rows, columns,
+                 all(r["ok"] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +249,11 @@ def cmd_reduction(args) -> int:
     if args.emit_gadget is not None:
         os.makedirs(args.emit_gadget, exist_ok=True)
     if args.streaming is not None:
-        budget = None if args.p == "auto" else int(args.p)
+        try:
+            budget = None if args.p == "auto" else int(args.p)
+        except ValueError:
+            raise ValueError(
+                f"--p must be 'auto' or an integer, got {args.p!r}") from None
         tasks = [
             (args.m, args.r, spawn_seed(args.seed, i), args.streaming, budget)
             for i in range(args.trials)
@@ -261,15 +268,8 @@ def cmd_reduction(args) -> int:
         ]
         rows = _run_trials(_reduction_trial, tasks)
         columns = ["m", "r", "bit_true", "kappa", "d", "split_ok", "trace_ok"]
-    ok = all(r["ok"] for r in rows)
-    payload = {
-        "command": "reduction",
-        "seed": args.seed,
-        "rows": rows,
-        "ok": ok,
-    }
-    _emit(payload, rows, columns, args)
-    return 0 if ok else 1
+    return _emit(args, {"rows": rows}, rows, columns,
+                 all(r["ok"] for r in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +313,11 @@ def cmd_hpc(args) -> int:
         "success_rate": correct / args.trials,
         "bits_total_max": max(o["bits_total"] for o in outcomes),
     }
-    # A finished walk must be right; abstaining is the only excuse.
-    ok = all(o["correct"] for o in outcomes if o["finished"])
-    payload = {
-        "command": "hpc",
-        "seed": args.seed,
-        "summary": summary,
-        "ok": ok,
-    }
     columns = ["mode", "m", "r", "presolve", "trials", "finished",
                "correct", "success_rate"]
-    _emit(payload, [summary], columns, args)
-    return 0 if ok else 1
+    # A finished walk must be right; abstaining is the only excuse.
+    return _emit(args, {"summary": summary}, [summary], columns,
+                 all(o["correct"] for o in outcomes if o["finished"]))
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +376,8 @@ def cmd_info(args) -> int:
     tasks = [spawn_seed(args.seed, i) for i in range(args.fuzz_lambda)]
     violations = sum(_run_trials(_info_trial, tasks))
     summary = {"trials": args.fuzz_lambda, "violations": violations}
-    payload = {
-        "command": "info",
-        "seed": args.seed,
-        "summary": summary,
-        "ok": violations == 0,
-    }
-    _emit(payload, [summary], ["trials", "violations"], args)
-    return 0 if violations == 0 else 1
+    return _emit(args, {"summary": summary}, [summary],
+                 ["trials", "violations"], violations == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -403,14 +390,6 @@ def cmd_sisolver(args) -> int:
     solver = RevealSolver(args.p)
     result = solver_experiment(solver, eps, args.m, args.gamma, args.trials, rng)
     rate = result["success"] / args.trials
-    payload = {
-        "command": "sisolver",
-        "seed": args.seed,
-        "p": args.p,
-        "result": result,
-        "success_rate": rate,
-        "ok": args.min_success is None or rate >= args.min_success,
-    }
     flat = {
         "m": args.m,
         "p": args.p,
@@ -426,8 +405,9 @@ def cmd_sisolver(args) -> int:
     }
     columns = ["m", "p", "gamma", "eps", "k_rounds", "tau", "trials",
                "success", "success_rate", "overflow", "empty_intersection"]
-    _emit(payload, [flat], columns, args)
-    return 0 if payload["ok"] else 1
+    body = {"p": args.p, "result": result, "success_rate": rate}
+    return _emit(args, body, [flat], columns,
+                 args.min_success is None or rate >= args.min_success)
 
 
 # ---------------------------------------------------------------------------

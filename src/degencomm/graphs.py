@@ -3,9 +3,10 @@
 Everything downstream (the two-party protocols, the hardness gadget, the
 streaming harness) sits on top of this module, so it stays deliberately
 small: an immutable compact graph (sorted neighbour rows packed into two
-integer arrays), the min-degree peeling loop with a bucket queue, the
-handful of orderings/cores derived from it, and a line-based text format
-read and written one line at a time.
+integer arrays), one min-degree peeling loop over degree buckets, stopped
+at a threshold or run to the end, the orderings and cores that are views
+of it (peel, peel_decision, k_core, degeneracy), and a line-based text
+format read and written one line at a time.
 
 Vertices are integers 0..n-1 throughout. Graphs are simple: no loops,
 no parallel edges.
@@ -18,7 +19,7 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Iterator, NamedTuple
+from typing import IO, Callable, Iterable, NamedTuple
 
 
 class Graph:
@@ -154,35 +155,35 @@ TIE_BREAKS: dict[str, TieBreak] = {
 }
 
 
-class _BucketQueue:
-    """Residual degrees in an array of buckets; supports decrease-by-one.
+def _peel(g: Graph, k: int, pick: TieBreak) -> tuple[list[int], list[int]]:
+    """Remove a minimum-residual-degree vertex while that degree is <= k.
 
-    Classic structure for linear-time peeling: bucket[d] holds the live
-    vertices of residual degree d and a cursor tracks the smallest
-    nonempty bucket (it only needs to move down by one per decrement).
-    A popped vertex is retired: its degree entry becomes -1.
+    The one peeling loop: bucket[d] holds the live vertices of residual
+    degree d, and a floor cursor tracks the smallest nonempty bucket (a
+    decrement moves it down by at most one). pick chooses among the
+    floor bucket. Returns the removal order and each vertex's residual
+    degree when it went; the vertices left over form the (k+1)-core.
     """
-
-    def __init__(self, degrees: list[int]):
-        self.deg = list(degrees)
-        self.buckets: list[set[int]] = [set() for _ in range(len(degrees) + 1)]
-        for v, d in enumerate(degrees):
-            self.buckets[d].add(v)
-        self.floor = 0
-
-    def pop_min(self, pick: TieBreak) -> tuple[int, int]:
-        while not self.buckets[self.floor]:
-            self.floor += 1
-        bucket = self.buckets[self.floor]
+    nbrs, off = g.nbrs, g.offsets
+    deg = [off[v + 1] - off[v] for v in range(g.n)]
+    buckets: list[set[int]] = [set() for _ in range(g.n + 1)]
+    for v, d in enumerate(deg):
+        buckets[d].add(v)
+    order: list[int] = []
+    removal: list[int] = []
+    floor = 0
+    for _ in range(g.n):
+        while not buckets[floor]:
+            floor += 1
+        if floor > k:
+            break
+        bucket = buckets[floor]
         v = pick(bucket)
         bucket.discard(v)
-        d, self.deg[v] = self.deg[v], -1
-        return v, d
-
-    def decrement_live(self, row: Iterable[int]) -> None:
-        """Lower by one the degree of every live vertex in row."""
-        deg, buckets, floor = self.deg, self.buckets, self.floor
-        for u in row:
+        deg[v] = -1  # retired
+        order.append(v)
+        removal.append(floor)
+        for u in nbrs[off[v]:off[v + 1]]:
             d = deg[u]
             if d < 0:
                 continue
@@ -191,7 +192,7 @@ class _BucketQueue:
             buckets[d - 1].add(u)
             if d <= floor:
                 floor = d - 1
-        self.floor = floor
+    return order, removal
 
 
 def peel(g: Graph, tie_break: str | TieBreak = "min") -> PeelTrace:
@@ -201,19 +202,8 @@ def peel(g: Graph, tie_break: str | TieBreak = "min") -> PeelTrace:
     given. The max residual degree seen along the way is the degeneracy.
     """
     pick = TIE_BREAKS[tie_break] if isinstance(tie_break, str) else tie_break
-    trace = PeelTrace()
-    if g.n == 0:
-        return trace
-    nbrs, off = g.nbrs, g.offsets
-    queue = _BucketQueue([g.degree(v) for v in range(g.n)])
-    for _ in range(g.n):
-        v, d = queue.pop_min(pick)
-        trace.order.append(v)
-        trace.degree_at_removal.append(d)
-        if d > trace.degeneracy:
-            trace.degeneracy = d
-        queue.decrement_live(nbrs[off[v]:off[v + 1]])
-    return trace
+    order, removal = _peel(g, g.n, pick)
+    return PeelTrace(order, removal, max(removal, default=0))
 
 
 def degeneracy(g: Graph) -> int:
@@ -243,46 +233,26 @@ def is_k_ordering(g: Graph, order: list[int], k: int) -> bool:
 def peel_decision(g: Graph, k: int) -> Accept | Reject:
     """Peel at threshold k: remove vertices while one has degree <= k.
 
-    Accept carries the removal order (a k-ordering) when the graph
-    empties; Reject carries the remaining vertices, which form the
-    nonempty (k+1)-core.
+    Accept carries the removal order, which is peel(g).order and a
+    k-ordering, when the graph empties; Reject carries the remaining
+    vertices, which form the nonempty (k+1)-core.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    nbrs, off = g.nbrs, g.offsets
-    deg = [g.degree(v) for v in range(g.n)]
-    alive = [True] * g.n
-    order: list[int] = []
-    # A stack discipline suffices here: once degree <= k a vertex stays
-    # removable, and the order of removals does not change the outcome.
-    stack = sorted((v for v in range(g.n) if deg[v] <= k), reverse=True)
-    while stack:
-        v = stack.pop()
-        if not alive[v]:
-            continue
-        alive[v] = False
-        order.append(v)
-        for u in nbrs[off[v]:off[v + 1]]:
-            if alive[u]:
-                deg[u] -= 1
-                if deg[u] == k:
-                    stack.append(u)
-    survivors = frozenset(v for v in range(g.n) if alive[v])
-    if survivors:
-        return Reject(survivors)
-    return Accept(order)
+    order, _ = _peel(g, k, min)
+    if len(order) == g.n:
+        return Accept(order)
+    return Reject(frozenset(range(g.n)).difference(order))
 
 
 def k_core(g: Graph, k: int) -> frozenset[int]:
     """The unique maximal vertex set inducing minimum degree >= k.
 
-    A view over peel_decision at threshold k-1: the survivors of that
-    peel are the k-core. Empty when no such set exists.
+    The vertices a peel at threshold k-1 leaves. Empty when no such set
+    exists.
     """
-    if k == 0:
-        return frozenset(range(g.n))
-    res = peel_decision(g, k - 1)
-    return res.core if isinstance(res, Reject) else frozenset()
+    order, _ = _peel(g, k - 1, min)
+    return frozenset(range(g.n)).difference(order)
 
 
 def brute_force_degeneracy(g: Graph) -> int:

@@ -247,6 +247,18 @@ def test_empty_or_negative_sweeps_exit_2(argv, message, capsys):
     assert err == f"degencomm: error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["degeneracy", "--n", "5", "--k", "2"], "--k needs --graph"),
+    (["reduction", "--trials", "1", "--streaming", "naive", "--p", "x"],
+     "--p must be 'auto' or an integer, got 'x'"),
+])
+def test_ignored_or_misparsed_flags_exit_2(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"degencomm: error: {message}\n"
+
+
 def test_info_fuzz_finds_no_violations(capsys):
     code, out, _ = run(["info", "--fuzz-lambda", "300", "--seed", "1"], capsys)
     assert code == 0

@@ -208,6 +208,29 @@ def test_peel_decision_agrees_with_degeneracy(g, k):
             assert sum(1 for u in g.neighbors(v) if u in res.core) >= k + 1
 
 
+@PROPERTY_SETTINGS
+@given(small_graphs())
+def test_peel_decision_and_k_core_are_prefixes_of_peel(g):
+    """One peel, stopped at k: Accept carries the whole peel order, and
+    Reject and the (k+1)-core are what is left once the next residual
+    degree exceeds k."""
+    trace = G.peel(g)
+    kappa = G.degeneracy(g)
+    top = max((g.degree(v) for v in range(g.n)), default=0)
+    for k in range(top + 2):
+        i = next((i for i, d in enumerate(trace.degree_at_removal) if d > k),
+                 g.n)
+        rest = frozenset(trace.order[i:])
+        res = G.peel_decision(g, k)
+        if k >= kappa:
+            assert isinstance(res, G.Accept), k
+            assert res.ordering == trace.order, k
+        else:
+            assert isinstance(res, G.Reject), k
+            assert res.core == rest, k
+        assert G.k_core(g, k + 1) == rest, k
+
+
 # ---------------------------------------------------------------------------
 # the adjacency-set graph and peels this module used before its compact
 # rows, kept verbatim (renamed) as the oracle for the differential tests
@@ -340,8 +363,9 @@ def reference_peel_decision(g, k):
 def assert_matches_reference(g):
     """peel, peel_decision and k_core agree with the adjacency-set oracle.
 
-    Accept.ordering follows neighbour iteration order, so it is only
-    required to be a k-ordering; everything else must be identical.
+    The oracle's Accept.ordering is its stack order, not the peel order
+    the package returns, so here it is only required to be a k-ordering;
+    everything else must be identical.
     """
     ref = ReferenceGraph(g.n, g.edges())
     for name in G.TIE_BREAKS:

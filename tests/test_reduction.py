@@ -92,6 +92,28 @@ def test_padding_rejects_overweight_degrees():
         aux_padding(gg.m, gg.r, [gg.d + 7 * gg.r] * gg.graph.n)
 
 
+def test_padding_at_the_edge_of_its_matching_budget():
+    # layer and special vertices at their targets need no padding edge,
+    # so every auxiliary vertex keeps its input degree a; the padding then
+    # needs d + 6r + 3 - a matchings, and only d - 1 exist
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(6)))
+    aux_set = set(gg.aux_ids)
+    base = [0 if v in aux_set else gg.graph.degree(v)
+            for v in range(gg.graph.n)]
+
+    def with_aux(a):
+        return [a if v in aux_set else deg for v, deg in enumerate(base)]
+
+    plan = aux_padding(gg.m, gg.r, with_aux(6 * gg.r + 4))
+    assert plan.matchings == gg.d - 1
+    assert not any(plan.deficiencies.values())
+    edges = _norm(plan.edges())
+    assert len(set(edges)) == len(edges) == gg.d * (gg.d - 1) // 2
+    with pytest.raises(ValueError,
+                       match=f"padding needs {gg.d} matchings, only {gg.d - 1}"):
+        aux_padding(gg.m, gg.r, with_aux(6 * gg.r + 3))
+
+
 # ---------------------------------------------------------------------------
 # split and invariants
 
