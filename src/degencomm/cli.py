@@ -245,12 +245,16 @@ def _streaming_trial(task: tuple[int, int, int, str, int | None]) -> dict:
 
 
 def cmd_reduction(args) -> int:
+    if args.streaming is None and args.p is not None:
+        raise ValueError("--p needs --streaming")
+    if args.streaming is not None and args.emit_gadget is not None:
+        raise ValueError("--emit-gadget needs the plain sweep, not --streaming")
     _need_trials(args.trials)
     if args.emit_gadget is not None:
         os.makedirs(args.emit_gadget, exist_ok=True)
     if args.streaming is not None:
         try:
-            budget = None if args.p == "auto" else int(args.p)
+            budget = None if args.p in (None, "auto") else int(args.p)
         except ValueError:
             raise ValueError(
                 f"--p must be 'auto' or an integer, got {args.p!r}") from None
@@ -294,9 +298,12 @@ def _hpc_trial(task: tuple[int, int, bool, int, int]) -> dict:
 
 
 def cmd_hpc(args) -> int:
+    if args.N is not None and not args.misaligned:
+        raise ValueError("--N needs --misaligned")
     _need_trials(args.trials)
+    presolve = 0 if args.N is None else args.N
     tasks = [
-        (args.m, args.r, args.misaligned, args.N, spawn_seed(args.seed, i))
+        (args.m, args.r, args.misaligned, presolve, spawn_seed(args.seed, i))
         for i in range(args.trials)
     ]
     outcomes = _run_trials(_hpc_trial, tasks)
@@ -306,7 +313,7 @@ def cmd_hpc(args) -> int:
         "mode": "misaligned" if args.misaligned else "aligned",
         "m": args.m,
         "r": args.r,
-        "presolve": args.N if args.misaligned else 0,
+        "presolve": presolve,
         "trials": args.trials,
         "finished": finished,
         "correct": correct,
@@ -443,8 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write each gadget (and its label sidecar) here")
     sp.add_argument("--streaming", choices=("naive", "store-all"), default=None,
                     help="replay this reference algorithm through the harness")
-    sp.add_argument("--p", default="auto",
-                    help="pass budget for --streaming, or 'auto'")
+    sp.add_argument("--p", default=None,
+                    help="pass budget for --streaming, or 'auto' (the default)")
     _add_common(sp)
     sp.set_defaults(fn=cmd_reduction)
 
@@ -454,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--misaligned", action="store_true",
                     help="wrong pair opens; rescued by pre-solving")
-    sp.add_argument("--N", type=int, default=0,
-                    help="pre-solved coordinates for --misaligned")
+    sp.add_argument("--N", type=int, default=None,
+                    help="pre-solved coordinates for --misaligned (default 0)")
     _add_common(sp)
     sp.set_defaults(fn=cmd_hpc)
 

@@ -18,7 +18,12 @@ Bit lengths are fixed by the encoding rules below, not by guesswork:
 integers in [0, M) cost max(1, ceil(log2 M)) bits, lists carry a
 length prefix, sets over a known universe go as characteristic vectors.
 All payloads stay structured python values; only the declared widths are
-charged to the ledger.
+charged to the ledger. Lists of integers and of integer pairs are
+encoded in bulk (``uints``, ``lp_uints``, ``lp_pairs``): one tuple and one
+min/max range test per message, not one ``Field`` per entry.
+
+An ``EdgePartition`` keeps each side's adjacency as sorted neighbour
+lists, so a party walks a row in id order without sorting it.
 """
 
 from __future__ import annotations
@@ -67,16 +72,7 @@ def uints(values: Iterable[int], bound: int) -> Field:
     costs 0 bits whatever the bound.
     """
     vs = tuple(values)
-    if not vs:
-        return Field(vs, 0)
-    if min(vs) < 0 or max(vs) >= bound:
-        for v in vs:
-            uint(v, bound)
-    return Field(vs, len(vs) * uint_width(bound))
-
-
-def vertex_id(v: int, n: int) -> Field:
-    return uint(v, n)
+    return Field(vs, _entry_bits(vs, bound))
 
 
 def flag(b: bool) -> Field:
@@ -97,12 +93,45 @@ def vec(*parts: Field) -> Field:
     return Field(tuple(p.value for p in parts), sum(p.bits for p in parts))
 
 
-def lp_list(items: list[Field], max_len: int) -> Field:
-    """Length-prefixed list: a count in [0, max_len] then the items."""
+def lp_uints(values: Iterable[int], bound: int, max_len: int) -> Field:
+    """Length-prefixed list of integers in [0, bound).
+
+    A count in [0, max_len] at ``uint_width(max_len + 1)`` bits, then each
+    entry at uint's width, so an empty list costs only the count. Raises
+    uint's ``ValueError`` for the first entry out of range, and only then
+    one for a list longer than ``max_len``.
+    """
+    vs = tuple(values)
+    return Field(vs, _lp_bits(vs, vs, bound, max_len))
+
+
+def lp_pairs(pairs: Iterable[tuple[int, int]], bound: int,
+             max_len: int) -> Field:
+    """Length-prefixed list of ``(a, b)`` tuples with a and b in [0, bound).
+
+    The encoding of ``lp_uints`` with two entries per item, checked in the
+    order a, b of each item in turn.
+    """
+    ps = tuple(pairs)
+    return Field(ps, _lp_bits(ps, [x for p in ps for x in p], bound, max_len))
+
+
+def _entry_bits(entries, bound: int) -> int:
+    """uint's width per entry; a min/max test finds any entry out of range,
+    then uint raises for the first one."""
+    if not entries:
+        return 0
+    if min(entries) < 0 or max(entries) >= bound:
+        for x in entries:
+            uint(x, bound)
+    return len(entries) * uint_width(bound)
+
+
+def _lp_bits(items: tuple, entries, bound: int, max_len: int) -> int:
+    bits = _entry_bits(entries, bound)
     if len(items) > max_len:
         raise ValueError(f"list of {len(items)} exceeds max {max_len}")
-    prefix = uint_width(max_len + 1)
-    return Field(tuple(i.value for i in items), prefix + sum(i.bits for i in items))
+    return uint_width(max_len + 1) + bits
 
 
 def nothing() -> Field:
@@ -166,7 +195,11 @@ class CommLedger:
 
 
 class EdgePartition:
-    """A graph whose edge set is split between Alice and Bob."""
+    """A graph whose edge set is split between Alice and Bob.
+
+    ``adj_a[v]`` and ``adj_b[v]`` list v's neighbours over Alice's and
+    Bob's edges, in ascending order.
+    """
 
     def __init__(self, base: Graph, edges_a: Iterable[tuple[int, int]],
                  edges_b: Iterable[tuple[int, int]]):
@@ -188,11 +221,13 @@ class EdgePartition:
         return self.base.n
 
 
-def _side_adjacency(n: int, edges: set[tuple[int, int]]) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
+def _side_adjacency(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u].append(v)
+        adj[v].append(u)
+    for row in adj:
+        row.sort()
     return adj
 
 
@@ -222,36 +257,40 @@ def _drive(parties: dict[str, Party], route: Route) -> tuple[object, CommLedger]
     once, which no protocol in this package does.
     """
     ledger = CommLedger()
-    inbox = {p: deque() for p in parties}
+    # one slot per party: [name, generator, pending action, inbox]; a
+    # party that has returned keeps None as its action
+    slots = [[p, gen, None, deque()] for p, gen in parties.items()]
+    inbox = {slot[0]: slot[3] for slot in slots}
     outputs: dict[str, object] = {}
-    pending: dict[str, tuple | None] = {}
-
-    def step(p: str, value=None) -> None:
+    for slot in slots:
         try:
-            pending[p] = parties[p].send(value)
+            slot[2] = next(slot[1])
         except StopIteration:
-            if p not in outputs:
-                raise ProtocolError(f"party {p} stopped without output")
-            pending[p] = None
+            raise ProtocolError(f"party {slot[0]} stopped without output")
 
-    for p in parties:
-        step(p)
-    while len(outputs) < len(parties):
+    while len(outputs) < len(slots):
         progressed = False
-        for p, act in pending.items():
+        for slot in slots:
+            p, gen, act, box = slot
             if act is None:
                 continue
-            kind, value = act[0], None
+            value = None
+            kind = act[0]
             if kind == "recv":
-                if not inbox[p]:
+                if not box:
                     continue
-                value = inbox[p].popleft()
+                value = box.popleft()
             elif kind == "output":
                 outputs[p] = act[1]
             else:
                 for q in route(p, act, ledger):
                     inbox[q].append(act[-1].value)
-            step(p, value)
+            try:
+                slot[2] = gen.send(value)
+            except StopIteration:
+                if p not in outputs:
+                    raise ProtocolError(f"party {p} stopped without output")
+                slot[2] = None
             progressed = True
         if not progressed:
             raise ProtocolError("deadlock: no party can make progress")

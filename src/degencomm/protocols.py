@@ -28,12 +28,11 @@ from typing import Callable, Iterable, Sequence
 from .comm import (
     CommLedger,
     EdgePartition,
-    lp_list,
+    lp_pairs,
+    lp_uints,
     run_two_party,
-    uint,
     uints,
     vec,
-    vertex_id,
 )
 from .graphs import Accept, Reject
 
@@ -139,10 +138,8 @@ def _sqrt_party(role, adj, n, k, priority, stats):
             for w in adj[v]:
                 if w in live:
                     my_deg[w] -= 1
-            mine = sorted(w for w in adj[v] if w in low)
-            others = yield from _swap(
-                role, lp_list([vertex_id(w, n) for w in mine], n)
-            )
+            mine = [w for w in adj[v] if w in low]
+            others = yield from _swap(role, lp_uints(mine, n, n))
             for w in mine + list(others):
                 deg[w] -= 1
                 if deg[w] <= k:
@@ -195,17 +192,16 @@ def _fast_party(role, adj, n, k, priority, stats):
         v = ready.pop()
         live.discard(v)
         order.append(v)
-        for w in adj[v]:
-            if w in live:
-                my_deg[w] -= 1
-
-        detected = sorted(
-            u for u in adj[v]
-            if u in bucket and last_mine[u] - my_deg[u] >= threshold[bucket[u]]
-        )
-        pairs = lp_list(
-            [vec(vertex_id(u, n), uint(my_deg[u], n)) for u in detected], n
-        )
+        # every bucketed vertex is live, so one pass over the sorted row
+        # both decrements and detects, in id order
+        detected = []
+        for u in adj[v]:
+            if u in live:
+                my_deg[u] -= 1
+                i = bucket.get(u)
+                if i is not None and last_mine[u] - my_deg[u] >= threshold[i]:
+                    detected.append(u)
+        pairs = lp_pairs([(u, my_deg[u]) for u in detected], n, n)
         if role == 0:
             reply = yield from _swap(role, pairs)
             their_halves, their_extra = reply
@@ -220,8 +216,7 @@ def _fast_party(role, adj, n, k, priority, stats):
             extra = [u for u in detected if u not in known]
             yield ("send", vec(
                 uints([my_deg[u] for u, _ in their_pairs], n),
-                lp_list([vec(vertex_id(u, n), uint(my_deg[u], n))
-                         for u in extra], n),
+                lp_pairs([(u, my_deg[u]) for u in extra], n, n),
             ))
             their_halves = yield ("recv",)
             for u, half in zip(extra, their_halves):

@@ -251,12 +251,27 @@ def test_empty_or_negative_sweeps_exit_2(argv, message, capsys):
     (["degeneracy", "--n", "5", "--k", "2"], "--k needs --graph"),
     (["reduction", "--trials", "1", "--streaming", "naive", "--p", "x"],
      "--p must be 'auto' or an integer, got 'x'"),
+    (["reduction", "--trials", "1", "--p", "5"], "--p needs --streaming"),
+    (["hpc", "--trials", "1", "--N", "8"], "--N needs --misaligned"),
 ])
 def test_ignored_or_misparsed_flags_exit_2(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert err == f"degencomm: error: {message}\n"
+
+
+def test_emit_gadget_with_streaming_exits_2_and_writes_nothing(tmp_path, capsys):
+    outdir = tmp_path / "gadgets"
+    code, out, err = run(
+        ["reduction", "--trials", "1", "--streaming", "naive",
+         "--emit-gadget", str(outdir)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == ("degencomm: error: --emit-gadget needs the plain sweep, "
+                   "not --streaming\n")
+    assert not outdir.exists()
 
 
 def test_info_fuzz_finds_no_violations(capsys):

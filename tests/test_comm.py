@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from degencomm.comm import (
     CommLedger,
@@ -13,7 +13,8 @@ from degencomm.comm import (
     RoundSchedule,
     charvec,
     flag,
-    lp_list,
+    lp_pairs,
+    lp_uints,
     nothing,
     random_partition,
     run_four_party,
@@ -22,7 +23,6 @@ from degencomm.comm import (
     uint_width,
     uints,
     vec,
-    vertex_id,
 )
 from degencomm.graphs import complete_graph, cycle_graph, empty_graph, gnm_random_graph
 from degencomm.hpc import (
@@ -34,6 +34,26 @@ from degencomm.hpc import (
     sample_bmhpc,
 )
 from degencomm.protocols import _fast_party, _sqrt_party
+
+
+# ---------------------------------------------------------------------------
+# reference encoders
+#
+# lp_list and vertex_id are the per-item encoders that the bulk lp_uints and
+# lp_pairs replaced in the package, kept as oracles (test_protocols.py's
+# reference parties use them too).
+
+
+def vertex_id(v: int, n: int) -> Field:
+    return uint(v, n)
+
+
+def lp_list(items: list[Field], max_len: int) -> Field:
+    """Length-prefixed list: a count in [0, max_len] then the items."""
+    if len(items) > max_len:
+        raise ValueError(f"list of {len(items)} exceeds max {max_len}")
+    prefix = uint_width(max_len + 1)
+    return Field(tuple(i.value for i in items), prefix + sum(i.bits for i in items))
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +118,60 @@ def test_uints_raise_what_uint_raises(vs, bound):
     with pytest.raises(ValueError) as got:
         uints(vs, bound)
     assert str(got.value) == str(want.value)
+
+
+def _outcome(encode):
+    """An encoding's (value, bits), or the message of the ValueError it raises."""
+    try:
+        fld = encode()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return fld.value, fld.bits
+
+
+@st.composite
+def _lp_cases(draw, arity):
+    """(items, bound, max_len): up to one item over max_len, and maybe one
+    entry set to -1, to bound, or far below 0."""
+    bound = draw(st.sampled_from([1, 2, 5, 2**40]))
+    max_len = draw(st.integers(0, 6))
+    length = draw(st.integers(0, max_len) | st.sampled_from([max_len, max_len + 1]))
+    entries = draw(st.lists(st.integers(0, bound - 1),
+                            min_size=arity * length, max_size=arity * length))
+    if entries and draw(st.booleans()):
+        at = draw(st.integers(0, len(entries) - 1))
+        entries[at] = draw(st.sampled_from([-1, bound, -(2**41)]))
+    if arity == 1:
+        return entries, bound, max_len
+    return list(zip(entries[::2], entries[1::2])), bound, max_len
+
+
+@given(_lp_cases(1))
+@example(([], 1, 0))
+@example(([0, 1, 4], 5, 3))
+@example(([0, 1, 4, 2], 5, 3))
+@example(([0, -1], 5, 3))
+@example(([0, 5], 5, 3))
+@example(([7, 0, 1], 5, 1))
+@example(([2**40 - 1], 2**40, 1))
+def test_lp_uints_match_the_reference_lp_list(case):
+    vs, bound, max_len = case
+    assert _outcome(lambda: lp_uints(iter(vs), bound, max_len)) == _outcome(
+        lambda: lp_list([vertex_id(v, bound) for v in vs], max_len))
+
+
+@given(_lp_cases(2))
+@example(([], 2**40, 0))
+@example(([(0, 1), (1, 0)], 2, 2))
+@example(([(0, 1), (1, 0), (1, 1)], 2, 2))
+@example(([(0, 1), (-1, 0)], 5, 3))
+@example(([(0, 5), (1, 0)], 5, 3))
+@example(([(4, 9), (9, 4)], 5, 1))
+def test_lp_pairs_match_the_reference_lp_list(case):
+    ps, bound, max_len = case
+    assert _outcome(lambda: lp_pairs(iter(ps), bound, max_len)) == _outcome(
+        lambda: lp_list([vec(uint(a, bound), uint(b, bound)) for a, b in ps],
+                        max_len))
 
 
 def test_fields_are_immutable():
@@ -262,9 +336,17 @@ def test_partition_requires_disjoint_cover():
 def test_partition_side_adjacency():
     g = complete_graph(3)
     part = EdgePartition(g, [(0, 1)], [(0, 2), (1, 2)])
-    assert part.adj_a[0] == {1}
-    assert part.adj_b[2] == {0, 1}
+    assert part.adj_a[0] == [1]
+    assert part.adj_b[2] == [0, 1]
     assert part.n == 3
+    rng = random.Random(5)
+    for n in (1, 7, 30):
+        g = gnm_random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), rng)
+        part = random_partition(g, rng)
+        for adj in (part.adj_a, part.adj_b):
+            assert all(a < b for row in adj for a, b in zip(row, row[1:]))
+        for v in range(n):
+            assert sorted(part.adj_a[v] + part.adj_b[v]) == list(g.neighbors(v))
 
 
 @given(st.randoms(use_true_random=False))

@@ -7,12 +7,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from degencomm.comm import (
     EdgePartition,
-    lp_list,
     random_partition,
     run_two_party,
     uint,
     vec,
-    vertex_id,
 )
 from degencomm.graphs import (
     Accept,
@@ -39,6 +37,7 @@ from degencomm.protocols import (
     degen_decide_sqrt,
     degen_search,
 )
+from test_comm import lp_list, vertex_id  # the reference encoders
 
 PROTOCOLS = [degen_decide_sqrt, degen_decide_fast]
 
