@@ -3,10 +3,11 @@
 Usage::
 
     python3 scripts/ab_pairs.py PARENT_DIR CHANGE_DIR --workload two-party \
-        --seed 1 --pairs 10 [--seconds 20]
+        --seed 1 --pairs 10
 
 Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, the
-parent first in even pairs and the change first in odd ones, and reads
+parent first in even pairs and the change first in odd ones, for the
+``run_seconds`` that the parent's ``BENCHMARK.json`` sets, and reads
 the JSON object on the last line of each run's standard output. For
 every end-to-end metric that the parent's ``BENCHMARK.json`` gates, the
 report gives each side's median and quartiles, the parent's
@@ -89,9 +90,9 @@ def verdict(parent: list[float], change: list[float], better: str,
     }
 
 
-def run_once(tree: Path, out_dir: Path, args) -> dict | None:
+def run_once(tree: Path, out_dir: Path, args, seconds: float) -> dict | None:
     cmd = [sys.executable, "perfbench/run.py", "--workload", args.workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--seed", str(args.seed), "--seconds", str(seconds),
            "--trace", "0", "--out-dir", str(out_dir)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
@@ -109,12 +110,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=20.0,
-                    help="run length of each run (the benchmark's run_seconds)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
-    gated = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.parent / "BENCHMARK.json").read_text())
+    gated, seconds = benchmark["end_to_end"], benchmark["run_seconds"]
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     values: dict[str, dict[str, list[float]]] = {s: {} for s in sides}
@@ -123,7 +123,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(sides[side], Path(tmp) / side, args)
+                result = run_once(sides[side], Path(tmp) / side, args, seconds)
                 if result is None:
                     return 1
                 bad += not result["correct"]
@@ -137,7 +137,7 @@ def main(argv=None) -> int:
                                        f"{result['attempted']})"), flush=True)
 
     print(f"\n{args.workload} seed={args.seed} pairs={args.pairs} "
-          f"seconds={args.seconds:g}")
+          f"seconds={seconds:g}")
     for m in gated:
         name = m["name"]
         v = verdict(values["parent"][name], values["change"][name],

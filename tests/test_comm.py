@@ -40,8 +40,8 @@ from degencomm.protocols import _fast_party, _sqrt_party
 # reference encoders
 #
 # lp_list and vertex_id are the per-item encoders that the bulk lp_uints and
-# lp_pairs replaced in the package, kept as oracles (test_protocols.py's
-# reference parties use them too).
+# lp_pairs replaced in the package, kept as oracles. test_protocols.py keeps
+# its own copy for its reference parties, so neither module imports the other.
 
 
 def vertex_id(v: int, n: int) -> Field:

@@ -7,9 +7,11 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from degencomm.comm import (
     EdgePartition,
+    Field,
     random_partition,
     run_two_party,
     uint,
+    uint_width,
     vec,
 )
 from degencomm.graphs import (
@@ -37,13 +39,29 @@ from degencomm.protocols import (
     degen_decide_sqrt,
     degen_search,
 )
-from test_comm import lp_list, vertex_id  # the reference encoders
 
 PROTOCOLS = [degen_decide_sqrt, degen_decide_fast]
 
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
+
+
+# The per-item encoders the reference parties below are written in; the
+# package's bulk lp_uints/lp_pairs must give the same fields (the same copy
+# in test_comm.py is the oracle for them).
+
+
+def vertex_id(v: int, n: int) -> Field:
+    return uint(v, n)
+
+
+def lp_list(items: list[Field], max_len: int) -> Field:
+    """Length-prefixed list: a count in [0, max_len] then the items."""
+    if len(items) > max_len:
+        raise ValueError(f"list of {len(items)} exceeds max {max_len}")
+    prefix = uint_width(max_len + 1)
+    return Field(tuple(i.value for i in items), prefix + sum(i.bits for i in items))
 
 
 def _split(g, seed):
