@@ -59,6 +59,8 @@ RUNS: list[tuple[str, list[str]]] = [
                   "--trials", "4", "--seed", "2"]),
     ("sisolver-csv", ["sisolver", "--m", "32", "--p", "0.9", "--gamma", "0.9",
                       "--trials", "4", "--seed", "2", "--format", "csv"]),
+    ("sisolver-m64", ["sisolver", "--m", "64", "--p", "0.5", "--gamma", "0.5",
+                      "--trials", "2", "--seed", "3"]),
     *[(f"degeneracy-graph-kappa{k - KAPPA:+d}",
        ["degeneracy", "--graph", "../graph.txt", "--k", str(k), "--seed", "3"])
       for k in (KAPPA - 1, KAPPA, KAPPA + 1)],

@@ -205,16 +205,14 @@ class EdgePartition:
                  edges_b: Iterable[tuple[int, int]]):
         norm = lambda es: {(min(u, v), max(u, v)) for u, v in es}
         ea, eb = norm(edges_a), norm(edges_b)
-        all_edges = set(base.edges())
         if ea & eb:
             raise ValueError("edge parts overlap")
-        if ea | eb != all_edges:
-            raise ValueError("edge parts do not cover the base graph")
         self.base = base
-        self.edges_a = ea
-        self.edges_b = eb
-        self.adj_a = _side_adjacency(base.n, ea)
-        self.adj_b = _side_adjacency(base.n, eb)
+        self.adj_a = adj_a = _side_adjacency(base.n, ea)
+        self.adj_b = adj_b = _side_adjacency(base.n, eb)
+        if not all(sorted(adj_a[v] + adj_b[v]) == list(base.neighbors(v))
+                   for v in range(base.n)):
+            raise ValueError("edge parts do not cover the base graph")
 
     @property
     def n(self) -> int:
@@ -222,8 +220,15 @@ class EdgePartition:
 
 
 def _side_adjacency(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
+    """Sorted neighbour rows of (min, max) edges.
+
+    A loop or an id outside [0, n) is not an edge of the base graph, so
+    it raises the cover error.
+    """
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
+        if not 0 <= u < v < n:
+            raise ValueError("edge parts do not cover the base graph")
         adj[u].append(v)
         adj[v].append(u)
     for row in adj:

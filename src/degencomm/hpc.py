@@ -122,18 +122,47 @@ def _meet(first: frozenset[int], second: frozenset[int], where: str) -> int:
 # samplers
 
 
+def setint_draw(m: int, rng: Random) -> list[int]:
+    """The ordered draw s of m/2 - 1 distinct elements of range(m).
+
+    With q = m/4, X = s[:q] and Y = s[q-1:] is one hard instance. This
+    is a partial Fisher-Yates shuffle of list(range(m)) that takes each
+    index by getrandbits rejection at the remaining size's bit length,
+    which is what rng.sample(range(m), m/2 - 1) does on its pool branch,
+    so it returns the same list and leaves rng in the same state, at
+    about half the cost.
+
+    Random.sample takes its pool branch when n <= 21 for k <= 5, or
+    when n <= 21 + 4**ceil(log4(3k)) for k > 5. Here n = m and
+    k = m/2 - 1: k <= 5 means m <= 12, and for k > 5,
+    4**ceil(log4(3k)) >= 3k >= m - 3, so the pool branch is always
+    taken. The caller checks m.
+    """
+    getrandbits = rng.getrandbits
+    pool = list(range(m))
+    out = []
+    for size in range(m, m // 2 + 1, -1):
+        b = size.bit_length()
+        j = getrandbits(b)
+        while j >= size:
+            j = getrandbits(b)
+        out.append(pool[j])
+        pool[j] = pool[size - 1]
+    return out
+
+
 def sample_setint(m: int, rng: Random) -> SetIntInstance:
     """One hard instance: two size-m/4 sets intersecting in a single point.
 
-    One ordered draw s of 2q-1 distinct elements (q = m/4) gives
-    X = s[:q] and Y = s[q-1:], sharing e = s[q-1]. So (X - e, e, Y - e)
-    is uniform over the disjoint triples of a (q-1)-set, a point and a
-    (q-1)-set, which is the hard distribution.
+    One ordered draw s = setint_draw(m, rng) of 2q-1 distinct elements
+    (q = m/4) gives X = s[:q] and Y = s[q-1:], sharing e = s[q-1]. So
+    (X - e, e, Y - e) is uniform over the disjoint triples of a
+    (q-1)-set, a point and a (q-1)-set, which is the hard distribution.
     """
     if m < 4 or m % 4:
         raise ValueError("universe size must be a positive multiple of 4")
     q = m // 4
-    s = rng.sample(range(m), 2 * q - 1)
+    s = setint_draw(m, rng)
     return SetIntInstance(m, frozenset(s[:q]), frozenset(s[q - 1:]))
 
 

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Protocol
 
-from .hpc import SetIntInstance, sample_setint, validate_setint
+from .hpc import SetIntInstance, sample_setint, setint_draw, validate_setint
 
 __all__ = [
     "EpsSolver",
@@ -102,25 +102,27 @@ def _layout(X: frozenset[int], Y: frozenset[int]) -> tuple[list[int], int]:
 
 
 def _relabel(
-    layout: list[int], m: int, rng: random.Random
+    m: int, rng: random.Random
 ) -> tuple[list[int], frozenset[int], frozenset[int]]:
-    """Draw a uniform injection of the laid-out X∪Y into [m).
+    """Draw a uniform injection of a laid-out X∪Y into [m).
 
-    Returns the new labels in layout order and the relabeled X and Y.
+    By the promise the layout has m/2 - 1 entries, so the new labels, in
+    layout order, are one :func:`~degencomm.hpc.setint_draw`. Returns
+    them and the relabeled X and Y.
     """
-    n = (len(layout) + 1) // 2
-    s = rng.sample(range(m), len(layout))
+    n = m // 4
+    s = setint_draw(m, rng)
     return s, frozenset(s[:n]), frozenset(s[n - 1:])
 
 
 def _score_rounds(
-    layout: list[int], m: int, solver: EpsSolver, rng: random.Random, k: int
+    m: int, solver: EpsSolver, rng: random.Random, k: int
 ) -> list[float]:
     """Play k relabel-run-score rounds; return X's summed scores in layout order."""
     n = m // 4
     totals = [0.0] * n
     for _ in range(k):
-        s, sx, sy = _relabel(layout, m, rng)
+        s, sx, sy = _relabel(m, rng)
         q = solver.posterior(solver.run(sx, sy, rng), sx)
         totals = [t + score(q[i], n) for t, i in zip(totals, s)]
     return totals
@@ -138,7 +140,7 @@ def scrambled_instance(
     what lets a one-shot accuracy guarantee be replayed.
     """
     layout, m = _layout(X, Y)
-    s, sx, sy = _relabel(layout, m, rng)
+    s, sx, sy = _relabel(m, rng)
     return dict(zip(layout, s)), sx, sy
 
 
@@ -150,7 +152,7 @@ def scored_round(
 ) -> dict[int, float]:
     """One relabel-run-score round; scores are keyed by original labels."""
     layout, m = _layout(X, Y)
-    return dict(zip(layout, _score_rounds(layout, m, solver, rng, 1)))
+    return dict(zip(layout, _score_rounds(m, solver, rng, 1)))
 
 
 def calibrate_tau(solver: EpsSolver, m: int, k_rounds: int, rng: random.Random) -> float:
@@ -161,18 +163,22 @@ def calibrate_tau(solver: EpsSolver, m: int, k_rounds: int, rng: random.Random) 
     the expected accumulated score of the target and that of a typical
     non-target element of the left set.  The tenfold oversampling keeps
     the calibration error an order below the gap it is meant to split.
+    Each instance is drawn as an amplification round's relabel is, so
+    its target is the draw's middle label.
     """
+    if m < 4 or m % 4:
+        raise ValueError("universe size must be a positive multiple of 4")
     n = m // 4
     rounds = 10 * k_rounds
     acc_star = 0.0
     acc_rest = 0.0
     for _ in range(rounds):
-        inst = sample_setint(m, rng)
-        q = solver.posterior(solver.run(inst.X, inst.Y, rng), inst.X)
-        star = inst.e_star
+        s, sx, sy = _relabel(m, rng)
+        star = s[n - 1]
+        q = solver.posterior(solver.run(sx, sy, rng), sx)
         acc_star += score(q[star], n)
         if n > 1:
-            rest = [score(q[e], n) for e in inst.X if e != star]
+            rest = [score(q[e], n) for e in sx if e != star]
             acc_rest += sum(rest) / len(rest)
     return k_rounds * (acc_star + acc_rest) / (2 * rounds)
 
@@ -236,7 +242,7 @@ def exact_from_eps(
     if tau is None:
         tau = calibrate_tau(solver, m, k, rng)
 
-    totals = dict(zip(layout, _score_rounds(layout, m, solver, rng, k)))
+    totals = dict(zip(layout, _score_rounds(m, solver, rng, k)))
     state = ScoreState(n=n, totals=totals, k_rounds=k, tau=tau)
     survivors = {e for e, total in totals.items() if total >= tau}
     if len(survivors) > math.floor(gamma * gamma * m / 10) + 1:

@@ -331,6 +331,9 @@ def test_partition_requires_disjoint_cover():
         EdgePartition(g, es[:3], es[2:])
     with pytest.raises(ValueError, match="cover"):
         EdgePartition(g, es[:2], es[3:])
+    for stray in ((0, 4), (-1, 0), (2, 2), (0, 2)):  # foreign ids, a loop, a non-edge
+        with pytest.raises(ValueError, match="cover"):
+            EdgePartition(g, es[:2], es[2:] + [stray])
 
 
 def test_partition_side_adjacency():
@@ -353,8 +356,12 @@ def test_partition_side_adjacency():
 def test_random_partition_covers(rng):
     g = complete_graph(5)
     part = random_partition(g, rng)
-    assert part.edges_a | part.edges_b == set(g.edges())
-    assert not (part.edges_a & part.edges_b)
+    ea, eb = (
+        {(u, v) for u in range(part.n) for v in adj[u] if u < v}
+        for adj in (part.adj_a, part.adj_b)
+    )
+    assert ea | eb == set(g.edges())
+    assert not (ea & eb)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from degencomm.hpc import (
     sample_given_other,
     sample_setint,
     sample_side_marginal,
+    setint_draw,
     validate_instance,
     validate_setint,
     worked_example,
@@ -51,6 +52,16 @@ def test_setint_sizes_and_promise():
             assert len(si.X) == len(si.Y) == m // 4
             assert len(si.X & si.Y) == 1
             validate_setint(si)
+
+
+def test_setint_draw_follows_the_sample_stream():
+    # setint_draw must consume the generator exactly as Random.sample's
+    # pool branch does: same list, and the same state afterwards.
+    for m in [*range(4, 257, 4), 1024, 4096]:
+        for seed in range(20):
+            mine, ref = random.Random(seed), random.Random(seed)
+            assert setint_draw(m, mine) == ref.sample(range(m), m // 2 - 1)
+            assert mine.getrandbits(64) == ref.getrandbits(64)
 
 
 def test_setint_rejects_bad_universe():

@@ -201,8 +201,8 @@ def test_relabeling_with_matching_priority_is_isomorphic():
         part_g = random_partition(g, random.Random(5))
         part_h = EdgePartition(
             h,
-            [(perm[u], perm[v]) for u, v in part_g.edges_a],
-            [(perm[u], perm[v]) for u, v in part_g.edges_b],
+            *([(perm[u], perm[v]) for u in range(12) for v in adj[u] if u < v]
+              for adj in (part_g.adj_a, part_g.adj_b)),
         )
         prio = [0] * 12
         for v in range(12):

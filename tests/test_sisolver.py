@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from degencomm.hpc import sample_setint
+from degencomm.hpc import SetIntInstance, sample_setint
 from degencomm.info import enumerate_setint, measure_eps_solving
 from degencomm.sisolver import (
     Failure,
@@ -214,6 +214,58 @@ def test_calibration_is_exact_for_deterministic_solvers():
     # so the midpoint lands at 0.3 per round regardless of sampling.
     assert calibrate_tau(RevealSolver(1.0), 16, 100, rng) == pytest.approx(30.0)
     assert calibrate_tau(RevealSolver(0.0), 16, 100, rng) == 0.0
+
+
+class _GradedSolver:
+    """Weighs each left element by 1 + noise, and the target by one more."""
+
+    def run(self, xs, ys, rng):
+        (target,) = xs & ys
+        return target, {e: rng.random() for e in sorted(xs)}
+
+    def posterior(self, transcript, xs):
+        target, noise = transcript
+        weight = {e: noise[e] + 1.0 + (e == target) for e in xs}
+        total = sum(weight.values())
+        out = [0.0] * (4 * len(xs))
+        for e, w in weight.items():
+            out[e] = w / total
+        return out
+
+
+def reference_calibrate_tau(solver, m, k_rounds, rng):
+    """calibrate_tau as it was written over one Random.sample instance per round."""
+    n = m // 4
+    rounds = 10 * k_rounds
+    acc_star = 0.0
+    acc_rest = 0.0
+    for _ in range(rounds):
+        s = rng.sample(range(m), 2 * n - 1)
+        inst = SetIntInstance(m, frozenset(s[:n]), frozenset(s[n - 1:]))
+        q = solver.posterior(solver.run(inst.X, inst.Y, rng), inst.X)
+        star = inst.e_star
+        acc_star += score(q[star], n)
+        if n > 1:
+            rest = [score(q[e], n) for e in inst.X if e != star]
+            acc_rest += sum(rest) / len(rest)
+    return k_rounds * (acc_star + acc_rest) / (2 * rounds)
+
+
+@pytest.mark.parametrize("solver", [RevealSolver(0.5), _GradedSolver()],
+                         ids=["reveal", "graded"])
+def test_calibration_matches_the_reference_bit_for_bit(solver):
+    for seed in (1, 7, 2024):
+        for m in (4, 32, 64, 256):
+            mine, ref = random.Random(seed), random.Random(seed)
+            tau = calibrate_tau(solver, m, 40, mine)
+            assert tau == reference_calibrate_tau(solver, m, 40, ref)
+            assert mine.getrandbits(64) == ref.getrandbits(64)
+
+
+def test_calibration_checks_the_universe_before_any_round():
+    for m in (0, 6, 10):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            calibrate_tau(RevealSolver(0.5), m, 0, random.Random(0))
 
 
 def test_round_budget_at_the_reference_operating_point():
