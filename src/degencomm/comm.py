@@ -22,8 +22,10 @@ charged to the ledger. Lists of integers and of integer pairs are
 encoded in bulk (``uints``, ``lp_uints``, ``lp_pairs``): one tuple and one
 min/max range test per message, not one ``Field`` per entry.
 
-An ``EdgePartition`` keeps each side's adjacency as sorted neighbour
-lists, so a party walks a row in id order without sorting it.
+An ``EdgePartition`` is the base graph plus one side code per base edge
+(0 Alice, 1 Bob). One pass over the base graph's upper rows builds both
+sides' neighbour lists, disjoint, covering and sorted by construction,
+so a party walks a row in id order without sorting it.
 """
 
 from __future__ import annotations
@@ -197,50 +199,38 @@ class CommLedger:
 class EdgePartition:
     """A graph whose edge set is split between Alice and Bob.
 
-    ``adj_a[v]`` and ``adj_b[v]`` list v's neighbours over Alice's and
-    Bob's edges, in ascending order.
+    ``side`` holds one code per edge of ``base``, in ``base.edges()``
+    order: 0 gives the edge to Alice, 1 to Bob. ``adj_a[v]`` and
+    ``adj_b[v]`` list v's neighbours over Alice's and Bob's edges, in
+    ascending order. A wrong number of codes, or a code above 1, raises
+    ValueError.
     """
 
-    def __init__(self, base: Graph, edges_a: Iterable[tuple[int, int]],
-                 edges_b: Iterable[tuple[int, int]]):
-        norm = lambda es: {(min(u, v), max(u, v)) for u, v in es}
-        ea, eb = norm(edges_a), norm(edges_b)
-        if ea & eb:
-            raise ValueError("edge parts overlap")
+    def __init__(self, base: Graph, side: bytes):
+        if len(side) != base.m:
+            raise ValueError(f"{len(side)} side codes for {base.m} edges")
+        if side and max(side) > 1:
+            raise ValueError(f"side code {max(side)} is neither 0 nor 1")
         self.base = base
-        self.adj_a = adj_a = _side_adjacency(base.n, ea)
-        self.adj_b = adj_b = _side_adjacency(base.n, eb)
-        if not all(sorted(adj_a[v] + adj_b[v]) == list(base.neighbors(v))
-                   for v in range(base.n)):
-            raise ValueError("edge parts do not cover the base graph")
+        self.adj_a = adj_a = [[] for _ in range(base.n)]
+        self.adj_b = adj_b = [[] for _ in range(base.n)]
+        # v's row gets its lower neighbours (in the rows before v's) and
+        # then its upper ones, so every row comes out ascending
+        codes = iter(side)
+        for u in range(base.n):
+            for v, c in zip(base.upper(u), codes):
+                rows = adj_b if c else adj_a
+                rows[u].append(v)
+                rows[v].append(u)
 
     @property
     def n(self) -> int:
         return self.base.n
 
 
-def _side_adjacency(n: int, edges: set[tuple[int, int]]) -> list[list[int]]:
-    """Sorted neighbour rows of (min, max) edges.
-
-    A loop or an id outside [0, n) is not an edge of the base graph, so
-    it raises the cover error.
-    """
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        if not 0 <= u < v < n:
-            raise ValueError("edge parts do not cover the base graph")
-        adj[u].append(v)
-        adj[v].append(u)
-    for row in adj:
-        row.sort()
-    return adj
-
-
 def random_partition(g: Graph, rng) -> EdgePartition:
-    ea, eb = [], []
-    for e in g.edges():
-        (ea if rng.random() < 0.5 else eb).append(e)
-    return EdgePartition(g, ea, eb)
+    """Each edge goes to Alice when its ``rng.random()`` is below 1/2."""
+    return EdgePartition(g, bytes(rng.random() >= 0.5 for _ in range(g.m)))
 
 
 # ---------------------------------------------------------------------------

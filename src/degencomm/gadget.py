@@ -20,9 +20,8 @@ triples are those with odd 0-based index.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -68,9 +67,6 @@ class GadgetGraph:
     aux_ids: tuple[int, ...]
     deficiencies: dict[int, int] | None = None
     matchings_added: int | None = None
-
-    def layer_count(self) -> int:
-        return 2 * self.r + 1
 
     def check_fits(self, inst: MHPCInstance) -> None:
         """Raise ValueError unless inst has this gadget's (m, r)."""
@@ -487,8 +483,8 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
 def _edges_below(g: Graph, bound: int) -> Iterator[tuple[int, int]]:
     """Yield the edges (u, v) with u < v < bound, row by row."""
     for u in range(bound):
-        row = g.neighbors(u)
-        for v in row[bisect_right(row, u):bisect_left(row, bound)]:
+        row = g.upper(u)
+        for v in row[:bisect_left(row, bound)]:
             yield u, v
 
 
@@ -628,8 +624,3 @@ def load_gadget(path: str) -> GadgetGraph:
     with open(path + ".json", "r", encoding="ascii") as fh:
         sidecar_text = fh.read()
     return _audited(_with_sidecar(load_graph(path), sidecar_text), ValueError)
-
-
-def with_graph(gg: GadgetGraph, g: Graph) -> GadgetGraph:
-    """A copy of gg carrying a different graph (for audit experiments)."""
-    return dataclasses.replace(gg, graph=g)

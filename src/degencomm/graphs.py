@@ -104,11 +104,15 @@ class Graph:
         """All edges as sorted (u, v) pairs with u < v, sorted overall."""
         out: list[tuple[int, int]] = []
         for u in range(self.n):
-            out.extend((u, v) for v in self._upper(u))
+            out.extend((u, v) for v in self.upper(u))
         return out
 
-    def _upper(self, u: int) -> array:
-        """The neighbours of u above u, ascending."""
+    def upper(self, u: int) -> array:
+        """The neighbours of u above u, ascending (a copy).
+
+        Walking u = 0..n-1 over these rows visits every edge once, as
+        (u, v) with u < v, in the order of ``edges()``.
+        """
         hi = self.offsets[u + 1]
         return self.nbrs[bisect_right(self.nbrs, u, self.offsets[u], hi):hi]
 
@@ -285,7 +289,7 @@ def _write_graph(g: Graph, fh: IO[str]) -> None:
     """Write the line format, one row of the graph at a time."""
     fh.write(f"{g.n} {g.m}\n")
     for u in range(g.n):
-        upper = g._upper(u)
+        upper = g.upper(u)
         if upper:
             head = f"{u} "
             fh.write(head + f"\n{head}".join(map(str, upper)) + "\n")

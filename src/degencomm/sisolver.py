@@ -168,6 +168,8 @@ def calibrate_tau(solver: EpsSolver, m: int, k_rounds: int, rng: random.Random) 
     """
     if m < 4 or m % 4:
         raise ValueError("universe size must be a positive multiple of 4")
+    if k_rounds < 1:
+        raise ValueError(f"need at least one round, got {k_rounds}")
     n = m // 4
     rounds = 10 * k_rounds
     acc_star = 0.0

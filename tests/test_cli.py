@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import sys
@@ -138,7 +139,7 @@ def test_reduction_reload_check_sees_a_moved_edge(tmp_path, monkeypatch,
         v = min(g.neighbors(u))
         w = min(x for x in range(g.n) if x != u and not g.has_edge(u, x))
         edges = [e for e in g.edges() if e != (u, v)] + [(u, w)]
-        return gadget.with_graph(gg, Graph(g.n, edges))
+        return dataclasses.replace(gg, graph=Graph(g.n, edges))
 
     monkeypatch.setattr(cli, "load_gadget", load_with_a_moved_edge)
     code, out, _ = run(

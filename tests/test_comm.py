@@ -24,6 +24,7 @@ from degencomm.comm import (
     uints,
     vec,
 )
+from degencomm.gadget import build_gadget
 from degencomm.graphs import complete_graph, cycle_graph, empty_graph, gnm_random_graph
 from degencomm.hpc import (
     ABSTAIN,
@@ -323,22 +324,86 @@ def test_ledger_phases():
 # edge partitions
 
 
-def test_partition_requires_disjoint_cover():
+class ReferenceEdgePartition:
+    """EdgePartition as it was written over two lists of edge tuples: two
+    normalised edge sets, an overlap test, sorted side rows and a
+    row-by-row cover check. Kept as the oracle for the side-code build."""
+
+    def __init__(self, base, edges_a, edges_b):
+        norm = lambda es: {(min(u, v), max(u, v)) for u, v in es}
+        ea, eb = norm(edges_a), norm(edges_b)
+        if ea & eb:
+            raise ValueError("edge parts overlap")
+        self.base = base
+        self.n = base.n
+        self.adj_a = adj_a = self._side_adjacency(base.n, ea)
+        self.adj_b = adj_b = self._side_adjacency(base.n, eb)
+        if not all(sorted(adj_a[v] + adj_b[v]) == list(base.neighbors(v))
+                   for v in range(base.n)):
+            raise ValueError("edge parts do not cover the base graph")
+
+    @staticmethod
+    def _side_adjacency(n, edges):
+        adj = [[] for _ in range(n)]
+        for u, v in edges:
+            if not 0 <= u < v < n:
+                raise ValueError("edge parts do not cover the base graph")
+            adj[u].append(v)
+            adj[v].append(u)
+        for row in adj:
+            row.sort()
+        return adj
+
+
+def reference_random_partition(g, rng):
+    """random_partition as it was written over two edge-tuple lists."""
+    ea, eb = [], []
+    for e in g.edges():
+        (ea if rng.random() < 0.5 else eb).append(e)
+    return ReferenceEdgePartition(g, ea, eb)
+
+
+def alice_gets(g, alice_edges):
+    """The partition of g that gives Alice alice_edges and Bob the rest."""
+    alice = {(min(u, v), max(u, v)) for u, v in alice_edges}
+    return EdgePartition(g, bytes(e not in alice for e in g.edges()))
+
+
+def _partition_graphs():
+    rng = random.Random(31)
+    yield empty_graph(0)
+    yield empty_graph(9)  # no edges
+    yield complete_graph(6)
+    for n in (2, 13, 40, 120):
+        yield gnm_random_graph(n, rng.randrange(0, min(4 * n, n * (n - 1) // 2) + 1), rng)
+    yield build_gadget(sample_bmhpc(4, 1, random.Random(3))).graph
+
+
+def test_random_partition_matches_the_reference():
+    for g in _partition_graphs():
+        for seed in (0, 1, 2024):
+            mine, ref = random.Random(seed), random.Random(seed)
+            part = random_partition(g, mine)
+            want = reference_random_partition(g, ref)
+            assert part.base is g and part.n == want.n
+            assert part.adj_a == want.adj_a
+            assert part.adj_b == want.adj_b
+            assert mine.getrandbits(64) == ref.getrandbits(64)
+
+
+def test_partition_checks_its_side_codes():
     g = cycle_graph(4)
-    es = g.edges()
-    EdgePartition(g, es[:2], es[2:])  # fine
-    with pytest.raises(ValueError, match="overlap"):
-        EdgePartition(g, es[:3], es[2:])
-    with pytest.raises(ValueError, match="cover"):
-        EdgePartition(g, es[:2], es[3:])
-    for stray in ((0, 4), (-1, 0), (2, 2), (0, 2)):  # foreign ids, a loop, a non-edge
-        with pytest.raises(ValueError, match="cover"):
-            EdgePartition(g, es[:2], es[2:] + [stray])
+    EdgePartition(g, bytes([0, 1, 1, 0]))  # fine
+    for side in (bytes(3), bytes(5), b""):
+        with pytest.raises(ValueError, match="side codes for 4 edges"):
+            EdgePartition(g, side)
+    with pytest.raises(ValueError, match="side code 2"):
+        EdgePartition(g, bytes([0, 2, 1, 0]))
 
 
 def test_partition_side_adjacency():
     g = complete_graph(3)
-    part = EdgePartition(g, [(0, 1)], [(0, 2), (1, 2)])
+    part = alice_gets(g, [(0, 1)])
     assert part.adj_a[0] == [1]
     assert part.adj_b[2] == [0, 1]
     assert part.n == 3
@@ -718,11 +783,11 @@ def _same_run(result, reference):
 
 def _two_party_cases():
     rng = random.Random(2024)
-    yield EdgePartition(empty_graph(0), [], [])
+    yield alice_gets(empty_graph(0), [])
     yield random_partition(empty_graph(7), rng)  # kappa = 0
     g = complete_graph(6)
-    yield EdgePartition(g, g.edges(), [])  # every edge on Alice's side
-    yield EdgePartition(g, [], g.edges())
+    yield alice_gets(g, g.edges())  # every edge on Alice's side
+    yield alice_gets(g, [])
     for _ in range(12):
         n = rng.randrange(2, 24)
         g = gnm_random_graph(n, rng.randrange(0, 3 * n), rng)

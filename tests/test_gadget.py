@@ -12,7 +12,6 @@ from degencomm.gadget import (
     save_gadget,
     sidecar_json,
     verify_gadget,
-    with_graph,
 )
 from degencomm.graphs import Graph, degeneracy, dumps_graph, peel
 from degencomm.hpc import chase, pad_instance, sample_bmhpc, worked_example
@@ -176,7 +175,7 @@ def test_verify_catches_a_missing_edge():
     other = next(iter(gg.graph.neighbors(victim)))
     edges = [e for e in gg.graph.edges()
              if e != (min(victim, other), max(victim, other))]
-    report = verify_gadget(with_graph(gg, Graph(gg.graph.n, edges)))
+    report = verify_gadget(dataclasses.replace(gg, graph=Graph(gg.graph.n, edges)))
     assert not report.ok
     bad = {c.name: c.detail for c in report.failed()}
     assert "degree-targets" in bad
@@ -196,7 +195,7 @@ def test_verify_catches_swapped_bit_wiring():
                 else:
                     gain.append((v, s))
     edges = [e for e in gg.graph.edges() if e not in drop] + gain
-    report = verify_gadget(with_graph(gg, Graph(gg.graph.n, edges)))
+    report = verify_gadget(dataclasses.replace(gg, graph=Graph(gg.graph.n, edges)))
     failed = {c.name for c in report.failed()}
     assert "special-wiring" in failed
     assert "degree-targets" in failed
@@ -259,22 +258,22 @@ def test_saved_gadget_files_match_the_text_forms(tmp_path):
 def test_verify_names_a_stray_edge_and_an_aux_clique():
     gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
     u, v = gg.triple_index[(0, 1)][0], gg.triple_index[(2, 3)][0]
-    stray = verify_gadget(with_graph(gg, Graph(gg.graph.n,
-                                               gg.graph.edges() + [(u, v)])))
+    stray = verify_gadget(dataclasses.replace(gg, graph=Graph(
+        gg.graph.n, gg.graph.edges() + [(u, v)])))
     bad = {c.name: c.detail for c in stray.failed()}
     assert bad["edge-families"] == f"edge skips layers: ({u},{v})"
 
     q, s = gg.triple_index[(2 * gg.r, 1)][2], gg.special_ids[2]
-    stray = verify_gadget(with_graph(gg, Graph(gg.graph.n,
-                                               gg.graph.edges() + [(q, s)])))
+    stray = verify_gadget(dataclasses.replace(gg, graph=Graph(
+        gg.graph.n, gg.graph.edges() + [(q, s)])))
     bad = {c.name: c.detail for c in stray.failed()}
     assert bad["edge-families"] == (
         f"special edge into the excluded last-layer set: ({q},{s})")
 
     hub = gg.aux_ids[-1]
     extra = [(a, hub) for a in gg.aux_ids[:-1] if not gg.graph.has_edge(a, hub)]
-    clique = verify_gadget(with_graph(gg, Graph(gg.graph.n,
-                                                gg.graph.edges() + extra)))
+    clique = verify_gadget(dataclasses.replace(gg, graph=Graph(
+        gg.graph.n, gg.graph.edges() + extra)))
     bad = {c.name: c.detail for c in clique.failed()}
     assert set(bad) == {"aux-induced-degree"}
     assert bad["aux-induced-degree"] == (

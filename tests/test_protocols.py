@@ -68,6 +68,12 @@ def _split(g, seed):
     return random_partition(g, random.Random(seed))
 
 
+def alice_gets(g, alice_edges):
+    """The partition of g that gives Alice alice_edges and Bob the rest."""
+    alice = {(min(u, v), max(u, v)) for u, v in alice_edges}
+    return EdgePartition(g, bytes(e not in alice for e in g.edges()))
+
+
 # ---------------------------------------------------------------------------
 # frozen decisions
 
@@ -199,11 +205,8 @@ def test_relabeling_with_matching_priority_is_isomorphic():
 
         h = Graph(12, h_edges)
         part_g = random_partition(g, random.Random(5))
-        part_h = EdgePartition(
-            h,
-            *([(perm[u], perm[v]) for u in range(12) for v in adj[u] if u < v]
-              for adj in (part_g.adj_a, part_g.adj_b)),
-        )
+        part_h = alice_gets(h, [(perm[u], perm[v]) for u in range(12)
+                                for v in part_g.adj_a[u] if u < v])
         prio = [0] * 12
         for v in range(12):
             prio[perm[v]] = v
@@ -295,10 +298,8 @@ def _check_against_peeler(part, k):
 
 
 def _split_by_mask(g, mask):
-    edges = g.edges()
-    bits = [(mask >> i) & 1 for i in range(len(edges))]
-    return EdgePartition(g, [e for e, b in zip(edges, bits) if b],
-                         [e for e, b in zip(edges, bits) if not b])
+    """Bit i of mask set gives edge i to Alice, clear to Bob."""
+    return EdgePartition(g, bytes(1 - (mask >> i & 1) for i in range(g.m)))
 
 
 @PROPERTY_SETTINGS
@@ -307,8 +308,7 @@ def _split_by_mask(g, mask):
 def test_every_edge_on_one_side(n, seed, alice, k):
     rng = random.Random(seed)
     g = gnm_random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), rng)
-    edges = g.edges()
-    part = EdgePartition(g, edges, []) if alice else EdgePartition(g, [], edges)
+    part = alice_gets(g, g.edges() if alice else [])
     _check_against_peeler(part, k)
 
 
@@ -490,12 +490,12 @@ def reference_fast_party(role, adj, n, k, priority, stats):
 
 def _decider_cases():
     rng = random.Random(2024)
-    yield EdgePartition(empty_graph(0), [], [])
+    yield alice_gets(empty_graph(0), [])
     yield random_partition(empty_graph(1), rng)
     yield random_partition(empty_graph(7), rng)
     g = complete_graph(6)
-    yield EdgePartition(g, g.edges(), [])
-    yield EdgePartition(g, [], g.edges())
+    yield alice_gets(g, g.edges())
+    yield alice_gets(g, [])
     yield random_partition(star_graph(9), rng)
     for _ in range(10):
         n = rng.randrange(2, 24)

@@ -268,6 +268,12 @@ def test_calibration_checks_the_universe_before_any_round():
             calibrate_tau(RevealSolver(0.5), m, 0, random.Random(0))
 
 
+@pytest.mark.parametrize("k_rounds", [0, -3])
+def test_calibration_needs_at_least_one_round(k_rounds):
+    with pytest.raises(ValueError, match="at least one round"):
+        calibrate_tau(RevealSolver(0.5), 16, k_rounds, random.Random(0))
+
+
 def test_round_budget_at_the_reference_operating_point():
     eps = reveal_lambda(0.5, 64)
     assert math.ceil(1600 / (eps * 0.5 * 0.5)) == 15474
