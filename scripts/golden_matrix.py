@@ -48,6 +48,10 @@ RUNS: list[tuple[str, list[str]]] = [
     ("reduction-emit-gadget", ["reduction", "--m", "4", "--r", "1",
                                "--trials", "2", "--seed", "9",
                                "--emit-gadget", "gadgets"]),
+    # a gadget with ids above 256 whose padding spans several fill chunks
+    ("reduction-emit-gadget-m16", ["reduction", "--m", "16", "--r", "2",
+                                   "--trials", "1", "--seed", "9",
+                                   "--emit-gadget", "gadgets"]),
     ("hpc-aligned", ["hpc", "--m", "16", "--r", "3", "--trials", "20",
                      "--seed", "4"]),
     *[(f"hpc-misaligned-N{N}",

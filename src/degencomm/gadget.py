@@ -21,14 +21,19 @@ triples are those with odd 0-based index.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from typing import Iterator
 
 from .graphs import Graph, load_graph, loads_graph, save_graph
 from .hpc import MHPCInstance, PointerPath, chase, validate_instance
 
 Label = tuple
+
+# AuxPadding.fill hands out the padding owners this many sweeps of the
+# auxiliary vertices at a time, which bounds the owner list it holds
+_FILL_SWEEPS = 16
 
 
 def _vid(m: int, ell: int, i: int, c: int) -> int:
@@ -126,7 +131,9 @@ class AuxPadding:
     deficiencies maps each layer/special vertex, in id order, to its
     degree gap; matchings is the number of disjoint auxiliary matchings
     appended; aux lists the auxiliary ids. The edges themselves are not
-    stored: edges() regenerates them from these three.
+    stored: edges() regenerates them one by one from these three, for
+    the streaming simulation, and fill() appends them to the builder's
+    rows in bulk.
     """
 
     deficiencies: dict[int, int]
@@ -134,7 +141,7 @@ class AuxPadding:
     aux: tuple[int, ...]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield the auxiliary edges in the exact order the builder adds them.
+        """Yield the auxiliary edges one at a time, in the order of fill().
 
         Each deficient vertex takes its edges from the auxiliary vertices
         handed out round-robin; then come the matchings.
@@ -148,6 +155,37 @@ class AuxPadding:
         for k in range(self.matchings):
             for a, b in _round_robin_matching(d, k):
                 yield aux[a], aux[b]
+
+    def fill(self, rows: list[list[int]]) -> None:
+        """Append the edges of edges() to the neighbour rows, in bulk.
+
+        Every row ends up as joining the edges one by one would leave it,
+        entry for entry. A deficient vertex's row takes one slice of the
+        doubled aux tuple, starting at its round-robin cursor. Padding
+        edge j goes to aux[j % d], so aux row t takes the owners t, t+d,
+        t+2d, ... of the owner sequence, which is read a bounded number
+        of sweeps at a time. Every id appended is an object from aux or
+        from the deficiencies keys, so the rows share one int per vertex.
+        """
+        aux, d = self.aux, len(self.aux)
+        ring = aux + aux
+        cursor = 0
+        for v, need in self.deficiencies.items():
+            row = rows[v]
+            for _ in range(need // d):
+                row.extend(ring[cursor:cursor + d])
+            row.extend(ring[cursor:cursor + need % d])
+            cursor = (cursor + need) % d
+        owners = chain.from_iterable(
+            repeat(v, need) for v, need in self.deficiencies.items())
+        # each chunk starts at a multiple of d, so its slice t is aux t's
+        while chunk := list(islice(owners, _FILL_SWEEPS * d)):
+            for t, u in enumerate(aux):
+                rows[u].extend(chunk[t::d])
+        for k in range(self.matchings):
+            for a, b in _round_robin_matching(d, k):
+                rows[aux[a]].append(aux[b])
+                rows[aux[b]].append(aux[a])
 
 
 def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
@@ -189,8 +227,10 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
 def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     """Construct the gadget for a valid instance with m divisible by 4.
 
-    Raises ValueError on bad inputs and RuntimeError if the finished
-    graph fails its own audit (which would be a builder bug).
+    The structural edges are joined one by one into neighbour rows; the
+    padding, which is nearly all of the edges, is appended in bulk by
+    AuxPadding.fill. Raises ValueError on bad inputs and RuntimeError if
+    the finished graph fails its own audit (which would be a builder bug).
     """
     validate_instance(inst)
     m, r = inst.m, inst.r
@@ -219,7 +259,8 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
 
     # edges go straight into neighbour rows, unchecked: verify_gadget
     # audits the packed graph. Every id appended is an object from trip,
-    # specials or aux, so the rows share one int per vertex.
+    # specials or aux (or, for padding, the deficiencies keys), so the
+    # rows share one int per vertex.
     rows: list[list[int]] = [[] for _ in range(n)]
 
     def join(u: int, v: int) -> None:
@@ -269,8 +310,7 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     # edges handed out round-robin, then lift the auxiliary floor with
     # disjoint matchings; the plan depends only on the degrees so far
     padding = aux_padding(m, r, [len(row) for row in rows])
-    for u, v in padding.edges():
-        join(u, v)
+    padding.fill(rows)
     g = Graph.from_rows(rows)
 
     gg = GadgetGraph(
@@ -379,28 +419,27 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     # every even layer except the last feeds the next layer; the edges
     # from one source triple must hit copies 1 and 2 of a target triple
     # in pairs, never copy 3, and exactly one target per source gets all
-    # four edges (that target is the next pointer)
-    sig_detail = ""
+    # four edges (that target is the next pointer). The detail names the
+    # last offending pair in (src, i, j) order, an unpaired one before a
+    # copy-3 contact on the same pair, else the first miscounted triple.
+    offender = miscount = ""
     for src in range(0, 2 * r, 2):
+        place = {v: (j, c) for j in range(m)
+                 for c, v in enumerate(trip[(src + 1, j)])}
+        span = min(place), max(place)
         for i in range(m):
-            s1, s2, s3 = trip[(src, i)]
-            fours = 0
-            for j in range(m):
-                t1, t2, t3 = trip[(src + 1, j)]
-                if any(
-                    g.has_edge(u, t3) or g.has_edge(s3, v)
-                    for u in (s1, s2, s3)
-                    for v in (t1, t2)
-                ):
-                    sig_detail = f"copy-3 contact between ({src},{i}) and ({src + 1},{j})"
-                paired_1 = g.has_edge(s1, t1) == g.has_edge(s1, t2)
-                paired_2 = g.has_edge(s2, t1) == g.has_edge(s2, t2)
-                if not (paired_1 and paired_2):
-                    sig_detail = f"unpaired edges between ({src},{i}) and ({src + 1},{j})"
-                if g.has_edge(s1, t1) and g.has_edge(s2, t1):
-                    fours += 1
-            if fours != 1 and not sig_detail:
-                sig_detail = f"triple ({src},{i}) has {fours} full matches"
+            (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = (
+                _copies_hit(g, s, place, *span) for s in trip[(src, i)])
+            contact = a3 | b3 | c1 | c2 | c3
+            unpaired = (a1 ^ a2) | (b1 ^ b2)
+            if contact or unpaired:
+                j = max(contact | unpaired)
+                kind = "unpaired edges" if j in unpaired else "copy-3 contact"
+                offender = f"{kind} between ({src},{i}) and ({src + 1},{j})"
+            fours = len(a1 & b1)
+            if fours != 1 and not miscount:
+                miscount = f"triple ({src},{i}) has {fours} full matches"
+    sig_detail = offender or miscount
     check("encoding-signature", not sig_detail, sig_detail)
 
     bad_wire = ""
@@ -478,6 +517,25 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         f"aux vertex {worst[1]} has {worst[0]} aux neighbors > {d - 3}",
     )
     return report
+
+
+def _copies_hit(g: Graph, s: int, place: dict[int, tuple[int, int]],
+                least: int, most: int) -> tuple[set[int], set[int], set[int]]:
+    """The elements j whose copy 1, 2 and 3 (in turn) s is joined to.
+
+    place maps each vertex of the target layer to its (j, copy index),
+    and least and most are its smallest and largest keys. Only the part
+    of the sorted row between those two is read, which is the layer's
+    block when its ids are contiguous, as the builder numbers them.
+    """
+    hit: tuple[set[int], set[int], set[int]] = (set(), set(), set())
+    lo, hi = g.offsets[s], g.offsets[s + 1]
+    lo = bisect_left(g.nbrs, least, lo, hi)
+    for v in g.nbrs[lo:bisect_right(g.nbrs, most, lo, hi)]:
+        if v in place:
+            j, c = place[v]
+            hit[c].add(j)
+    return hit
 
 
 def _edges_below(g: Graph, bound: int) -> Iterator[tuple[int, int]]:

@@ -286,13 +286,18 @@ def brute_force_degeneracy(g: Graph) -> int:
 
 
 def _write_graph(g: Graph, fh: IO[str]) -> None:
-    """Write the line format, one row of the graph at a time."""
+    """Write the line format, one row of the graph at a time.
+
+    Each id is written through a table of the n decimal names, built
+    once, so no id is converted to text more than once.
+    """
     fh.write(f"{g.n} {g.m}\n")
+    name = [str(v) for v in range(g.n)].__getitem__
     for u in range(g.n):
         upper = g.upper(u)
         if upper:
             head = f"{u} "
-            fh.write(head + f"\n{head}".join(map(str, upper)) + "\n")
+            fh.write(head + f"\n{head}".join(map(name, upper)) + "\n")
 
 
 def _scan_edges(fh: IO[str], n: int,
@@ -335,12 +340,12 @@ def _scan_edges(fh: IO[str], n: int,
 
 
 def _parse_edge(parts: list[str], lineno: int, n: int) -> tuple[int, int]:
+    """The edge of one split line: two ASCII decimal endpoints, u < v < n."""
     if len(parts) != 2:
         raise ValueError(f"line {lineno}: expected 'u v'")
-    try:
-        u, v = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValueError(f"line {lineno}: endpoints must be integers") from None
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"line {lineno}: endpoints must be integers")
+    u, v = int(parts[0]), int(parts[1])
     if not (0 <= u < v < n):
         raise ValueError(f"line {lineno}: need 0 <= u < v < n, got {u} {v}")
     return u, v
@@ -391,7 +396,12 @@ def loads_graph(text: str) -> Graph:
 
 
 def load_graph(path: str) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
+    """Read a graph file; raises ValueError naming the offending line.
+
+    A byte outside ASCII is read as a lone surrogate, which no field
+    accepts, so it fails on its own line rather than in the decoder.
+    """
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         return _read_graph(fh)
 
 

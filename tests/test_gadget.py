@@ -5,6 +5,9 @@ import random
 import pytest
 
 from degencomm.gadget import (
+    _FILL_SWEEPS,
+    AuxPadding,
+    aux_padding,
     build_gadget,
     gadget_from_strings,
     load_gadget,
@@ -30,6 +33,98 @@ def test_small_build_counts():
     assert kinds.count("aux") == 36
     assert verify_gadget(gg).ok
     assert 0 <= gg.matchings_added <= gg.d - 3
+
+
+def _per_edge_build(inst):
+    """The builder joining every edge, padding included, one call each.
+
+    The reference for AuxPadding.fill: returns the graph, deficiencies
+    and matching count that build_gadget must reproduce.
+    """
+    m, r = inst.m, inst.r
+    d, layers = 6 * m * r + 3 * m, 2 * r + 1
+    n_layer = 3 * m * layers
+    specials = tuple(n_layer + j for j in range(3))
+    trip = {(ell, i): tuple((ell * m + i) * 3 + c for c in range(3))
+            for ell in range(layers) for i in range(m)}
+    rows = [[] for _ in range(n_layer + 3 + d)]
+
+    def join(u, v):
+        rows[u].append(v)
+        rows[v].append(u)
+
+    for t in trip.values():
+        join(t[0], t[1])
+        join(t[0], t[2])
+        join(t[1], t[2])
+    for ell in range(1, r + 1):
+        for i in range(m):
+            for u in trip[(2 * ell - 1, i)]:
+                for v in trip[(2 * ell, i)]:
+                    join(u, v)
+
+    def encode(src, fam1, fam2):
+        for i in range(m):
+            for u, fam in zip(trip[(src, i)], (fam1, fam2)):
+                for j in sorted(fam[i]):
+                    join(u, trip[(src + 1, j)][0])
+                    join(u, trip[(src + 1, j)][1])
+
+    for ell in range((r + 1) // 2):
+        encode(4 * ell, inst.A[2 * ell], inst.B[2 * ell])
+    for ell in range(r // 2):
+        encode(4 * ell + 2, inst.C[2 * ell + 1], inst.D[2 * ell + 1])
+    join(specials[0], specials[1])
+    join(specials[0], specials[2])
+    join(specials[1], specials[2])
+    for (ell, i), t in trip.items():
+        if not (ell == 2 * r and i % 2 == 1):
+            for v in t:
+                for s in specials:
+                    join(s, v)
+    padding = aux_padding(m, r, [len(row) for row in rows])
+    for u, v in padding.edges():
+        join(u, v)
+    return Graph.from_rows(rows), padding.deficiencies, padding.matchings
+
+
+@pytest.mark.parametrize("m,r", [(4, 1), (4, 3), (8, 2), (16, 2), (32, 1)])
+def test_padding_fill_matches_the_per_edge_builder(m, r):
+    rng = random.Random(40 + m + r)
+    for _ in range(3):
+        inst = sample_bmhpc(m, r, rng)
+        gg = build_gadget(inst)
+        graph, deficiencies, matchings = _per_edge_build(inst)
+        assert gg.graph == graph
+        assert gg.deficiencies == deficiencies
+        assert gg.matchings_added == matchings
+        # the fill reads the owners in more than one chunk
+        assert sum(deficiencies.values()) > _FILL_SWEEPS * gg.d
+
+
+def test_padding_fill_appends_what_edges_joins():
+    gg = build_gadget(sample_bmhpc(16, 2, random.Random(41)))
+    assert gg.graph.n > 256  # ids beyond the small-int cache
+    degrees = [len(gg.graph.neighbors(v)) for v in range(gg.graph.n)]
+    for v in gg.aux_ids:
+        degrees[v] = 0
+    for v, need in gg.deficiencies.items():
+        degrees[v] -= need
+    plan = aux_padding(gg.m, gg.r, degrees)
+    # a plan whose first vertex needs more than one sweep of the aux ids
+    small = AuxPadding({0: 9, 1: 3, 2: 4}, 2, (3, 4, 5, 6))
+    for p in (small, plan):
+        n = max(p.aux) + 1
+        filled = [[] for _ in range(n)]
+        p.fill(filled)
+        joined = [[] for _ in range(n)]
+        for u, v in p.edges():
+            joined[u].append(v)
+            joined[v].append(u)
+        assert filled == joined
+    # one int object per vertex: the aux tuple's or the deficiency key's
+    canon = {v: v for v in (*plan.aux, *plan.deficiencies)}
+    assert all(x is canon[x] for row in filled for x in row)
 
 
 def test_start_triple_sits_three_below_everyone():
@@ -385,3 +480,92 @@ def test_load_rejects_a_triple_outside_the_layers(tmp_path):
         fh.write(json.dumps(obj))
     with pytest.raises(ValueError, match="shape"):
         load_gadget(path)
+
+
+# ---------------------------------------------------------------------------
+# tampered encodings and joins: each case pins the check and its detail
+
+
+def _tampered(gg, drop=(), add=()):
+    """gg with the edges in drop removed and those in add joined."""
+    gone = {(min(u, v), max(u, v)) for u, v in drop}
+    edges = [e for e in gg.graph.edges() if e not in gone] + list(add)
+    return dataclasses.replace(gg, graph=Graph(gg.graph.n, edges))
+
+
+def _tamper_cases():
+    """name -> (drop, add, check, detail) for tamperings of _TAMPER_GG.
+
+    The instance is sample_bmhpc(4, 2, seed 21): its source triples send
+    from layers 0 and 2, so the cases can mix offenders across layers.
+    """
+    t, m = _TAMPER_GG.triple_index, _TAMPER_GG.m
+    inst = _TAMPER_INST
+    fams = {0: (inst.A[0], inst.B[0]), 2: (inst.C[1], inst.D[1])}
+    # the target that gets all four edges from (src, i), and the
+    # smallest one that gets none
+    hit = {(src, i): min(f1[i] & f2[i])
+           for src, (f1, f2) in fams.items() for i in range(m)}
+    miss = {(src, i): min(set(range(m)) - f1[i] - f2[i])
+            for src, (f1, f2) in fams.items() for i in range(m)}
+
+    def four(src, i, j):
+        return [(s, v) for s in t[(src, i)][:2] for v in t[(src + 1, j)][:2]]
+
+    def half(src, i, j):
+        return [(t[(src, i)][0], v) for v in t[(src + 1, j)][:2]]
+
+    def contact(src, i, j):
+        return f"copy-3 contact between ({src},{i}) and ({src + 1},{j})"
+
+    def unpaired(src, i, j):
+        return f"unpaired edges between ({src},{i}) and ({src + 1},{j})"
+
+    j01, j22, j23, h02, h23 = (miss[0, 1], miss[2, 2], miss[2, 3],
+                               hit[0, 2], hit[2, 3])
+    c3_src = (t[(0, 1)][2], t[(1, j01)][0])
+    c3_tgt = (t[(2, 2)][1], t[(3, j22)][2])
+    zero = "triple (0,2) has 0 full matches"
+    two = "triple (2,3) has 2 full matches"
+    sig = "encoding-signature"
+    u1, v1 = t[(1, 2)][0], t[(2, 2)][1]
+    u2, v2 = t[(3, 1)][2], t[(4, 1)][0]
+    return {
+        "copy3-source": ([], [c3_src], sig, contact(0, 1, j01)),
+        "copy3-target": ([], [c3_tgt], sig, contact(2, 2, j22)),
+        "unpaired-extra": ([], [(t[(0, 1)][1], t[(1, j01)][0])], sig,
+                           unpaired(0, 1, j01)),
+        "unpaired-missing": ([(t[(2, 3)][0], t[(3, h23)][1])], [], sig,
+                             unpaired(2, 3, h23)),
+        "no-full-match": (half(0, 2, h02), [], sig, zero),
+        "two-full-matches": ([], four(2, 3, j23), sig, two),
+        "last-offender-wins": ([], [c3_tgt, c3_src], sig, contact(2, 2, j22)),
+        "unpaired-beats-copy3-on-one-pair": (
+            [], [c3_src, (t[(0, 1)][0], t[(1, j01)][1])], sig,
+            unpaired(0, 1, j01)),
+        "offender-beats-later-match-count": (
+            [], four(2, 3, j23) + [c3_src], sig, contact(0, 1, j01)),
+        "offender-beats-earlier-match-count": (
+            half(0, 2, h02), [c3_tgt], sig, contact(2, 2, j22)),
+        "first-match-count-wins": (half(0, 2, h02), four(2, 3, j23), sig,
+                                   zero),
+        "missing-join": ([(u1, v1)], [], "cross-pairs",
+                         f"missing ({u1}, {v1})"),
+        "last-missing-join": ([(t[(1, 3)][1], t[(2, 3)][2]), (u2, v2)], [],
+                              "cross-pairs", f"missing ({u2}, {v2})"),
+    }
+
+
+_TAMPER_INST = sample_bmhpc(4, 2, random.Random(21))
+_TAMPER_GG = build_gadget(_TAMPER_INST)
+TAMPER_CASES = _tamper_cases()
+
+
+@pytest.mark.parametrize("name", sorted(TAMPER_CASES))
+def test_verify_names_the_tampered_encoding(name):
+    drop, add, check, detail = TAMPER_CASES[name]
+    report = verify_gadget(_tampered(_TAMPER_GG, drop, add))
+    bad = {c.name: c.detail for c in report.failed()}
+    assert bad[check] == detail
+    other = {"encoding-signature", "cross-pairs"} - {check}
+    assert other.isdisjoint(bad)

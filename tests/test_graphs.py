@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -467,6 +468,8 @@ def test_save_and_load_graph_match_the_text_form(tmp_path):
     ("4 4\n1 2\n0 1\n\n1 2\n0 1\n", "line 5: duplicate edge (1,2)"),
     ("3 3\n0 1\n00 1\n1 5\n", "line 3: duplicate edge (0,1)"),
     ("3 3\n0 1\n1 2\n1 2 0\n", "line 4: expected 'u v'"),
+    ("20 1\n0 +1\n", "line 2: endpoints must be integers"),
+    ("20 1\n0 1_0\n", "line 2: endpoints must be integers"),
 ])
 def test_load_graph_file_fails_like_the_text_parser(tmp_path, text, message):
     path = tmp_path / "bad.txt"
@@ -476,3 +479,46 @@ def test_load_graph_file_fails_like_the_text_parser(tmp_path, text, message):
     with pytest.raises(ValueError) as from_text:
         G.loads_graph(text)
     assert str(from_file.value) == str(from_text.value) == message
+
+
+@pytest.mark.parametrize("text", ["3 1\n0 \u0662\n", "3 1\n0 \u00b2\n",
+                                  "30 1\n0 \uff11\uff12\n"])
+def test_text_endpoints_must_be_ascii_decimal(text):
+    with pytest.raises(ValueError, match="^line 2: endpoints must be integers$"):
+        G.loads_graph(text)
+
+
+@pytest.mark.parametrize("data,message", [
+    (b"3 1\n1 \xc3\xa92\n", "line 2: endpoints must be integers"),
+    (b"3 2\n0 1\n\xff\n", "line 3: expected 'u v'"),
+    (b"3\xc2\xa0 1\n0 1\n", "line 1: header fields must be integers"),
+])
+def test_load_graph_names_the_line_of_a_non_ascii_byte(tmp_path, data, message):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as err:
+        G.load_graph(str(path))
+    assert type(err.value) is ValueError and str(err.value) == message
+
+
+def _write_graph_per_id(g, fh):
+    """The line writer as it was with one str() call per id."""
+    fh.write(f"{g.n} {g.m}\n")
+    for u in range(g.n):
+        upper = g.upper(u)
+        if upper:
+            head = f"{u} "
+            fh.write(head + f"\n{head}".join(map(str, upper)) + "\n")
+
+
+def test_writer_matches_the_per_id_writer():
+    from degencomm.gadget import build_gadget
+    from degencomm.hpc import sample_bmhpc
+
+    gadget = build_gadget(sample_bmhpc(8, 2, random.Random(13))).graph
+    big = G.gnm_random_graph(700, 2800, random.Random(8))
+    assert big.n > 256
+    for g in (G.Graph(0), G.Graph(5), G.complete_graph(6), big, gadget):
+        ref = io.StringIO()
+        _write_graph_per_id(g, ref)
+        assert G.dumps_graph(g) == ref.getvalue()
