@@ -45,6 +45,12 @@ RUNS: list[tuple[str, list[str]]] = [
     ("reduction-store-all", ["reduction", "--m", "4", "--r", "1",
                              "--trials", "2", "--seed", "5",
                              "--streaming", "store-all"]),
+    ("reduction-naive-m8", ["reduction", "--m", "8", "--r", "1",
+                            "--trials", "2", "--seed", "5",
+                            "--streaming", "naive"]),
+    ("reduction-store-all-m8-r2", ["reduction", "--m", "8", "--r", "2",
+                                   "--trials", "1", "--seed", "5",
+                                   "--streaming", "store-all"]),
     ("reduction-emit-gadget", ["reduction", "--m", "4", "--r", "1",
                                "--trials", "2", "--seed", "9",
                                "--emit-gadget", "gadgets"]),

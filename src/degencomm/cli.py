@@ -49,7 +49,7 @@ import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .comm import RoundSchedule, random_partition
+from .comm import ProtocolError, RoundSchedule, random_partition
 from .gadget import build_gadget, load_gadget, save_gadget
 from .graphs import (
     Accept,
@@ -228,7 +228,11 @@ def _streaming_trial(task: tuple[int, int, int, str, int | None]) -> dict:
     if budget is None:
         budget = 1 if algname == "store-all" else n
     alg = StoreAllDecider() if algname == "store-all" else NaivePeeler()
-    sim = simulate_streaming_reduction(gg, alg, budget)
+    try:
+        sim = simulate_streaming_reduction(gg, alg, budget)
+    except ProtocolError as exc:
+        raise ValueError(f"pass budget --p {budget} is too small for "
+                         f"--streaming {algname}: {exc}") from None
     bit_true = chase(inst).bit
     return {
         "m": m,

@@ -99,13 +99,6 @@ class GadgetReport:
     def failed(self) -> list[GadgetCheck]:
         return [c for c in self.checks if not c.ok]
 
-    def summary(self) -> str:
-        return "\n".join(
-            f"{'PASS' if c.ok else 'FAIL'} {c.name}"
-            + (f": {c.detail}" if c.detail and not c.ok else "")
-            for c in self.checks
-        )
-
 
 def _element_bit(i: int) -> int:
     return (i + 1) % 2

@@ -361,12 +361,9 @@ def _read_graph(fh: IO[str]) -> Graph:
     head = fh.readline().split()
     if len(head) != 2:
         raise ValueError("line 1: expected header 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ValueError("line 1: header fields must be integers") from None
-    if n < 0 or m < 0:
-        raise ValueError("line 1: header fields must be nonnegative")
+    if not all(f.isascii() and f.isdigit() for f in head):
+        raise ValueError("line 1: header fields must be integers")
+    n, m = int(head[0]), int(head[1])
     rows: list[list[int]] = [[] for _ in range(n)]
     try:
         count = _scan_edges(fh, n, rows)
@@ -391,7 +388,15 @@ def dumps_graph(g: Graph) -> str:
 
 
 def loads_graph(text: str) -> Graph:
-    """Parse the line format; raises ValueError naming the offending line."""
+    """Parse the line format; raises ValueError naming the offending line.
+
+    Non-ASCII text is read as load_graph reads its UTF-8 bytes, so each
+    non-ASCII character fails on its own line rather than passing as
+    whitespace.
+    """
+    if not text.isascii():
+        text = text.encode("utf-8", "surrogatepass").decode(
+            "ascii", "surrogateescape")
     return _read_graph(io.StringIO(text, newline=None))
 
 

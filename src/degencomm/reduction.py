@@ -17,23 +17,21 @@ only bits on the wire are state snapshots at every handoff and the
 degree tables of pass one. Each pass costs two cross-pair handoffs
 except the last, which ends with the answer read where the state sits:
 p passes, 2p-1 phases.
+
+The reference algorithms declare their state as fixed-width fields
+(BitState.state_layout), and one shared codec turns those fields into
+the snapshot bits and back.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 from dataclasses import dataclass
+from itertools import combinations, compress, count
 from typing import NamedTuple, Protocol
 
 from .comm import CommLedger, ProtocolError, uint_width
-from .gadget import (
-    AuxPadding,
-    GadgetGraph,
-    _edges_below,
-    aux_padding,
-    pointer_path_triples,
-)
+from .gadget import GadgetGraph, _edges_below, aux_padding, pointer_path_triples
 from .graphs import Graph, degeneracy, peel
 from .hpc import MHPCInstance, chase
 
@@ -44,8 +42,10 @@ class StreamingAlgorithm(Protocol):
     The state must round-trip through bit strings: restore_state after
     snapshot_state reproduces the exact behavior, because every party
     resumes the algorithm from the bits it received, never from shared
-    memory. end_pass reports whether the algorithm wants another pass;
-    finalize(k) answers whether the streamed graph has degeneracy <= k.
+    memory. An algorithm can get both methods from BitState by listing
+    its state fields in state_layout. end_pass reports whether the
+    algorithm wants another pass; finalize(k) answers whether the
+    streamed graph has degeneracy <= k.
     """
 
     def init(self, n: int) -> None: ...
@@ -85,29 +85,6 @@ class ReductionReport:
     d: int
     split_ok: bool
     trace: list[TraceRecord] | None = None
-    phases: int | None = None
-    max_state_bits: int | None = None
-    bits_total: int | None = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "bit_true": self.bit_true,
-            "kappa": self.kappa,
-            "d": self.d,
-            "split_ok": self.split_ok,
-            "trace": None if self.trace is None else [
-                {"ell": t.ell, "ok": t.ok,
-                 "max_degree_at_removal": t.max_degree_at_removal}
-                for t in self.trace
-            ],
-            "phases": self.phases,
-            "max_state_bits": self.max_state_bits,
-            "bits_total": self.bits_total,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True,
-                          separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +179,12 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
 # streaming simulation
 
 
+# One pass as (player, recipient, crosses): C feeds first and B last, and
+# B's snapshot carries the state back to the C/D pair for the next pass.
+_RING = (("C", "D", False), ("D", "AB", True), ("A", "B", False),
+         ("B", "CD", True))
+
+
 def simulate_streaming_reduction(gg: GadgetGraph, alg: StreamingAlgorithm,
                                  p: int) -> SimulationResult:
     """Drive alg through the four-player feed and read the answer bit.
@@ -224,144 +207,147 @@ def simulate_streaming_reduction(gg: GadgetGraph, alg: StreamingAlgorithm,
         "A": parts["EA"],
         "B": parts["EB"],
     }
-    alg.init(n)
-    minds: dict[str, StreamingAlgorithm] = {
-        name: copy.deepcopy(alg) for name in "CDAB"
-    }
-    ledger = CommLedger()
-    phases = 0
-    max_state = 0
     degrees = [0] * n
-    padding: AuxPadding | None = None
-    carry: str | None = None
-    passes = 0
-
-    def feed(name: str) -> None:
-        mind = minds[name]
-        for u, v in feeds[name]:
-            mind.process_edge(u, v)
-            if padding is None:
-                degrees[u] += 1
-                degrees[v] += 1
-
-    def handoff(src: str, dst: str, cross: bool, with_table: bool) -> str:
-        nonlocal max_state, phases
-        state = minds[src].snapshot_state()
-        max_state = max(max_state, len(state))
-        ledger.record(src, dst, len(state) + (table_bits if with_table else 0),
-                      cross=cross)
-        if cross:
-            phases += 1
-        return state
-
-    while True:
-        passes += 1
-        first = passes == 1
-        if carry is not None:
-            minds["C"].restore_state(carry)
-        minds["C"].begin_pass()
-        feed("C")
-        state = handoff("C", "D", cross=False, with_table=first)
-
-        minds["D"].restore_state(state)
-        feed("D")
-        state = handoff("D", "AB", cross=True, with_table=first)
-
-        minds["A"].restore_state(state)
-        feed("A")
-        state = handoff("A", "B", cross=False, with_table=first)
-
-        minds["B"].restore_state(state)
-        feed("B")
-        if padding is None:
-            padding = aux_padding(gg.m, gg.r, degrees)
-        for u, v in padding.edges():
-            minds["B"].process_edge(u, v)
-        if not minds["B"].end_pass():
-            bit = int(minds["B"].finalize(gg.d - 3))
-            break
-        if passes == p:
-            raise ProtocolError(
-                f"algorithm wants pass {passes + 1}, but the budget is {p}"
-            )
-        carry = handoff("B", "CD", cross=True, with_table=False)
-
-    ledger.rounds = ledger.phases = phases
-    return SimulationResult(bit, phases, max_state, ledger)
+    for feed in feeds.values():
+        for u, v in feed:
+            degrees[u] += 1
+            degrees[v] += 1
+    padding = aux_padding(gg.m, gg.r, degrees)
+    alg.init(n)
+    minds = {name: copy.deepcopy(alg) for name in "CDAB"}
+    ledger = CommLedger()
+    phases = max_state = 0
+    state = None
+    for passes in count(1):
+        for player, recipient, crosses in _RING:
+            mind = minds[player]
+            if state is not None:
+                mind.restore_state(state)
+            if player == "C":
+                mind.begin_pass()
+            process = mind.process_edge
+            for u, v in feeds[player]:
+                process(u, v)
+            if player == "B":
+                # padding is most of the edges: replay it, never store it
+                for u, v in padding.edges():
+                    process(u, v)
+                if not mind.end_pass():
+                    ledger.rounds = ledger.phases = phases
+                    bit = int(mind.finalize(gg.d - 3))
+                    return SimulationResult(bit, phases, max_state, ledger)
+                if passes == p:
+                    raise ProtocolError(f"algorithm wants pass {passes + 1}, "
+                                        f"but the budget is {p}")
+            state = mind.snapshot_state()
+            max_state = max(max_state, len(state))
+            # B has derived the padding by its handoff, so it sends no table
+            table = table_bits if passes == 1 and player != "B" else 0
+            ledger.record(player, recipient, len(state) + table, cross=crosses)
+            phases += crosses
 
 
-def full_report(gg: GadgetGraph, inst: MHPCInstance,
-                alg: StreamingAlgorithm | None = None,
-                p: int | None = None) -> ReductionReport:
-    """Split check, invariant trace, and (optionally) a simulation run."""
-    report = trace_invariants(gg, inst)
-    if alg is not None:
-        if p is None:
-            raise ValueError("a pass budget is required to run an algorithm")
-        sim = simulate_streaming_reduction(gg, alg, p)
-        report.phases = sim.phases
-        report.max_state_bits = sim.max_state_bits
-        report.bits_total = sim.ledger.bits_total
-    return report
+def full_report(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
+    """Split check and invariant trace of one instance; gg must fit inst."""
+    return trace_invariants(gg, inst)
 
 
 # ---------------------------------------------------------------------------
 # reference streaming algorithms
 
 
-def _tri_index(u: int, v: int, n: int) -> int:
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
+class BitState:
+    """One snapshot codec for algorithms whose state is fixed-width fields.
+
+    state_layout lists the fields in wire order as (attribute, width,
+    count): count None for one unsigned integer of width bits, else a
+    list of count such integers. A flag is a width-1 field; it may be
+    set as a bool and is restored as 0 or 1. The snapshot is the
+    fields' binary digits back to back.
+    """
+
+    def state_layout(self) -> list[tuple[str, int, int | None]]:
+        raise NotImplementedError
+
+    def _state_bits(self) -> int:
+        return sum(width * (1 if k is None else k)
+                   for _, width, k in self.state_layout())
+
+    def snapshot_state(self) -> str:
+        fields = []
+        for attr, width, k in self.state_layout():
+            fmt = f"0{width}b"
+            value = getattr(self, attr)
+            if k is None:
+                fields.append(format(value, fmt))
+            else:
+                fields.extend(format(x, fmt) for x in value)
+        bits = "".join(fields)
+        # a value too wide for its field would shift every later field
+        expected = self._state_bits()
+        if len(bits) != expected:
+            raise ValueError(f"snapshot is {len(bits)} bits, need {expected}")
+        return bits
+
+    def restore_state(self, bits: str) -> None:
+        expected = self._state_bits()
+        if len(bits) != expected:
+            raise ValueError(f"snapshot is {len(bits)} bits, need {expected}")
+        if not set(bits) <= {"0", "1"}:
+            raise ValueError("snapshot holds a character other than 0 and 1")
+        at = 0
+        for attr, width, k in self.state_layout():
+            if k is None:
+                setattr(self, attr, int(bits[at:at + width], 2))
+                at += width
+            else:
+                setattr(self, attr, [int(bits[i:i + width], 2)
+                                     for i in range(at, at + k * width, width)])
+                at += k * width
 
 
-class StoreAllDecider:
+class StoreAllDecider(BitState):
     """Remembers the whole graph in one pass; answers by exact peeling.
 
-    The snapshot is the upper-triangular adjacency bitmap, so its size
-    is always n(n-1)/2 bits regardless of how much has arrived.
+    The state is the upper-triangular adjacency bitmap in the row order
+    of combinations(range(n), 2), so the snapshot is always n(n-1)/2
+    bits regardless of how much has arrived.
     """
 
     def init(self, n: int) -> None:
         self.n = n
-        self.present: set[tuple[int, int]] = set()
+        # bitmap index of pair (u, v), u < v, is row[u] + v
+        self.row = [u * (2 * n - u - 1) // 2 - u - 1 for u in range(n)]
+        self.adj = [False] * (n * (n - 1) // 2)
+
+    def state_layout(self) -> list[tuple[str, int, int | None]]:
+        return [("adj", 1, len(self.adj))]
 
     def begin_pass(self) -> None:
         pass
 
     def process_edge(self, u: int, v: int) -> None:
-        self.present.add((min(u, v), max(u, v)))
+        if u > v:
+            u, v = v, u
+        self.adj[self.row[u] + v] = True
 
     def end_pass(self) -> bool:
         return False
 
     def finalize(self, k: int) -> bool:
-        return degeneracy(Graph(self.n, sorted(self.present))) <= k
-
-    def snapshot_state(self) -> str:
-        bits = ["0"] * (self.n * (self.n - 1) // 2)
-        for u, v in self.present:
-            bits[_tri_index(u, v, self.n)] = "1"
-        return "".join(bits)
-
-    def restore_state(self, bits: str) -> None:
-        expected = self.n * (self.n - 1) // 2
-        if len(bits) != expected:
-            raise ValueError(f"snapshot is {len(bits)} bits, need {expected}")
-        self.present = {
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if bits[_tri_index(u, v, self.n)] == "1"
-        }
+        pairs = compress(combinations(range(self.n), 2), self.adj)
+        return degeneracy(Graph(self.n, pairs)) <= k
 
 
-class NaivePeeler:
+class NaivePeeler(BitState):
     """One min-degree removal per pass, recomputing residual degrees.
 
     Each pass streams the surviving graph to rebuild exact degrees, then
     retires the minimum (smallest id on ties) and folds its degree into
     the running maximum, which after the final pass is the degeneracy.
-    State is the removed bitmap, the running maximum, and the in-pass
-    degree counters: O(n log n) bits.
+    State is the in-pass flag, the removed bitmap, the running maximum,
+    and the in-pass degree counters: 1 + n + w + n*w bits for
+    w = uint_width(n).
     """
 
     def init(self, n: int) -> None:
@@ -371,6 +357,11 @@ class NaivePeeler:
         self.kappa = 0
         self.in_pass = False
         self.deg = [0] * n
+
+    def state_layout(self) -> list[tuple[str, int, int | None]]:
+        n, w = self.n, self.width
+        return [("in_pass", 1, None), ("removed", 1, n), ("kappa", w, None),
+                ("deg", w, n)]
 
     def begin_pass(self) -> None:
         self.in_pass = True
@@ -393,25 +384,3 @@ class NaivePeeler:
 
     def finalize(self, k: int) -> bool:
         return self.kappa <= k
-
-    def snapshot_state(self) -> str:
-        w = self.width
-        return (
-            ("1" if self.in_pass else "0")
-            + "".join("1" if r else "0" for r in self.removed)
-            + format(self.kappa, f"0{w}b")
-            + "".join(format(x, f"0{w}b") for x in self.deg)
-        )
-
-    def restore_state(self, bits: str) -> None:
-        n, w = self.n, self.width
-        expected = 1 + n + w + n * w
-        if len(bits) != expected:
-            raise ValueError(f"snapshot is {len(bits)} bits, need {expected}")
-        self.in_pass = bits[0] == "1"
-        self.removed = [c == "1" for c in bits[1:1 + n]]
-        self.kappa = int(bits[1 + n:1 + n + w], 2)
-        base = 1 + n + w
-        self.deg = [
-            int(bits[base + v * w:base + (v + 1) * w], 2) for v in range(n)
-        ]

@@ -254,6 +254,10 @@ def test_empty_or_negative_sweeps_exit_2(argv, message, capsys):
      "--p must be 'auto' or an integer, got 'x'"),
     (["reduction", "--trials", "1", "--p", "5"], "--p needs --streaming"),
     (["hpc", "--trials", "1", "--N", "8"], "--N needs --misaligned"),
+    (["reduction", "--m", "4", "--r", "1", "--trials", "1",
+      "--streaming", "naive", "--p", "3"],
+     "pass budget --p 3 is too small for --streaming naive: "
+     "algorithm wants pass 4, but the budget is 3"),
 ])
 def test_ignored_or_misparsed_flags_exit_2(argv, message, capsys):
     code, out, err = run(argv, capsys)

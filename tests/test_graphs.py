@@ -470,10 +470,16 @@ def test_save_and_load_graph_match_the_text_form(tmp_path):
     ("3 3\n0 1\n1 2\n1 2 0\n", "line 4: expected 'u v'"),
     ("20 1\n0 +1\n", "line 2: endpoints must be integers"),
     ("20 1\n0 1_0\n", "line 2: endpoints must be integers"),
+    ("+3 1\n0 1\n", "line 1: header fields must be integers"),
+    ("\u0663 1\n0 1\n", "line 1: header fields must be integers"),
+    ("3 1_0\n0 1\n", "line 1: header fields must be integers"),
+    ("-3 1\n", "line 1: header fields must be integers"),
+    ("3 1\n0\u00a01\n", "line 2: expected 'u v'"),
+    ("3 1\n0\u20031\n", "line 2: expected 'u v'"),
 ])
 def test_load_graph_file_fails_like_the_text_parser(tmp_path, text, message):
     path = tmp_path / "bad.txt"
-    path.write_text(text, encoding="ascii")
+    path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as from_file:
         G.load_graph(str(path))
     with pytest.raises(ValueError) as from_text:

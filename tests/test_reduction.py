@@ -1,17 +1,19 @@
-import json
+import copy
 import random
 import sys
 
 import pytest
 
 from degencomm import hpc
-from degencomm.comm import ProtocolError, uint_width
+from degencomm.comm import CommLedger, ProtocolError, uint_width
 from degencomm.gadget import aux_padding, build_gadget
-from degencomm.graphs import degeneracy, peel
+from degencomm.graphs import Graph, degeneracy, peel
 from degencomm.hpc import MHPCInstance, chase, pad_instance, sample_bmhpc, worked_example
 from degencomm.reduction import (
     NaivePeeler,
+    SimulationResult,
     StoreAllDecider,
+    TraceRecord,
     full_report,
     partition_edges,
     simulate_streaming_reduction,
@@ -367,19 +369,253 @@ def test_restore_rejects_wrong_width():
         alg.restore_state("01" * 3)
 
 
-def test_report_json_shape():
+@pytest.mark.parametrize("make", [StoreAllDecider, NaivePeeler])
+def test_restore_rejects_a_malformed_snapshot(make):
+    alg = make()
+    alg.init(10)
+    good = alg.snapshot_state()
+    need = len(good)
+    for bad in (good[:-1], good + "0"):
+        with pytest.raises(ValueError,
+                           match=f"^snapshot is {len(bad)} bits, need {need}$"):
+            alg.restore_state(bad)
+    for bad in ("2" + good[1:], good[:-1] + "x", " " * need):
+        with pytest.raises(ValueError, match="other than 0 and 1"):
+            alg.restore_state(bad)
+    alg.restore_state(good)
+    assert alg.snapshot_state() == good
+
+
+def test_snapshot_rejects_a_value_wider_than_its_field():
+    alg = NaivePeeler()
+    alg.init(10)
+    need = len(alg.snapshot_state())
+    alg.kappa = 1 << alg.width
+    with pytest.raises(ValueError,
+                       match=f"^snapshot is {need + 1} bits, need {need}$"):
+        alg.snapshot_state()
+
+
+def test_report_trace_shape():
     inst = sample_bmhpc(4, 1, random.Random(19))
     gg = build_gadget(inst)
-    rep = full_report(gg, inst, StoreAllDecider(), 1)
-    obj = json.loads(rep.to_json())
-    assert set(obj) == {
-        "bit_true", "kappa", "d", "split_ok", "trace",
-        "phases", "max_state_bits", "bits_total",
+    rep = trace_invariants(gg, inst)
+    assert [t.ell for t in rep.trace] == list(range(2 * inst.r + 1))
+    assert TraceRecord._fields == ("ell", "ok", "max_degree_at_removal")
+    assert full_report(gg, inst) == rep
+
+
+# ---------------------------------------------------------------------------
+# the harness and algorithms as they were before the shared snapshot codec,
+# kept as the reference the current ones must match bit for bit
+
+
+def _reference_simulate(gg, alg, p):
+    if p < 1:
+        raise ValueError(f"pass budget must be >= 1, got {p}")
+    parts = partition_edges(gg)
+    n = gg.graph.n
+    table_bits = n * uint_width(n)
+    feeds = {
+        "C": parts["E1"] + parts["E2"] + parts["ES"] + parts["EC"],
+        "D": parts["ED"],
+        "A": parts["EA"],
+        "B": parts["EB"],
     }
-    assert obj["phases"] == 1
-    assert obj["bits_total"] > 0
-    assert [t["ell"] for t in obj["trace"]] == list(range(2 * inst.r + 1))
-    assert all(set(t) == {"ell", "ok", "max_degree_at_removal"}
-               for t in obj["trace"])
-    with pytest.raises(ValueError, match="budget"):
-        full_report(gg, inst, StoreAllDecider())
+    alg.init(n)
+    minds = {name: copy.deepcopy(alg) for name in "CDAB"}
+    ledger = CommLedger()
+    phases = 0
+    max_state = 0
+    degrees = [0] * n
+    padding = None
+    carry = None
+    passes = 0
+
+    def feed(name):
+        mind = minds[name]
+        for u, v in feeds[name]:
+            mind.process_edge(u, v)
+            if padding is None:
+                degrees[u] += 1
+                degrees[v] += 1
+
+    def handoff(src, dst, cross, with_table):
+        nonlocal max_state, phases
+        state = minds[src].snapshot_state()
+        max_state = max(max_state, len(state))
+        ledger.record(src, dst, len(state) + (table_bits if with_table else 0),
+                      cross=cross)
+        if cross:
+            phases += 1
+        return state
+
+    while True:
+        passes += 1
+        first = passes == 1
+        if carry is not None:
+            minds["C"].restore_state(carry)
+        minds["C"].begin_pass()
+        feed("C")
+        state = handoff("C", "D", cross=False, with_table=first)
+
+        minds["D"].restore_state(state)
+        feed("D")
+        state = handoff("D", "AB", cross=True, with_table=first)
+
+        minds["A"].restore_state(state)
+        feed("A")
+        state = handoff("A", "B", cross=False, with_table=first)
+
+        minds["B"].restore_state(state)
+        feed("B")
+        if padding is None:
+            padding = aux_padding(gg.m, gg.r, degrees)
+        for u, v in padding.edges():
+            minds["B"].process_edge(u, v)
+        if not minds["B"].end_pass():
+            bit = int(minds["B"].finalize(gg.d - 3))
+            break
+        if passes == p:
+            raise ProtocolError(
+                f"algorithm wants pass {passes + 1}, but the budget is {p}"
+            )
+        carry = handoff("B", "CD", cross=True, with_table=False)
+
+    ledger.rounds = ledger.phases = phases
+    return SimulationResult(bit, phases, max_state, ledger)
+
+
+def _tri_index(u, v, n):
+    return u * (2 * n - u - 1) // 2 + (v - u - 1)
+
+
+class _ReferenceStoreAll:
+    def init(self, n):
+        self.n = n
+        self.present = set()
+
+    def begin_pass(self):
+        pass
+
+    def process_edge(self, u, v):
+        self.present.add((min(u, v), max(u, v)))
+
+    def end_pass(self):
+        return False
+
+    def finalize(self, k):
+        return degeneracy(Graph(self.n, sorted(self.present))) <= k
+
+    def snapshot_state(self):
+        bits = ["0"] * (self.n * (self.n - 1) // 2)
+        for u, v in self.present:
+            bits[_tri_index(u, v, self.n)] = "1"
+        return "".join(bits)
+
+    def restore_state(self, bits):
+        expected = self.n * (self.n - 1) // 2
+        if len(bits) != expected:
+            raise ValueError(f"snapshot is {len(bits)} bits, need {expected}")
+        self.present = {
+            (u, v)
+            for u in range(self.n)
+            for v in range(u + 1, self.n)
+            if bits[_tri_index(u, v, self.n)] == "1"
+        }
+
+
+class _ReferenceNaive:
+    def init(self, n):
+        self.n = n
+        self.width = uint_width(n)
+        self.removed = [False] * n
+        self.kappa = 0
+        self.in_pass = False
+        self.deg = [0] * n
+
+    def begin_pass(self):
+        self.in_pass = True
+        self.deg = [0] * self.n
+
+    def process_edge(self, u, v):
+        if not (self.removed[u] or self.removed[v]):
+            self.deg[u] += 1
+            self.deg[v] += 1
+
+    def end_pass(self):
+        self.in_pass = False
+        victim = min(
+            (v for v in range(self.n) if not self.removed[v]),
+            key=lambda v: (self.deg[v], v),
+        )
+        self.kappa = max(self.kappa, self.deg[victim])
+        self.removed[victim] = True
+        return not all(self.removed)
+
+    def finalize(self, k):
+        return self.kappa <= k
+
+    def snapshot_state(self):
+        w = self.width
+        return (
+            ("1" if self.in_pass else "0")
+            + "".join("1" if r else "0" for r in self.removed)
+            + format(self.kappa, f"0{w}b")
+            + "".join(format(x, f"0{w}b") for x in self.deg)
+        )
+
+    def restore_state(self, bits):
+        n, w = self.n, self.width
+        expected = 1 + n + w + n * w
+        if len(bits) != expected:
+            raise ValueError(f"snapshot is {len(bits)} bits, need {expected}")
+        self.in_pass = bits[0] == "1"
+        self.removed = [c == "1" for c in bits[1:1 + n]]
+        self.kappa = int(bits[1 + n:1 + n + w], 2)
+        base = 1 + n + w
+        self.deg = [
+            int(bits[base + v * w:base + (v + 1) * w], 2) for v in range(n)
+        ]
+
+
+def _logged(cls, log):
+    """An instance of cls that appends every snapshot it takes to log.
+
+    The log lives in the class's closure, so the players' deep copies
+    all write to it.
+    """
+
+    class Logged(cls):
+        def snapshot_state(self):
+            log.append(super().snapshot_state())
+            return log[-1]
+
+    return Logged()
+
+
+@pytest.mark.parametrize("m,r", [(4, 1), (4, 2), (8, 1), (8, 2)])
+@pytest.mark.parametrize("new_cls,ref_cls", [
+    (NaivePeeler, _ReferenceNaive),
+    (StoreAllDecider, _ReferenceStoreAll),
+])
+def test_harness_matches_the_reference(m, r, new_cls, ref_cls):
+    for seed in (21, 22):
+        gg = build_gadget(sample_bmhpc(m, r, random.Random(seed)))
+        p = gg.graph.n if new_cls is NaivePeeler else 1
+        new_log, ref_log = [], []
+        new = simulate_streaming_reduction(gg, _logged(new_cls, new_log), p)
+        ref = _reference_simulate(gg, _logged(ref_cls, ref_log), p)
+        assert new[:3] == ref[:3]
+        assert new.ledger.to_json() == ref.ledger.to_json()
+        assert new_log and new_log == ref_log
+
+
+def test_over_budget_matches_the_reference():
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(15)))
+    with pytest.raises(ProtocolError) as new:
+        simulate_streaming_reduction(gg, NaivePeeler(), 3)
+    with pytest.raises(ProtocolError) as ref:
+        _reference_simulate(gg, _ReferenceNaive(), 3)
+    assert str(new.value) == str(ref.value) == (
+        "algorithm wants pass 4, but the budget is 3")
