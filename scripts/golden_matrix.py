@@ -9,9 +9,18 @@ goes first on ``PYTHONPATH``) once per entry of ``RUNS``. Each run gets
 its own directory ``OUTDIR/<name>/``, which is also its working
 directory, holding ``argv``, ``stdout``, ``stderr``, ``exit_code`` and
 whatever the run wrote there (the ``--emit-gadget`` files). The
-``--graph`` runs decide ``OUTDIR/graph.txt``, a graph this script writes
-itself: K8 followed by 52 vertices that each join 3 earlier ones, so its
-degeneracy is 7 and the decision flips between k = 6 and k = 7.
+``--graph`` runs decide graph files this script writes itself in
+``OUTDIR``:
+
+* ``graph.txt``: K8 followed by 52 vertices that each join 3 earlier
+  ones, so its degeneracy is 7 and the decision flips between k = 6 and
+  k = 7;
+* ``graph-dense.txt``: G(40, 1/2) with 406 edges, at least eight per
+  vertex, so the reader takes it run by run; its degeneracy is 16;
+* ``graph-loose.txt`` and ``graph-dense-loose.txt``: the same two graphs
+  laid out by hand (the first row moved to the end, one blank line, one
+  CRLF line end, one leading zero), which the reader must take line by
+  line. Their runs must print what the runs of the canonical files do.
 
 Everything is seeded, so two checkouts that behave the same give
 byte-identical trees; compare them with ``diff -r``. Standard library
@@ -26,6 +35,7 @@ import subprocess
 import sys
 
 KAPPA = 7
+DENSE_KAPPA = 16
 
 RUNS: list[tuple[str, list[str]]] = [
     *[(f"degeneracy-n{n}-{fmt}",
@@ -74,6 +84,12 @@ RUNS: list[tuple[str, list[str]]] = [
     *[(f"degeneracy-graph-kappa{k - KAPPA:+d}",
        ["degeneracy", "--graph", "../graph.txt", "--k", str(k), "--seed", "3"])
       for k in (KAPPA - 1, KAPPA, KAPPA + 1)],
+    *[(f"degeneracy-{stem}-kappa{k - kappa:+d}",
+       ["degeneracy", "--graph", f"../{stem}.txt", "--k", str(k),
+        "--seed", "3"])
+      for stem, kappa in (("graph-loose", KAPPA), ("graph-dense", DENSE_KAPPA),
+                          ("graph-dense-loose", DENSE_KAPPA))
+      for k in (kappa - 1, kappa)],
 ]
 
 
@@ -87,14 +103,38 @@ def graph_text() -> str:
     return f"60 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
 
 
+def dense_graph_text() -> str:
+    """G(40, 1/2): each of the 780 pairs kept with probability 1/2."""
+    rng = random.Random(2025)
+    edges = [(u, v) for u in range(40) for v in range(u + 1, 40)
+             if rng.random() < 0.5]
+    return f"40 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def loose_text(text: str) -> str:
+    """The same graph by hand: the lines of the first row moved to the
+    end, and two thirds of the way in, a blank line, then a line ending
+    in CRLF, then a line whose first endpoint has a leading zero."""
+    header, *lines = text.splitlines()
+    first = lines[0].split()[0] + " "
+    lines = ([line for line in lines if not line.startswith(first)]
+             + [line for line in lines if line.startswith(first)])
+    at = 2 * len(lines) // 3
+    lines[at:at + 2] = ["", lines[at] + "\r", "0" + lines[at + 1]]
+    return "\n".join([header, *lines]) + "\n"
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print("usage: golden_matrix.py OUTDIR", file=sys.stderr)
         return 2
     out = os.path.abspath(argv[0])
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "graph.txt"), "w", encoding="ascii") as fh:
-        fh.write(graph_text())
+    for name, text in (("graph", graph_text()),
+                       ("graph-dense", dense_graph_text())):
+        for suffix, data in (("", text), ("-loose", loose_text(text))):
+            with open(os.path.join(out, f"{name}{suffix}.txt"), "wb") as fh:
+                fh.write(data.encode("ascii"))
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, DEGENCOMM_WORKERS="1", PYTHONHASHSEED="0",
                PYTHONPATH=os.pathsep.join(

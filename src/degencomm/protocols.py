@@ -201,8 +201,8 @@ def _fast_party(role, adj, n, k, priority, stats):
                 i = bucket.get(u)
                 if i is not None and last_mine[u] - my_deg[u] >= threshold[i]:
                     detected.append(u)
-        pairs = lp_pairs([(u, my_deg[u]) for u in detected], n, n)
         if role == 0:
+            pairs = lp_pairs([(u, my_deg[u]) for u in detected], n, n)
             reply = yield from _swap(role, pairs)
             their_halves, their_extra = reply
             known = {u: (my_deg[u], half)

@@ -528,3 +528,244 @@ def test_writer_matches_the_per_id_writer():
         ref = io.StringIO()
         _write_graph_per_id(g, ref)
         assert G.dumps_graph(g) == ref.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# the run reader against the line reader
+
+
+def _reference_read_graph(fh):
+    """The graph reader as it was, line by line whatever the layout."""
+    head = fh.readline().split()
+    if len(head) != 2:
+        raise ValueError("line 1: expected header 'n m'")
+    if not all(f.isascii() and f.isdigit() for f in head):
+        raise ValueError("line 1: header fields must be integers")
+    n, m = int(head[0]), int(head[1])
+    rows = [[] for _ in range(n)]
+    try:
+        count = G._scan_edges(fh, n, rows)
+        g = G.Graph.from_rows(rows)
+    except ValueError as exc:
+        fh.seek(0)
+        fh.readline()
+        G._scan_edges(fh, n)
+        raise exc
+    if count != m:
+        raise ValueError(f"header claims {m} edges but file has {count}")
+    return g
+
+
+def _reference_loads(text):
+    if not text.isascii():
+        text = text.encode("utf-8", "surrogatepass").decode(
+            "ascii", "surrogateescape")
+    return _reference_read_graph(io.StringIO(text, newline=None))
+
+
+@pytest.fixture
+def line_scans(monkeypatch):
+    """Count the calls of the line scan made by the reader under test."""
+    calls = []
+    scan = G._scan_edges
+
+    def counted(*args):
+        calls.append(args[1:])
+        return scan(*args)
+
+    monkeypatch.setattr(G, "_scan_edges", counted)
+    return calls
+
+
+def _read_both(text, tmp_path):
+    """loads_graph(text) and load_graph of its UTF-8 bytes, which must agree."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    g = G.loads_graph(text)
+    assert G.load_graph(str(path)) == g
+    return g
+
+
+def _run_graphs():
+    from degencomm.gadget import build_gadget
+    from degencomm.hpc import sample_bmhpc
+
+    rng = random.Random(41)
+    yield from (build_gadget(sample_bmhpc(m, 1, random.Random(m))).graph
+                for m in (4, 8, 16))
+    yield G.gnm_random_graph(30, 400, rng)
+    yield G.gnm_random_graph(120, 1000, rng)
+    yield G.gnm_random_graph(60, 100, rng)  # too sparse to read by runs
+    yield G.Graph(0)
+    yield G.Graph(1)
+    yield G.complete_graph(2)
+    # isolated top vertices
+    yield G.disjoint_union(G.complete_graph(30), G.empty_graph(5))
+    # heads and rows that cross the 9/10, 99/100 and 999/1000 widths
+    yield G.complete_graph(20)
+    yield G.Graph(1001, [(u, v) for u in (*range(10), 99, 999)
+                         for v in range(u + 1, 1001)])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64, G._READ_CHUNK])
+def test_run_reader_matches_the_line_reader(chunk, monkeypatch, tmp_path,
+                                            line_scans):
+    monkeypatch.setattr(G, "_READ_CHUNK", chunk)
+    for g in _run_graphs():
+        text = G.dumps_graph(g)
+        ref = _reference_loads(text)
+        del line_scans[:]
+        assert _read_both(text, tmp_path) == ref == g
+        assert bool(line_scans) == (g.m < 8 * g.n), g
+
+
+@pytest.mark.parametrize("chunk", [7, G._READ_CHUNK])
+def test_run_reader_round_trips_random_graphs(chunk, monkeypatch):
+    monkeypatch.setattr(G, "_READ_CHUNK", chunk)
+    rng = random.Random(300)
+    for n in range(0, 301, 13):
+        g = G.gnm_random_graph(n, min(n * (n - 1) // 2, 9 * n), rng)
+        assert G.loads_graph(G.dumps_graph(g)) == g
+
+
+def _dense_body():
+    g = G.gnm_random_graph(40, 400, random.Random(7))
+    header, *body = G.dumps_graph(g).splitlines()
+    return g, header, body
+
+
+def _loosen(body, how):
+    """The lines of body laid out by hand in one of the ways the line
+    reader accepts, two thirds of the way in."""
+    at = 2 * len(body) // 3
+    line = body[at]
+    if how == "rows out of order":
+        first = body[0].split()[0] + " "
+        return ([b for b in body if not b.startswith(first)]
+                + [b for b in body if b.startswith(first)])
+    if how == "v descending in a row":
+        head = line.split()[0] + " "
+        row = [i for i, b in enumerate(body) if b.startswith(head)]
+        assert len(row) > 1
+        out = body[:]
+        out[row[0]:row[-1] + 1] = reversed(body[row[0]:row[-1] + 1])
+        return out
+    edit = {
+        "blank line": ["", line],
+        "CRLF": [line + "\r"],
+        "tab": [line.replace(" ", "\t")],
+        "double space": [line.replace(" ", "  ")],
+        "trailing space": [line + " "],
+        "leading zero": ["0" + line],
+    }[how]
+    return body[:at] + edit + body[at + 1:]
+
+
+@pytest.mark.parametrize("chunk", [7, 64, G._READ_CHUNK])
+@pytest.mark.parametrize("how", [
+    "rows out of order", "v descending in a row", "blank line", "CRLF",
+    "tab", "double space", "trailing space", "leading zero",
+    "no newline at the end"])
+def test_loose_layouts_fall_back_to_the_line_reader(how, chunk, monkeypatch,
+                                                    tmp_path, line_scans):
+    monkeypatch.setattr(G, "_READ_CHUNK", chunk)
+    g, header, body = _dense_body()
+    if how == "no newline at the end":
+        text = "\n".join([header, *body])
+    else:
+        text = "\n".join([header, *_loosen(body, how)]) + "\n"
+    ref = _reference_loads(text)
+    del line_scans[:]
+    assert _read_both(text, tmp_path) == ref == g
+    # both readers see a CRLF line end as a newline, so only it stays
+    # on the run reader
+    assert bool(line_scans) == (how != "CRLF")
+
+
+def test_a_row_resumed_below_its_last_v_falls_back(monkeypatch, tmp_path,
+                                                  line_scans):
+    # the lines of one row in two ascending halves, the later half
+    # first, with a chunk ending where the earlier half begins
+    g, header, body = _dense_body()
+    head = body[2 * len(body) // 3].split()[0] + " "
+    row = [i for i, b in enumerate(body) if b.startswith(head)]
+    half = len(row) // 2
+    body[row[0]:row[-1] + 1] = body[row[half]:row[-1] + 1] + body[
+        row[0]:row[half]]
+    cut = sum(len(b) + 1 for b in body[:row[0] + len(row) - half])
+    monkeypatch.setattr(G, "_READ_CHUNK", cut)
+    text = "\n".join([header, *body]) + "\n"
+    ref = _reference_loads(text)
+    del line_scans[:]
+    assert _read_both(text, tmp_path) == ref == g
+    assert line_scans
+
+
+def test_only_files_with_eight_edges_per_vertex_are_read_by_runs(tmp_path,
+                                                                 line_scans):
+    rng = random.Random(8)
+    for n, m in ((40, 319), (40, 320), (60, 59), (60, 60)):
+        g = G.gnm_random_graph(n, m, rng)
+        del line_scans[:]
+        assert _read_both(G.dumps_graph(g), tmp_path) == g
+        assert bool(line_scans) == (m < 8 * n)
+
+
+def _malformed(body, where, bad):
+    """body with the line bad inserted where, and its line number."""
+    at = {"middle": 2 * len(body) // 3, "end": len(body)}[where]
+    bad = bad.format(first=body[0], before=body[at - 1],
+                     flipped=" ".join(body[at - 1].split()[::-1]))
+    return body[:at] + [bad] + body[at:], at + 2
+
+
+@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("where", ["middle", "end"])
+@pytest.mark.parametrize("bad,message", [
+    ("{first}", "duplicate edge"),
+    ("{before}", "duplicate edge"),
+    ("0{first}", "duplicate edge"),
+    ("39 39", "need 0 <= u < v < n, got 39 39"),
+    ("{flipped}", "need 0 <= u < v < n"),
+    ("0 40", "need 0 <= u < v < n, got 0 40"),
+    ("0 " + "1" * 50, "need 0 <= u < v < n"),
+    ("1 2 0", "expected 'u v'"),
+    ("7", "expected 'u v'"),
+    ("0 +1", "endpoints must be integers"),
+    ("0 é1", "endpoints must be integers"),
+    ("0 1", "expected 'u v'"),
+])
+def test_a_fault_after_canonical_rows_fails_like_the_line_reader(
+        bad, message, where, chunk, monkeypatch, tmp_path):
+    monkeypatch.setattr(G, "_READ_CHUNK", chunk)
+    g, header, body = _dense_body()
+    lines, lineno = _malformed(body, where, bad)
+    text = "\n".join([f"{g.n} {g.m + 1}", *lines]) + "\n"
+    assert len(text) > 4 * chunk and lineno > 100
+    with pytest.raises(ValueError) as ref:
+        _reference_loads(text)
+    assert str(ref.value).startswith(f"line {lineno}: {message}")
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as from_file:
+        G.load_graph(str(path))
+    with pytest.raises(ValueError) as from_text:
+        G.loads_graph(text)
+    assert str(from_file.value) == str(from_text.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("chunk", [7, G._READ_CHUNK])
+@pytest.mark.parametrize("claimed", [-1, 1])
+def test_a_wrong_edge_count_after_canonical_rows(claimed, chunk, monkeypatch,
+                                                 tmp_path):
+    monkeypatch.setattr(G, "_READ_CHUNK", chunk)
+    g, _, body = _dense_body()
+    text = "\n".join([f"{g.n} {g.m + claimed}", *body]) + "\n"
+    path = tmp_path / "bad.txt"
+    path.write_text(text, encoding="ascii")
+    message = f"header claims {g.m + claimed} edges but file has {g.m}"
+    for read in (lambda: G.load_graph(str(path)), lambda: G.loads_graph(text),
+                 lambda: _reference_loads(text)):
+        with pytest.raises(ValueError) as err:
+            read()
+        assert str(err.value) == message
