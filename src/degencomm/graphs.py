@@ -21,11 +21,11 @@ import io
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import lt
-from typing import IO, Callable, Iterable, NamedTuple
+from typing import IO, Collection, Iterable, NamedTuple
 
 
 class Graph:
@@ -153,25 +153,13 @@ class Reject(NamedTuple):
     core: frozenset[int]
 
 
-TieBreak = Callable[[set[int]], int]
-
-# Deterministic tie-break policies for choosing among minimum-degree
-# vertices. "min" is the library default; the others exist so tests can
-# confirm results that must not depend on the choice.
-TIE_BREAKS: dict[str, TieBreak] = {
-    "min": min,
-    "max": max,
-    "mid": lambda s: sorted(s)[len(s) // 2],
-}
-
-
-def _peel(g: Graph, k: int, pick: TieBreak) -> tuple[list[int], list[int]]:
+def _peel(g: Graph, k: int) -> tuple[list[int], list[int]]:
     """Remove a minimum-residual-degree vertex while that degree is <= k.
 
     The one peeling loop: bucket[d] holds the live vertices of residual
     degree d, and a floor cursor tracks the smallest nonempty bucket (a
-    decrement moves it down by at most one). pick chooses among the
-    floor bucket. Returns the removal order and each vertex's residual
+    decrement moves it down by at most one); the least id in that bucket
+    goes next. Returns the removal order and each vertex's residual
     degree when it went; the vertices left over form the (k+1)-core.
     """
     nbrs, off = g.nbrs, g.offsets
@@ -188,7 +176,7 @@ def _peel(g: Graph, k: int, pick: TieBreak) -> tuple[list[int], list[int]]:
         if floor > k:
             break
         bucket = buckets[floor]
-        v = pick(bucket)
+        v = min(bucket)
         bucket.discard(v)
         deg[v] = -1  # retired
         order.append(v)
@@ -205,14 +193,13 @@ def _peel(g: Graph, k: int, pick: TieBreak) -> tuple[list[int], list[int]]:
     return order, removal
 
 
-def peel(g: Graph, tie_break: str | TieBreak = "min") -> PeelTrace:
+def peel(g: Graph) -> PeelTrace:
     """Repeatedly remove a minimum-residual-degree vertex.
 
-    Ties are broken by the smallest vertex id unless another policy is
-    given. The max residual degree seen along the way is the degeneracy.
+    Ties are broken by the smallest vertex id. The max residual degree
+    seen along the way is the degeneracy.
     """
-    pick = TIE_BREAKS[tie_break] if isinstance(tie_break, str) else tie_break
-    order, removal = _peel(g, g.n, pick)
+    order, removal = _peel(g, g.n)
     return PeelTrace(order, removal, max(removal, default=0))
 
 
@@ -249,7 +236,7 @@ def peel_decision(g: Graph, k: int) -> Accept | Reject:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    order, _ = _peel(g, k, min)
+    order, _ = _peel(g, k)
     if len(order) == g.n:
         return Accept(order)
     return Reject(frozenset(range(g.n)).difference(order))
@@ -261,7 +248,7 @@ def k_core(g: Graph, k: int) -> frozenset[int]:
     The vertices a peel at threshold k-1 leaves. Empty when no such set
     exists.
     """
-    order, _ = _peel(g, k - 1, min)
+    order, _ = _peel(g, k - 1)
     return frozenset(range(g.n)).difference(order)
 
 
@@ -306,16 +293,17 @@ def _write_graph(g: Graph, fh: IO[str]) -> None:
             fh.write(head + f"\n{head}".join(map(name, upper)) + "\n")
 
 
-def _scan_edges(fh: IO[str], n: int,
-                rows: list[list[int]] | None = None) -> int:
+def _scan_edges(fh: IO[str], n: int, rows: list[list[int]] | None = None,
+                watch: Collection[tuple[int, int]] = ()) -> int:
     """Read the edge lines after the header; return how many there are.
 
     With rows, each edge (u, v) is appended to rows[u] and rows[v]
-    unchecked for repeats. Without, a repeat of an earlier line raises
-    ValueError naming it. Either way blank lines are skipped, and a
-    malformed line or one without 0 <= u < v < n raises ValueError
-    naming the line. An id already read in canonical form is looked up
-    rather than parsed again, so the rows share one int per vertex.
+    unchecked for repeats. Without, the second line with an edge in
+    watch raises ValueError naming it. Either way blank lines are
+    skipped, and a malformed line or one without 0 <= u < v < n raises
+    ValueError naming the line. An id already read in canonical form is
+    looked up rather than parsed again, so the rows share one int per
+    vertex.
     """
     ids: dict[str, int] = {}
     seen: set[tuple[int, int]] = set()
@@ -337,9 +325,9 @@ def _scan_edges(fh: IO[str], n: int,
         if rows is not None:
             rows[u].append(v)
             rows[v].append(u)
-        elif (u, v) in seen:
-            raise ValueError(f"line {lineno}: duplicate edge ({u},{v})")
-        else:
+        elif (u, v) in watch:
+            if (u, v) in seen:
+                raise ValueError(f"line {lineno}: duplicate edge ({u},{v})")
             seen.add((u, v))
         count += 1
     return count
@@ -458,10 +446,25 @@ def _read_graph(fh: IO[str]) -> Graph:
             count = _scan_edges(fh, n, rows)
         g = Graph.from_rows(rows)
     except ValueError as exc:
-        # packing only sees that some pair repeats; read the lines again
-        # checking repeats, so the error names the first faulty line
+        # exc names the first malformed line, but packing only sees that
+        # some pair repeats. Read the lines above any malformed one into
+        # rows again to learn which pairs repeat, then, if any do, once
+        # more watching only those, so the error names the first faulty
+        # line without a set of every edge.
+        exc.__traceback__ = None  # it holds the half-packed graph
+        rows = [[] for _ in range(n)]
         _rewind(fh)
-        _scan_edges(fh, n)
+        try:
+            _scan_edges(fh, n, rows)
+        except ValueError:
+            pass
+        watch = {(u, v) for u, row in enumerate(rows)
+                 if len(set(row)) < len(row)
+                 for v, times in Counter(row).items() if times > 1 and u < v}
+        del rows
+        if watch:
+            _rewind(fh)
+            _scan_edges(fh, n, watch=watch)
         raise exc
     if count != m:
         raise ValueError(f"header claims {m} edges but file has {count}")

@@ -490,38 +490,3 @@ def instance_to_json(inst: MHPCInstance) -> str:
          "C": dump(inst.C), "D": dump(inst.D)},
         sort_keys=True, separators=(",", ":"),
     )
-
-
-def _json_family(obj: dict, key: str) -> list[list[frozenset[int]]]:
-    fam = obj.get(key)
-    if not (isinstance(fam, list) and all(
-        isinstance(layer, list) and all(
-            isinstance(s, list) and all(type(e) is int for e in s)
-            for s in layer
-        )
-        for layer in fam
-    )):
-        raise ValueError(
-            f"instance field {key!r} must be a list of layers of integer lists"
-        )
-    return [[frozenset(s) for s in layer] for layer in fam]
-
-
-def instance_from_json(text: str) -> MHPCInstance:
-    """Parse an instance written by instance_to_json and validate it.
-
-    Fails closed: a malformed document raises ValueError naming the
-    field, and a well-formed one must still pass validate_instance.
-    """
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("instance must be a JSON object")
-    for key in ("m", "r"):
-        if type(obj.get(key)) is not int:
-            raise ValueError(
-                f"instance field {key!r} must be an integer, got {obj.get(key)!r}"
-            )
-    inst = MHPCInstance(obj["m"], obj["r"],
-                        *(_json_family(obj, key) for key in "ABCD"))
-    validate_instance(inst)
-    return inst

@@ -13,9 +13,10 @@ they do that:
 
 Both always agree with the sequential peeling decision, and both return a
 peel order on Accept and the surviving (k+1)-core on Reject. Among the
-vertices ready for deletion, both delete the least by ``(priority[v], v)``
-(by ``v`` when no priority is given); the ready set is a heap, so a pick
-costs O(log n).
+vertices ready for deletion, both delete the least id; the ready set is
+a heap of ids, so a pick costs O(log n). A vertex enters it at most once
+while it can still be picked (sqrt rebuilds it each block, fast only
+readies bucketed vertices), so the heap needs no lazy deletion.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 from .comm import (
     CommLedger,
@@ -55,32 +56,6 @@ def _bucket_index(gap: int, imax: int) -> int:
     return min(gap.bit_length(), imax)
 
 
-class _Ready:
-    """Vertices ready for deletion, popped least ``(priority[v], v)`` first.
-
-    Both protocols add a vertex at most once while it can still be popped
-    (sqrt rebuilds the set each block, fast only readies bucketed
-    vertices), so the heap needs no lazy deletion.
-    """
-
-    __slots__ = ("heap", "priority")
-
-    def __init__(self, vs: Iterable[int], priority: Sequence[int] | None):
-        self.priority = priority
-        self.heap = list(vs) if priority is None else [(priority[v], v) for v in vs]
-        heapq.heapify(self.heap)
-
-    def __bool__(self) -> bool:
-        return bool(self.heap)
-
-    def add(self, v: int) -> None:
-        heapq.heappush(self.heap, v if self.priority is None else (self.priority[v], v))
-
-    def pop(self) -> int:
-        top = heapq.heappop(self.heap)
-        return top if self.priority is None else top[1]
-
-
 def _swap(role, fld):
     """Exchange one field with the peer; Alice (role 0) talks first."""
     if role == 0:
@@ -96,18 +71,17 @@ def _swap(role, fld):
 
 
 def degen_decide_sqrt(part: EdgePartition, k: int,
-                      priority: Sequence[int] | None = None,
                       stats: dict | None = None) -> tuple[Decision, CommLedger]:
     """Decide degeneracy <= k with full degree refreshes every sqrt(n) steps."""
     if k < 0:
         raise ValueError("k must be >= 0")
     return run_two_party(
-        _sqrt_party(0, part.adj_a, part.n, k, priority, stats),
-        _sqrt_party(1, part.adj_b, part.n, k, priority, None),
+        _sqrt_party(0, part.adj_a, part.n, k, stats),
+        _sqrt_party(1, part.adj_b, part.n, k, None),
     )
 
 
-def _sqrt_party(role, adj, n, k, priority, stats):
+def _sqrt_party(role, adj, n, k, stats):
     live = set(range(n))
     my_deg = [len(adj[u]) for u in range(n)]
     order: list[int] = []
@@ -117,7 +91,7 @@ def _sqrt_party(role, adj, n, k, priority, stats):
         lv = sorted(live)
         theirs = yield from _swap(role, uints([my_deg[u] for u in lv], n))
         deg = {u: my_deg[u] + d for u, d in zip(lv, theirs)}
-        ready = _Ready((u for u in lv if deg[u] <= k), priority)
+        ready = [u for u in lv if deg[u] <= k]  # ascending, so a heap
         low = {u for u in lv if k + 1 <= deg[u] <= k + s}
         if stats is not None:
             stats.setdefault("blocks", []).append(
@@ -130,7 +104,7 @@ def _sqrt_party(role, adj, n, k, priority, stats):
             if not ready:
                 yield ("output", Reject(frozenset(live)))
                 return
-            v = ready.pop()
+            v = heapq.heappop(ready)
             live.discard(v)
             order.append(v)
             if stats is not None:
@@ -144,7 +118,7 @@ def _sqrt_party(role, adj, n, k, priority, stats):
                 deg[w] -= 1
                 if deg[w] <= k:
                     low.discard(w)
-                    ready.add(w)
+                    heapq.heappush(ready, w)
 
     yield ("output", Accept(order))
 
@@ -154,7 +128,6 @@ def _sqrt_party(role, adj, n, k, priority, stats):
 
 
 def degen_decide_fast(part: EdgePartition, k: int,
-                      priority: Sequence[int] | None = None,
                       stats: dict | None = None) -> tuple[Decision, CommLedger]:
     """Decide degeneracy <= k with per-vertex lazy degree updates.
 
@@ -164,12 +137,12 @@ def degen_decide_fast(part: EdgePartition, k: int,
     if k < 0:
         raise ValueError("k must be >= 0")
     return run_two_party(
-        _fast_party(0, part.adj_a, part.n, k, priority, stats),
-        _fast_party(1, part.adj_b, part.n, k, priority, None),
+        _fast_party(0, part.adj_a, part.n, k, stats),
+        _fast_party(1, part.adj_b, part.n, k, None),
     )
 
 
-def _fast_party(role, adj, n, k, priority, stats):
+def _fast_party(role, adj, n, k, stats):
     live = set(range(n))
     my_deg = [len(adj[u]) for u in range(n)]
     order: list[int] = []
@@ -180,7 +153,7 @@ def _fast_party(role, adj, n, k, priority, stats):
     theirs = yield from _swap(role, uints(my_deg, n))
     deg = [mine + d for mine, d in zip(my_deg, theirs)]
     last_mine = my_deg[:]
-    ready = _Ready((u for u in range(n) if deg[u] <= k), priority)
+    ready = [u for u in range(n) if deg[u] <= k]  # ascending, so a heap
     bucket = {u: _bucket_index(deg[u] - k, imax) for u in range(n) if deg[u] > k}
 
     while live:
@@ -189,7 +162,7 @@ def _fast_party(role, adj, n, k, priority, stats):
             if stats is not None:
                 _fill_update_stats(stats, updates, n)
             return
-        v = ready.pop()
+        v = heapq.heappop(ready)
         live.discard(v)
         order.append(v)
         # every bucketed vertex is live, so one pass over the sorted row
@@ -228,7 +201,7 @@ def _fast_party(role, adj, n, k, priority, stats):
             updates[u] += 1
             del bucket[u]
             if deg[u] <= k:
-                ready.add(u)
+                heapq.heappush(ready, u)
             else:
                 bucket[u] = _bucket_index(deg[u] - k, imax)
 
@@ -248,7 +221,6 @@ def _fill_update_stats(stats, updates, n):
 
 def degen_search(part: EdgePartition,
                  decide: Callable[..., tuple[Decision, CommLedger]] = degen_decide_fast,
-                 priority: Sequence[int] | None = None,
                  stats: dict | None = None,
                  ) -> tuple[int, list[int], frozenset[int], CommLedger]:
     """Binary-search the smallest accepted k; return kappa with witnesses.
@@ -270,7 +242,7 @@ def degen_search(part: EdgePartition,
 
     def probe(k):
         stats_at[k] = None if stats is None else {}
-        out, led = decide(part, k, priority=priority, stats=stats_at[k])
+        out, led = decide(part, k, stats=stats_at[k])
         total.merge(led)
         probes.append((k, "accept" if isinstance(out, Accept) else "reject"))
         return out

@@ -1,9 +1,9 @@
 """Streaming harness around a built gadget: split checks and pass simulation.
 
 Every function takes a GadgetGraph the caller built or loaded, so one
-gadget per instance is both audited and streamed. verify_split confirms
-that its degeneracy lands on the side of d-3 dictated by the instance's
-answer bit, and trace_invariants replays the min-degree peel to confirm
+gadget per instance is both audited and streamed. trace_invariants
+peels it once, confirms that its degeneracy lands on the side of d-3
+dictated by the instance's answer bit, and replays the peel to confirm
 the structured prefix: the pointer-path triples go first, each below
 the threshold, while the special and auxiliary degrees march down in
 lockstep.
@@ -84,7 +84,7 @@ class ReductionReport:
     kappa: int
     d: int
     split_ok: bool
-    trace: list[TraceRecord] | None = None
+    trace: list[TraceRecord]
 
 
 # ---------------------------------------------------------------------------
@@ -131,30 +131,20 @@ def partition_edges(gg: GadgetGraph) -> dict[str, list[tuple[int, int]]]:
 # split and invariant checks
 
 
-def _split_report(gg: GadgetGraph, bit: int, kappa: int) -> ReductionReport:
-    ok = kappa <= gg.d - 3 if bit == 1 else kappa >= gg.d - 2
-    return ReductionReport(bit_true=bit, kappa=kappa, d=gg.d, split_ok=ok)
-
-
-def verify_split(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
-    """Check which side of d-3 the degeneracy took; gg must fit inst."""
-    gg.check_fits(inst)
-    return _split_report(gg, chase(inst).bit, degeneracy(gg.graph))
-
-
 def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
-    """Peel gg and audit the structured prefix; gg must fit inst.
+    """Peel gg, check the split and audit the structured prefix.
 
-    A broken invariant is recorded, never raised. Record ell is ok when
-    the peel's iterations 3*ell+1 .. 3*ell+3 removed exactly the pointer
-    triple of layer ell at residual degree <= d-3, with every special
-    vertex at degree d+6r-3*ell and every auxiliary vertex at degree
-    >= d+6r+3-3*ell just beforehand.
+    gg must fit inst. The split is ok when the degeneracy is <= d-3 for
+    answer bit 1 and >= d-2 for bit 0. A broken invariant is recorded,
+    never raised. Record ell is ok when the peel's iterations
+    3*ell+1 .. 3*ell+3 removed exactly the pointer triple of layer ell
+    at residual degree <= d-3, with every special vertex at degree
+    d+6r-3*ell and every auxiliary vertex at degree >= d+6r+3-3*ell just
+    beforehand.
     """
     gg.check_fits(inst)
     walk = chase(inst)
     tr = peel(gg.graph)
-    report = _split_report(gg, walk.bit, tr.degeneracy)
     d, r = gg.d, gg.r
     resid = [gg.graph.degree(v) for v in range(gg.graph.n)]
     records = []
@@ -171,8 +161,9 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
         for v in got:
             for w in gg.graph.neighbors(v):
                 resid[w] -= 1
-    report.trace = records
-    return report
+    kappa = tr.degeneracy
+    split_ok = kappa <= d - 3 if walk.bit == 1 else kappa >= d - 2
+    return ReductionReport(walk.bit, kappa, d, split_ok, records)
 
 
 # ---------------------------------------------------------------------------

@@ -799,15 +799,14 @@ def test_two_party_runner_matches_reference(party):
     for part in _two_party_cases():
         n = part.n
         for k in sorted({0, 1, n // 2, max(n - 1, 0)}):
-            for priority in (None, list(range(n))[::-1]):
-                stats, ref_stats = {}, {}
-                make = lambda into: (
-                    party(0, part.adj_a, n, k, priority, into),
-                    party(1, part.adj_b, n, k, priority, None),
-                )
-                _same_run(run_two_party(*make(stats)),
-                          reference_run_two_party(*make(ref_stats)))
-                assert stats == ref_stats
+            stats, ref_stats = {}, {}
+            make = lambda into: (
+                party(0, part.adj_a, n, k, into),
+                party(1, part.adj_b, n, k, None),
+            )
+            _same_run(run_two_party(*make(stats)),
+                      reference_run_two_party(*make(ref_stats)))
+            assert stats == ref_stats
 
 
 def test_four_party_runner_matches_reference():

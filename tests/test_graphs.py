@@ -89,8 +89,10 @@ def test_peel_alternate_tie_breaks_same_degeneracy():
     rng = random.Random(7)
     for _ in range(10):
         g = G.gnm_random_graph(12, 20, rng)
-        kappas = {G.peel(g, tie_break=t).degeneracy for t in G.TIE_BREAKS}
-        assert len(kappas) == 1
+        ref = ReferenceGraph(g.n, g.edges())
+        kappas = {reference_peel(ref, pick).degeneracy
+                  for pick in REFERENCE_PICKS.values()}
+        assert kappas == {G.peel(g).degeneracy}
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +306,22 @@ class _ReferenceBucketQueue:
             self.floor = d - 1
 
 
-def reference_peel(g, tie_break="min"):
+# Tie-break policies for choosing among minimum-degree vertices. The
+# package always takes "min"; the others confirm that the degeneracy
+# does not depend on the choice.
+REFERENCE_PICKS = {
+    "min": min,
+    "max": max,
+    "mid": lambda s: sorted(s)[len(s) // 2],
+}
+
+
+def reference_peel(g, pick=min):
     """Repeatedly remove a minimum-residual-degree vertex.
 
-    Ties are broken by the smallest vertex id unless another policy is
-    given. The max residual degree seen along the way is the degeneracy.
+    pick chooses among the vertices of minimum residual degree. The max
+    residual degree seen along the way is the degeneracy.
     """
-    pick = G.TIE_BREAKS[tie_break] if isinstance(tie_break, str) else tie_break
     trace = G.PeelTrace()
     if g.n == 0:
         return trace
@@ -364,13 +375,18 @@ def reference_peel_decision(g, k):
 def assert_matches_reference(g):
     """peel, peel_decision and k_core agree with the adjacency-set oracle.
 
+    peel must equal the oracle's least-id peel; every oracle tie-break
+    policy must reach the same degeneracy.
+
     The oracle's Accept.ordering is its stack order, not the peel order
     the package returns, so here it is only required to be a k-ordering;
     everything else must be identical.
     """
     ref = ReferenceGraph(g.n, g.edges())
-    for name in G.TIE_BREAKS:
-        assert G.peel(g, name) == reference_peel(ref, name), name
+    trace = G.peel(g)
+    assert trace == reference_peel(ref)
+    for name, pick in REFERENCE_PICKS.items():
+        assert reference_peel(ref, pick).degeneracy == trace.degeneracy, name
     top = max((g.degree(v) for v in range(g.n)), default=0)
     for k in range(top + 2):
         got, want = G.peel_decision(g, k), reference_peel_decision(ref, k)
@@ -467,6 +483,10 @@ def test_save_and_load_graph_match_the_text_form(tmp_path):
     ("3 2\n0 1\n", "header claims 2 edges but file has 1"),
     ("4 4\n1 2\n0 1\n\n1 2\n0 1\n", "line 5: duplicate edge (1,2)"),
     ("3 3\n0 1\n00 1\n1 5\n", "line 3: duplicate edge (0,1)"),
+    ("4 5\n0 1\n1 2\n2 3\n1 2\n3\n", "line 5: duplicate edge (1,2)"),
+    ("4 4\n0 1\n1 2\n0 +1\n0 1\n", "line 4: endpoints must be integers"),
+    ("4 4\n2 3\n0 1\n2 3\n0 1\n", "line 4: duplicate edge (2,3)"),
+    ("3 3\n0 1\n0 1\n0 1\n", "line 3: duplicate edge (0,1)"),
     ("3 3\n0 1\n1 2\n1 2 0\n", "line 4: expected 'u v'"),
     ("20 1\n0 +1\n", "line 2: endpoints must be integers"),
     ("20 1\n0 1_0\n", "line 2: endpoints must be integers"),
@@ -534,6 +554,27 @@ def test_writer_matches_the_per_id_writer():
 # the run reader against the line reader
 
 
+def _reference_scan_edges(fh, n, rows=None):
+    """The line scan as it was: fill rows, or without them keep a set of
+    every edge and raise naming the first line that repeats one."""
+    seen = set()
+    count = 0
+    for lineno, raw in enumerate(fh, start=2):
+        parts = raw.split()
+        if not parts:
+            continue
+        u, v = G._parse_edge(parts, lineno, n)
+        if rows is not None:
+            rows[u].append(v)
+            rows[v].append(u)
+        elif (u, v) in seen:
+            raise ValueError(f"line {lineno}: duplicate edge ({u},{v})")
+        else:
+            seen.add((u, v))
+        count += 1
+    return count
+
+
 def _reference_read_graph(fh):
     """The graph reader as it was, line by line whatever the layout."""
     head = fh.readline().split()
@@ -544,12 +585,12 @@ def _reference_read_graph(fh):
     n, m = int(head[0]), int(head[1])
     rows = [[] for _ in range(n)]
     try:
-        count = G._scan_edges(fh, n, rows)
+        count = _reference_scan_edges(fh, n, rows)
         g = G.Graph.from_rows(rows)
     except ValueError as exc:
         fh.seek(0)
         fh.readline()
-        G._scan_edges(fh, n)
+        _reference_scan_edges(fh, n)
         raise exc
     if count != m:
         raise ValueError(f"header claims {m} edges but file has {count}")
@@ -569,9 +610,9 @@ def line_scans(monkeypatch):
     calls = []
     scan = G._scan_edges
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[1:])
-        return scan(*args)
+        return scan(*args, **kwargs)
 
     monkeypatch.setattr(G, "_scan_edges", counted)
     return calls

@@ -194,31 +194,6 @@ def test_safe_vertices_survive_their_block():
             assert not (block["safe"] & set(block["deleted"]))
 
 
-def test_relabeling_with_matching_priority_is_isomorphic():
-    rng = random.Random(2024)
-    for _ in range(15):
-        g = gnm_random_graph(12, 30, rng)
-        perm = list(range(12))
-        rng.shuffle(perm)
-        h_edges = [(perm[u], perm[v]) for u, v in g.edges()]
-        from degencomm.graphs import Graph
-
-        h = Graph(12, h_edges)
-        part_g = random_partition(g, random.Random(5))
-        part_h = alice_gets(h, [(perm[u], perm[v]) for u in range(12)
-                                for v in part_g.adj_a[u] if u < v])
-        prio = [0] * 12
-        for v in range(12):
-            prio[perm[v]] = v
-        out_g, led_g = degen_decide_fast(part_g, 3)
-        out_h, led_h = degen_decide_fast(part_h, 3, priority=prio)
-        assert led_g.bits_total == led_h.bits_total
-        if isinstance(out_g, Accept):
-            assert [perm[v] for v in out_g.ordering] == out_h.ordering
-        else:
-            assert frozenset(perm[v] for v in out_g.core) == out_h.core
-
-
 # ---------------------------------------------------------------------------
 # binary search
 
@@ -359,13 +334,7 @@ def test_kappa_at_bucket_boundaries(kappa, extra, seed, empty):
 # differential oracle: the set-min parties the heap-ordered ones replaced
 
 
-def reference_pick(ready, priority):
-    if priority is None:
-        return min(ready)
-    return min(ready, key=lambda v: (priority[v], v))
-
-
-def reference_sqrt_party(role, adj, n, k, priority, stats):
+def reference_sqrt_party(role, adj, n, k, stats):
     live = set(range(n))
     my_deg = [len(adj[u]) for u in range(n)]
     order = []
@@ -388,7 +357,7 @@ def reference_sqrt_party(role, adj, n, k, priority, stats):
             if not ready:
                 yield ("output", Reject(frozenset(live)))
                 return
-            v = reference_pick(ready, priority)
+            v = min(ready)
             ready.discard(v)
             live.discard(v)
             order.append(v)
@@ -410,7 +379,7 @@ def reference_sqrt_party(role, adj, n, k, priority, stats):
     yield ("output", Accept(order))
 
 
-def reference_fast_party(role, adj, n, k, priority, stats):
+def reference_fast_party(role, adj, n, k, stats):
     live = set(range(n))
     my_deg = [len(adj[u]) for u in range(n)]
     order = []
@@ -436,7 +405,7 @@ def reference_fast_party(role, adj, n, k, priority, stats):
             if stats is not None:
                 _fill_update_stats(stats, updates, n)
             return
-        v = reference_pick(ready, priority)
+        v = min(ready)
         ready.discard(v)
         live.discard(v)
         bucket.pop(v, None)
@@ -513,17 +482,15 @@ def test_deciders_match_the_set_min_reference(decide, reference):
     for part in _decider_cases():
         n = part.n
         top = max((part.base.degree(v) for v in range(n)), default=0) + 1
-        priorities = (None, list(range(n))[::-1], [v % 3 for v in range(n)])
         for k in range(top + 1):
-            for priority in priorities:
-                stats, ref_stats = {}, {}
-                out, ledger = decide(part, k, priority=priority, stats=stats)
-                ref_out, ref_ledger = run_two_party(
-                    reference(0, part.adj_a, n, k, priority, ref_stats),
-                    reference(1, part.adj_b, n, k, priority, None),
-                )
-                assert type(out) is type(ref_out)
-                assert out == ref_out, (n, k, priority)
-                assert ledger.to_json() == ref_ledger.to_json()
-                assert ledger.rounds == ref_ledger.rounds
-                assert stats == ref_stats
+            stats, ref_stats = {}, {}
+            out, ledger = decide(part, k, stats=stats)
+            ref_out, ref_ledger = run_two_party(
+                reference(0, part.adj_a, n, k, ref_stats),
+                reference(1, part.adj_b, n, k, None),
+            )
+            assert type(out) is type(ref_out)
+            assert out == ref_out, (n, k)
+            assert ledger.to_json() == ref_ledger.to_json()
+            assert ledger.rounds == ref_ledger.rounds
+            assert stats == ref_stats

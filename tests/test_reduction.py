@@ -6,7 +6,7 @@ import pytest
 
 from degencomm import hpc
 from degencomm.comm import CommLedger, ProtocolError, uint_width
-from degencomm.gadget import aux_padding, build_gadget
+from degencomm.gadget import aux_padding, build_gadget, pointer_path_triples
 from degencomm.graphs import Graph, degeneracy, peel
 from degencomm.hpc import MHPCInstance, chase, pad_instance, sample_bmhpc, worked_example
 from degencomm.reduction import (
@@ -18,7 +18,6 @@ from degencomm.reduction import (
     partition_edges,
     simulate_streaming_reduction,
     trace_invariants,
-    verify_split,
 )
 
 
@@ -125,7 +124,7 @@ def test_split_holds_on_samples():
     for m, r in ((4, 1), (4, 2), (8, 1)):
         for _ in range(3):
             inst = sample_bmhpc(m, r, rng)
-            rep = verify_split(build_gadget(inst), inst)
+            rep = trace_invariants(build_gadget(inst), inst)
             assert rep.split_ok
             assert rep.bit_true == chase(inst).bit
             if rep.bit_true == 1:
@@ -140,14 +139,14 @@ def test_split_survives_an_off_path_pair_swap():
     rng = random.Random(8)
     for _ in range(3):
         inst = sample_bmhpc(4, 1, rng)
-        before = verify_split(build_gadget(inst), inst)
+        before = trace_invariants(build_gadget(inst), inst)
         a0, b0 = list(inst.A[0]), list(inst.B[0])
         a0[1], a0[2] = a0[2], a0[1]
         b0[1], b0[2] = b0[2], b0[1]
         mutated = MHPCInstance(inst.m, inst.r, [a0], [b0],
                                [list(inst.C[0])], [list(inst.D[0])])
         assert chase(mutated).z == chase(inst).z
-        after = verify_split(build_gadget(mutated), mutated)
+        after = trace_invariants(build_gadget(mutated), mutated)
         assert after.split_ok
         assert after.kappa == before.kappa
 
@@ -156,8 +155,6 @@ def test_split_and_trace_reject_a_mismatched_gadget():
     rng = random.Random(20)
     gg = build_gadget(sample_bmhpc(4, 2, rng))
     other = sample_bmhpc(4, 1, rng)
-    with pytest.raises(ValueError, match="4x1, gadget is 4x2"):
-        verify_split(gg, other)
     with pytest.raises(ValueError, match="4x1, gadget is 4x2"):
         trace_invariants(gg, other)
 
@@ -220,15 +217,24 @@ def test_answer_one_peels_the_specials_next():
 
 
 def test_structured_prefix_survives_any_tie_break():
+    # before each of the first 3(2r+1) removals, every live vertex of
+    # minimum residual degree lies in the current pointer triple, so
+    # whichever of them a peel picks, the triples go first in walk order
     inst = sample_bmhpc(4, 2, random.Random(11))
     gg = build_gadget(inst)
-    from degencomm.gadget import pointer_path_triples
-
+    g = gg.graph
     zs = pointer_path_triples(gg, inst)
-    for policy in ("min", "max", "mid"):
-        tr = peel(gg.graph, tie_break=policy)
-        for ell, z in enumerate(zs):
-            assert set(tr.order[3 * ell:3 * ell + 3]) == set(z)
+    tr = peel(g)
+    resid = [g.degree(v) for v in range(g.n)]
+    live = set(range(g.n))
+    for i, v in enumerate(tr.order[:3 * len(zs)]):
+        low = min(resid[u] for u in live)
+        ties = {u for u in live if resid[u] == low}
+        assert v in ties
+        assert ties <= set(zs[i // 3]), i
+        live.discard(v)
+        for w in g.neighbors(v):
+            resid[w] -= 1
 
 
 # ---------------------------------------------------------------------------
