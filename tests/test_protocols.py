@@ -194,6 +194,30 @@ def test_safe_vertices_survive_their_block():
             assert not (block["safe"] & set(block["deleted"]))
 
 
+@pytest.mark.parametrize("decide", PROTOCOLS)
+def test_relabeling_keeps_the_decision_and_the_core(decide):
+    # least id first makes the peel order depend on the labels, but the
+    # decision and the (k+1)-core a Reject names are isomorphism invariants
+    rng = random.Random(2024)
+    for _ in range(15):
+        g = gnm_random_graph(12, 30, rng)
+        perm = list(range(12))
+        rng.shuffle(perm)
+        h = Graph(12, [(perm[u], perm[v]) for u, v in g.edges()])
+        part_g = random_partition(g, random.Random(5))
+        part_h = alice_gets(h, [(perm[u], perm[v]) for u in range(12)
+                                for v in part_g.adj_a[u] if u < v])
+        for k in range(2, 5):
+            out_g, _ = decide(part_g, k)
+            out_h, _ = decide(part_h, k)
+            assert type(out_g) is type(out_h), k
+            if isinstance(out_g, Accept):
+                assert is_k_ordering(g, out_g.ordering, k)
+                assert is_k_ordering(h, out_h.ordering, k)
+            else:
+                assert frozenset(perm[v] for v in out_g.core) == out_h.core
+
+
 # ---------------------------------------------------------------------------
 # binary search
 
