@@ -14,8 +14,9 @@ report gives each side's median and quartiles, the parent's
 interquartile range over its median, and how many pairs the change won
 (ties count for neither side). It then applies two rules:
 
-* gain: the change wins at least nine tenths of the pairs and its median
-  beats the parent's by more than the parent's interquartile range;
+* gain: at least ten pairs ran, the change wins at least nine tenths of
+  them and its median beats the parent's by more than the parent's
+  interquartile range; a "no" names the first of these that failed;
 * bound: the change's median is no worse than the parent's by more than
   the metric's bound. When the parent's own spread is wider than the
   bound this is reported as unresolved, unless every run of the change
@@ -37,6 +38,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+MIN_PAIRS = 10  # fewer pairs give no gain verdict
 
 
 def last_json(stdout: str) -> dict | None:
@@ -73,6 +76,14 @@ def verdict(parent: list[float], change: list[float], better: str,
     iqr = p3 - p1
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    if len(parent) < MIN_PAIRS:
+        why_not = f"{len(parent)} pairs, fewer than the {MIN_PAIRS} a gain needs"
+    elif 10 * wins < 9 * len(parent):
+        why_not = f"won {wins} of {len(parent)} pairs, fewer than nine tenths"
+    elif sign * (cm - pm) <= iqr:
+        why_not = "median gap within the parent's interquartile range"
+    else:
+        why_not = None
     spread = iqr / abs(pm) if pm else 0.0
     worse_by = sign * (pm - cm) / abs(pm) if pm else 0.0
     if spread <= bound:
@@ -85,7 +96,7 @@ def verdict(parent: list[float], change: list[float], better: str,
         "parent": (p1, pm, p3), "change": (c1, cm, c3),
         "parent_iqr_frac": spread,
         "wins": wins, "losses": losses, "pairs": len(parent),
-        "gain": 10 * wins >= 9 * len(parent) and sign * (cm - pm) > iqr,
+        "gain": why_not is None, "why_not": why_not,
         "worse_by": worse_by, "within_bound": within,
     }
 
@@ -149,7 +160,8 @@ def main(argv=None) -> int:
             print(f"  {side:6s} median {med:.4g}  quartiles {q1:.4g} .. {q3:.4g}")
         print(f"  parent IQR / median {v['parent_iqr_frac']:.3f}; change won "
               f"{v['wins']} of {v['pairs']} pairs, lost {v['losses']}")
-        print(f"  gain: {'yes' if v['gain'] else 'no'}; change worse by "
+        gain = "yes" if v["gain"] else f"no ({v['why_not']})"
+        print(f"  gain: {gain}; change worse by "
               f"{v['worse_by']:+.1%} of the parent median, within bound: "
               f"{v['within_bound']}")
     if bad:

@@ -447,20 +447,16 @@ def _read_graph(fh: IO[str]) -> Graph:
         g = Graph.from_rows(rows)
     except ValueError as exc:
         # exc names the first malformed line, but packing only sees that
-        # some pair repeats. Read the lines above any malformed one into
-        # rows again to learn which pairs repeat, then, if any do, once
-        # more watching only those, so the error names the first faulty
+        # some pair repeats. The rows still in hand tell which pairs
+        # repeat: after a malformed line every row read so far is intact,
+        # and when packing stops at row v, every repeated pair (a, b) with
+        # a < b has b > v, so intact row b holds a twice. If any pair
+        # repeats, one scan watching only those names the first faulty
         # line without a set of every edge.
         exc.__traceback__ = None  # it holds the half-packed graph
-        rows = [[] for _ in range(n)]
-        _rewind(fh)
-        try:
-            _scan_edges(fh, n, rows)
-        except ValueError:
-            pass
-        watch = {(u, v) for u, row in enumerate(rows)
-                 if len(set(row)) < len(row)
-                 for v, times in Counter(row).items() if times > 1 and u < v}
+        watch = {(a, b) for b, row in enumerate(rows)
+                 if row is not None and len(set(row)) < len(row)
+                 for a, times in Counter(row).items() if times > 1 and a < b}
         del rows
         if watch:
             _rewind(fh)

@@ -9,7 +9,10 @@ they do that:
   deletions and tracks a single "low" band exactly in between.
 * ``degen_decide_fast`` buckets vertices by their gap above k and only
   re-communicates a degree when one side's private count has dropped far
-  enough to matter for that bucket.
+  enough to matter for that bucket. No message reads the private count
+  of a vertex outside the buckets, so only bucketed counts are kept, and
+  the live vertices are the ready ones plus the bucketed ones. A removal
+  in which neither side detected anything sends fields built once per run.
 
 Both always agree with the sequential peeling decision, and both return a
 peel order on Accept and the surviving (k+1)-core on Reject. Among the
@@ -143,12 +146,19 @@ def degen_decide_fast(part: EdgePartition, k: int,
 
 
 def _fast_party(role, adj, n, k, stats):
-    live = set(range(n))
+    # Only a bucketed vertex's count is ever read (to detect it, in the
+    # halves sent, and as last_mine), so only those are kept, and every
+    # bucketed vertex is live: the live set is ready + bucket.
     my_deg = [len(adj[u]) for u in range(n)]
     order: list[int] = []
     imax = _bucket_count(n)
     threshold = [0] + [max(1, 2 ** (i - 2)) for i in range(1, imax + 1)]
     updates: Counter[int] = Counter()
+    # the fields of a removal in which neither side detected anything,
+    # built once by the encoders that build the others
+    no_pairs = lp_pairs((), n, n)
+    no_halves = uints((), n)
+    no_reply = vec(no_halves, no_pairs)
 
     theirs = yield from _swap(role, uints(my_deg, n))
     deg = [mine + d for mine, d in zip(my_deg, theirs)]
@@ -156,35 +166,42 @@ def _fast_party(role, adj, n, k, stats):
     ready = [u for u in range(n) if deg[u] <= k]  # ascending, so a heap
     bucket = {u: _bucket_index(deg[u] - k, imax) for u in range(n) if deg[u] > k}
 
-    while live:
+    while ready or bucket:
         if not ready:
-            yield ("output", Reject(frozenset(live)))
+            yield ("output", Reject(frozenset(bucket)))
             if stats is not None:
                 _fill_update_stats(stats, updates, n)
             return
         v = heapq.heappop(ready)
-        live.discard(v)
         order.append(v)
-        # every bucketed vertex is live, so one pass over the sorted row
-        # both decrements and detects, in id order
+        # one pass over the sorted row decrements and detects, in id order
         detected = []
         for u in adj[v]:
-            if u in live:
+            i = bucket.get(u)
+            if i is not None:
                 my_deg[u] -= 1
-                i = bucket.get(u)
-                if i is not None and last_mine[u] - my_deg[u] >= threshold[i]:
+                if last_mine[u] - my_deg[u] >= threshold[i]:
                     detected.append(u)
+        # Alice sends her detections, Bob answers with his halves of them
+        # and his own detections, and Alice answers with her halves of those
         if role == 0:
-            pairs = lp_pairs([(u, my_deg[u]) for u in detected], n, n)
-            reply = yield from _swap(role, pairs)
-            their_halves, their_extra = reply
+            yield ("send", lp_pairs([(u, my_deg[u]) for u in detected], n, n)
+                   if detected else no_pairs)
+            their_halves, their_extra = yield ("recv",)
+            yield ("send", uints([my_deg[u] for u, _ in their_extra], n)
+                   if their_extra else no_halves)
+            if not (detected or their_extra):
+                continue
             known = {u: (my_deg[u], half)
                      for u, half in zip(detected, their_halves)}
             for u, half in their_extra:
                 known[u] = (my_deg[u], half)
-            yield ("send", uints([my_deg[u] for u, _ in their_extra], n))
         else:
             their_pairs = yield ("recv",)
+            if not (detected or their_pairs):
+                yield ("send", no_reply)
+                yield ("recv",)
+                continue
             known = {u: (half, my_deg[u]) for u, half in their_pairs}
             extra = [u for u in detected if u not in known]
             yield ("send", vec(

@@ -33,6 +33,7 @@ def test_eight_wins_of_ten_is_no_gain():
     v = ab_pairs.verdict(parent, change, "higher", 0.25)
     assert (v["wins"], v["losses"]) == (8, 2)
     assert v["gain"] is False
+    assert v["why_not"] == "won 8 of 10 pairs, fewer than nine tenths"
 
 
 def test_a_median_gap_inside_the_parent_iqr_is_no_gain():
@@ -41,6 +42,7 @@ def test_a_median_gap_inside_the_parent_iqr_is_no_gain():
     v = ab_pairs.verdict(parent, change, "higher", 0.5)
     assert v["wins"] == 10
     assert v["gain"] is False
+    assert v["why_not"] == "median gap within the parent's interquartile range"
 
 
 def test_lower_is_better_and_the_regression_bound():
@@ -58,3 +60,13 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved():
         .startswith("unresolved")
     assert ab_pairs.verdict(parent, [3.0] * 4, "higher", 0.1)["within_bound"] \
         == "yes, every change run better"
+
+
+def test_fewer_than_ten_pairs_is_no_gain():
+    parent = [3.5, 3.6, 3.4]
+    v = ab_pairs.verdict(parent, [p * 1.2 for p in parent], "higher", 0.25)
+    assert (v["wins"], v["pairs"]) == (3, 3)
+    assert v["gain"] is False
+    assert v["why_not"] == "3 pairs, fewer than the 10 a gain needs"
+    v = ab_pairs.verdict(parent * 4, [p * 1.2 for p in parent * 4], "higher", 0.25)
+    assert v["gain"] is True and v["why_not"] is None

@@ -497,7 +497,8 @@ def test_save_and_load_graph_match_the_text_form(tmp_path):
     ("3 1\n0\u00a01\n", "line 2: expected 'u v'"),
     ("3 1\n0\u20031\n", "line 2: expected 'u v'"),
 ])
-def test_load_graph_file_fails_like_the_text_parser(tmp_path, text, message):
+def test_load_graph_file_fails_like_the_text_parser(tmp_path, text, message,
+                                                   line_scans):
     path = tmp_path / "bad.txt"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError) as from_file:
@@ -505,6 +506,9 @@ def test_load_graph_file_fails_like_the_text_parser(tmp_path, text, message):
     with pytest.raises(ValueError) as from_text:
         G.loads_graph(text)
     assert str(from_file.value) == str(from_text.value) == message
+    # the body is scanned once, and once more only to name a repeated pair
+    scans = 0 if message.startswith("line 1:") else 1 + ("duplicate" in message)
+    assert len(line_scans) == 2 * scans
 
 
 @pytest.mark.parametrize("text", ["3 1\n0 \u0662\n", "3 1\n0 \u00b2\n",

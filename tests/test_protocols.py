@@ -498,23 +498,59 @@ def _decider_cases():
         yield random_partition(gnm_random_graph(n, 4 * n, rng), rng)
 
 
+def _decider_runs():
+    """(partition, k): every k up to the top degree + 1 on the cases
+    above, and kappa - 1, kappa, 15 and 511 on two G(1024, 4n) splits."""
+    for part in _decider_cases():
+        top = max((part.base.degree(v) for v in range(part.n)), default=0) + 1
+        for k in range(top + 1):
+            yield part, k
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        g = gnm_random_graph(1024, 4 * 1024, rng)
+        part = random_partition(g, rng)
+        kappa = degeneracy(g)
+        for k in sorted({kappa - 1, kappa, 15, 511}):
+            yield part, k
+
+
+def _run_both(decide, reference, part, k):
+    """Run the decider and its reference; check that they agree exactly."""
+    n = part.n
+    stats, ref_stats = {}, {}
+    out, ledger = decide(part, k, stats=stats)
+    ref_out, ref_ledger = run_two_party(
+        reference(0, part.adj_a, n, k, ref_stats),
+        reference(1, part.adj_b, n, k, None),
+    )
+    assert type(out) is type(ref_out)
+    assert out == ref_out, (n, k)
+    assert ledger.to_json() == ref_ledger.to_json()
+    assert ledger.rounds == ref_ledger.rounds
+    assert stats == ref_stats
+    return out, ledger, stats
+
+
 @pytest.mark.parametrize("decide, reference", [
     (degen_decide_sqrt, reference_sqrt_party),
     (degen_decide_fast, reference_fast_party),
 ])
 def test_deciders_match_the_set_min_reference(decide, reference):
-    for part in _decider_cases():
-        n = part.n
-        top = max((part.base.degree(v) for v in range(n)), default=0) + 1
-        for k in range(top + 1):
-            stats, ref_stats = {}, {}
-            out, ledger = decide(part, k, stats=stats)
-            ref_out, ref_ledger = run_two_party(
-                reference(0, part.adj_a, n, k, ref_stats),
-                reference(1, part.adj_b, n, k, None),
-            )
-            assert type(out) is type(ref_out)
-            assert out == ref_out, (n, k)
-            assert ledger.to_json() == ref_ledger.to_json()
-            assert ledger.rounds == ref_ledger.rounds
-            assert stats == ref_stats
+    for part, k in _decider_runs():
+        _run_both(decide, reference, part, k)
+
+
+def test_fast_decider_matches_the_reference_once_nothing_is_bucketed():
+    # the hub is the only vertex above k; its count is re-sent a few
+    # times, then it is ready and removed with leaves left, so every
+    # later removal, the hub's own included, exchanges empty fields
+    part = random_partition(star_graph(20), random.Random(5))
+    n, k = part.n, 5
+    out, ledger, stats = _run_both(degen_decide_fast, reference_fast_party,
+                                   part, k)
+    assert set(stats["updates_per_vertex"]) == {0}
+    hub_at = out.ordering.index(0)
+    assert 0 < hub_at < n - 1
+    w = uint_width(n + 1)
+    nothing = [("A", "B", w), ("B", "A", w), ("A", "B", 0)]
+    assert ledger.per_message[-3 * (n - hub_at):] == nothing * (n - hub_at)
