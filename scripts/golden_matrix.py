@@ -74,6 +74,10 @@ RUNS: list[tuple[str, list[str]]] = [
        ["hpc", "--m", "16", "--r", "3", "--trials", "20", "--seed", "4",
         "--misaligned", "--N", str(N)])
       for N in (0, 8, 16)],
+    # the pointer-walk benchmark's shape: a full table at 6-bit width
+    ("hpc-misaligned-m64-N64", ["hpc", "--m", "64", "--r", "4",
+                                "--trials", "20", "--seed", "4",
+                                "--misaligned", "--N", "64"]),
     ("info", ["info", "--fuzz-lambda", "200", "--seed", "3"]),
     ("sisolver", ["sisolver", "--m", "32", "--p", "0.9", "--gamma", "0.9",
                   "--trials", "4", "--seed", "2"]),

@@ -47,7 +47,6 @@ import math
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .comm import ProtocolError, RoundSchedule, random_partition
 from .gadget import build_gadget, load_gadget, save_gadget
@@ -103,6 +102,9 @@ def _run_trials(fn, tasks):
     workers = _worker_count()
     if workers == 1 or len(tasks) < 2:
         return [fn(t) for t in tasks]
+    # imported here: a serial run never pays for the import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 

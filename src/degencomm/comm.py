@@ -19,7 +19,8 @@ integers in [0, M) cost max(1, ceil(log2 M)) bits, lists carry a
 length prefix, sets over a known universe go as characteristic vectors.
 All payloads stay structured python values; only the declared widths are
 charged to the ledger. Lists of integers and of integer pairs are
-encoded in bulk (``uints``, ``lp_uints``, ``lp_pairs``): one tuple and one
+encoded in bulk (``uints`` and ``uint_pairs`` at a fixed length,
+``lp_uints`` and ``lp_pairs`` with a length prefix): one tuple and one
 min/max range test per message, not one ``Field`` per entry.
 
 An ``EdgePartition`` is the base graph plus one side code per base edge
@@ -77,6 +78,17 @@ def uints(values: Iterable[int], bound: int) -> Field:
     return Field(vs, _entry_bits(vs, bound))
 
 
+def uint_pairs(pairs: Iterable[tuple[int, int]], bound: int) -> Field:
+    """Fixed-length vector of ``(a, b)`` tuples with a and b in [0, bound).
+
+    The same value and bits as ``vec`` over one ``vec(uint(a, bound),
+    uint(b, bound))`` per pair, and the same ``ValueError`` for the first
+    entry out of range, checked in the order a, b of each pair in turn.
+    """
+    ps = tuple(pairs)
+    return Field(ps, _entry_bits([x for p in ps for x in p], bound))
+
+
 def flag(b: bool) -> Field:
     return Field(bool(b), 1)
 
@@ -103,19 +115,17 @@ def lp_uints(values: Iterable[int], bound: int, max_len: int) -> Field:
     uint's ``ValueError`` for the first entry out of range, and only then
     one for a list longer than ``max_len``.
     """
-    vs = tuple(values)
-    return Field(vs, _lp_bits(vs, vs, bound, max_len))
+    return _length_prefixed(uints(values, bound), max_len)
 
 
 def lp_pairs(pairs: Iterable[tuple[int, int]], bound: int,
              max_len: int) -> Field:
     """Length-prefixed list of ``(a, b)`` tuples with a and b in [0, bound).
 
-    The encoding of ``lp_uints`` with two entries per item, checked in the
-    order a, b of each item in turn.
+    The count of ``lp_uints``, then the pairs as ``uint_pairs`` encodes
+    them, with the same order of errors.
     """
-    ps = tuple(pairs)
-    return Field(ps, _lp_bits(ps, [x for p in ps for x in p], bound, max_len))
+    return _length_prefixed(uint_pairs(pairs, bound), max_len)
 
 
 def _entry_bits(entries, bound: int) -> int:
@@ -129,11 +139,11 @@ def _entry_bits(entries, bound: int) -> int:
     return len(entries) * uint_width(bound)
 
 
-def _lp_bits(items: tuple, entries, bound: int, max_len: int) -> int:
-    bits = _entry_bits(entries, bound)
-    if len(items) > max_len:
-        raise ValueError(f"list of {len(items)} exceeds max {max_len}")
-    return uint_width(max_len + 1) + bits
+def _length_prefixed(items: Field, max_len: int) -> Field:
+    """items with a count in [0, max_len] in front."""
+    if len(items.value) > max_len:
+        raise ValueError(f"list of {len(items.value)} exceeds max {max_len}")
+    return Field(items.value, uint_width(max_len + 1) + items.bits)
 
 
 def nothing() -> Field:

@@ -27,6 +27,7 @@ from .comm import (
     nothing,
     run_four_party,
     uint,
+    uint_pairs,
     vec,
 )
 
@@ -318,7 +319,8 @@ def _misaligned_party(name, inst, sel):
     fam = {"A": inst.A, "B": inst.B, "C": inst.C, "D": inst.D}[name]
     m, r = inst.m, inst.r
 
-    # round 1: pre-solve the selected y-coordinates, announce the table
+    # round 1: pre-solve the selected y-coordinates, announce the table as
+    # one field of (y, t) pairs
     if name == "C":
         for y in sel:
             yield ("send", "D", charvec(fam[0][y], m))
@@ -330,7 +332,7 @@ def _misaligned_party(name, inst, sel):
             t = _meet(fam[0][y], theirs, "layer 0 pair")
             pairs.append((y, t))
         got = tuple(pairs)
-        yield ("broadcast", vec(*(vec(uint(y, m), uint(t, m)) for y, t in pairs)))
+        yield ("broadcast", uint_pairs(got, m))
     else:
         got = yield ("recv",)
     table = dict(got)

@@ -20,6 +20,7 @@ from degencomm.comm import (
     run_four_party,
     run_two_party,
     uint,
+    uint_pairs,
     uint_width,
     uints,
     vec,
@@ -173,6 +174,21 @@ def test_lp_pairs_match_the_reference_lp_list(case):
     assert _outcome(lambda: lp_pairs(iter(ps), bound, max_len)) == _outcome(
         lambda: lp_list([vec(uint(a, bound), uint(b, bound)) for a, b in ps],
                         max_len))
+
+
+@given(_lp_cases(2))
+@example(([], 1, 0))
+@example(([], 0, 0))
+@example(([(0, 0), (0, 0)], 1, 2))
+@example(([(0, 1)], 1, 1))
+@example(([(0, 1), (-1, 0)], 5, 3))
+@example(([(0, 5), (9, 0)], 5, 3))
+@example(([(2**40 - 1, 0)], 2**40, 1))
+def test_uint_pairs_match_a_vec_of_pair_vecs(case):
+    # max_len plays no part: the table has a fixed length
+    ps, bound, _ = case
+    assert _outcome(lambda: uint_pairs(iter(ps), bound)) == _outcome(
+        lambda: vec(*(vec(uint(a, bound), uint(b, bound)) for a, b in ps)))
 
 
 def test_fields_are_immutable():

@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from degencomm.comm import RoundSchedule, uint_width
+from degencomm.comm import (
+    RoundSchedule,
+    charvec,
+    nothing,
+    run_four_party,
+    uint,
+    uint_width,
+    vec,
+)
 from degencomm.hpc import (
     ABSTAIN,
     MHPCInstance,
@@ -23,6 +31,7 @@ from degencomm.hpc import (
     setint_draw,
     validate_instance,
     validate_setint,
+    _meet,
     worked_example,
 )
 
@@ -275,6 +284,100 @@ def test_misaligned_odd_budget_cannot_finish():
     inst = sample_bhpc(8, 3, rng)
     out, _ = misaligned_bhpc_protocol(inst, 8, rng)
     assert out is ABSTAIN
+
+
+def reference_misaligned_party(name, inst, sel):
+    """The misaligned party as it was when D broadcast the table as one
+    nested ``vec`` per (y, t) pair, kept verbatim as an oracle for the
+    bulk table encoding."""
+    fam = {"A": inst.A, "B": inst.B, "C": inst.C, "D": inst.D}[name]
+    m, r = inst.m, inst.r
+
+    # round 1: pre-solve the selected y-coordinates, announce the table
+    if name == "C":
+        for y in sel:
+            yield ("send", "D", charvec(fam[0][y], m))
+        got = yield ("recv",)
+    elif name == "D":
+        pairs = []
+        for y in sel:
+            theirs = yield ("recv",)
+            t = _meet(fam[0][y], theirs, "layer 0 pair")
+            pairs.append((y, t))
+        got = tuple(pairs)
+        yield ("broadcast", vec(*(vec(uint(y, m), uint(t, m)) for y, t in pairs)))
+    else:
+        got = yield ("recv",)
+    table = dict(got)
+
+    frontier, idx = 0, 0
+
+    def skip():
+        nonlocal frontier, idx
+        while frontier < r and frontier % 2 == 1 and idx in table:
+            idx = table[idx]
+            frontier += 1
+
+    skip()
+    for round_no in range(2, r + 1):
+        ab_round = round_no % 2 == 0
+        my_round = (name in "AB") == ab_round
+        pending_is_x = frontier % 2 == 0  # x-side pointer, pair AB's step
+        active = frontier < r and pending_is_x == ab_round
+        if my_round and name in "AC":
+            if active:
+                yield ("send", partner := ("B" if name == "A" else "D"),
+                       charvec(fam[frontier][idx], m))
+                t = yield ("recv",)
+                yield ("broadcast", uint(t, m))
+                idx, frontier = t, frontier + 1
+            else:
+                yield ("broadcast", nothing())
+        elif my_round:
+            if active:
+                theirs = yield ("recv",)
+                t = _meet(fam[frontier][idx], theirs, f"layer {frontier} pair")
+                yield ("send", "A" if name == "B" else "C", uint(t, m))
+                yield ("recv",)
+                idx, frontier = t, frontier + 1
+            else:
+                yield ("recv",)
+        else:
+            got = yield ("recv",)
+            if active:
+                idx, frontier = got, frontier + 1
+        skip()
+
+    yield ("output", (idx + 1) % 2 if frontier == r else ABSTAIN)
+
+
+def reference_misaligned_protocol(inst, N, rng):
+    """misaligned_bhpc_protocol's selection draw and schedule around the
+    reference parties."""
+    sel = sorted(rng.sample(range(inst.m), N))
+    parties = {p: reference_misaligned_party(p, inst, sel) for p in "ABCD"}
+    return run_four_party(RoundSchedule(inst.r, "CD"), parties)
+
+
+def test_misaligned_table_field_matches_the_nested_vec_reference():
+    # the CLI's hpc rows keep only the largest bit total, so compare every
+    # message of every run here
+    rng = random.Random(18)
+    outcomes = set()
+    for m in (4, 16, 64):
+        for r in (1, 2, 4, 5):
+            inst = sample_bhpc(m, r, rng)
+            for N in sorted({0, 1, m // 2, m}):
+                seed = rng.getrandbits(32)
+                out, ledger = misaligned_bhpc_protocol(inst, N, random.Random(seed))
+                ref_out, ref_ledger = reference_misaligned_protocol(
+                    inst, N, random.Random(seed))
+                assert out == ref_out
+                assert ledger.to_json() == ref_ledger.to_json()
+                assert (ledger.intra_bits, ledger.cross_bits) == (
+                    ref_ledger.intra_bits, ref_ledger.cross_bits)
+                outcomes.add("abstain" if out is ABSTAIN else "finished")
+    assert outcomes == {"abstain", "finished"}
 
 
 # ---------------------------------------------------------------------------
