@@ -13,6 +13,11 @@ Parties are written as generators that yield action tuples:
     ("broadcast", field)       four-party: cross-pair message, ends a round
     ("recv",)                  wait for the next message (resumed with it)
     ("output", value)          final answer; generator should then return
+    ("repeat", count, step)    two-party: count copies of step, a tuple of
+                               (sender, field) messages whose content both
+                               parties already know; both yield the same
+                               repeat, and the runner charges every copy
+                               in one step
 
 Bit lengths are fixed by the encoding rules below, not by guesswork:
 integers in [0, M) cost max(1, ceil(log2 M)) bits, lists carry a
@@ -175,6 +180,15 @@ class CommLedger:
         if self.per_phase:
             self.per_phase[-1] += bits
 
+    def repeat(self, messages: list[tuple[str, str, int]], count: int) -> None:
+        """``count`` copies of intra-pair ``messages``, recorded in one go."""
+        self.per_message.extend(messages * count)
+        bits = count * sum(b for _, _, b in messages)
+        self.bits_total += bits
+        self.intra_bits += bits
+        if self.per_phase:
+            self.per_phase[-1] += bits
+
     def new_phase(self) -> None:
         self.phases += 1
         self.per_phase.append(0)
@@ -248,6 +262,8 @@ def random_partition(g: Graph, rng) -> EdgePartition:
 
 Party = Generator  # yields the action tuples documented at module top
 Route = Callable[[str, tuple, CommLedger], Iterable[str]]
+_PARTNER = {"A": "B", "B": "A", "C": "D", "D": "C"}
+_OTHERS = {p: tuple("ABCD".replace(p, "")) for p in "ABCD"}
 
 
 def _drive(parties: dict[str, Party], route: Route) -> tuple[object, CommLedger]:
@@ -310,19 +326,64 @@ def run_two_party(alice: Party, bob: Party) -> tuple[object, CommLedger]:
     """Drive Alice ("A") and Bob ("B") to joint output.
 
     A send goes to the peer; a round is a maximal block of messages from
-    one sender.
+    one sender. A repeat stands for messages both parties already know:
+    the first one yielded waits until the other party yields the same
+    one, which charges its copies as if each had been sent. A repeat that
+    differs from the waiting one or is never matched, or any other action
+    while one waits, raises ProtocolError.
     """
+    waiting: list[tuple[str, tuple]] = []  # (party, its unmatched repeat)
 
-    def route(p: str, act: tuple, ledger: CommLedger) -> tuple[str]:
-        if act[0] != "send":
-            raise ProtocolError(f"unknown action {act[0]!r}")
-        peer = "B" if p == "A" else "A"
+    def route(p: str, act: tuple, ledger: CommLedger) -> tuple[str, ...]:
+        kind = act[0]
+        if waiting:
+            q, first = waiting.pop()
+            if kind != "repeat" or q == p:
+                raise ProtocolError(
+                    f"{p} yielded {kind!r} while {q}'s repeat waits for its match")
+            if act[1] != first[1]:
+                raise ProtocolError(
+                    f"repeat mismatch: {q} repeats {first[1]} times, {p} {act[1]}")
+            if act[2] != first[2]:
+                raise ProtocolError(f"repeat mismatch: {q} and {p} repeat different steps")
+            _charge_repeat(ledger, act[1], act[2])
+            return ()
+        if kind == "repeat":
+            waiting.append((p, act))
+            return ()
+        if kind != "send":
+            raise ProtocolError(f"unknown action {kind!r}")
+        peer = _PARTNER[p]
         if not ledger.per_message or ledger.per_message[-1][0] != p:
             ledger.rounds += 1
         ledger.record(p, peer, act[1].bits)
         return (peer,)
 
-    return _drive({"A": alice, "B": bob}, route)
+    result = _drive({"A": alice, "B": bob}, route)
+    if waiting:
+        raise ProtocolError(f"{waiting[0][0]}'s repeat was never matched")
+    return result
+
+
+def _charge_repeat(ledger: CommLedger, count: int, step: tuple) -> None:
+    """Charge ``count`` copies of ``step``'s (sender, field) messages, with
+    a round for each change of sender: at the start, inside one step and
+    between steps."""
+    if count < 0:
+        raise ProtocolError(f"repeat count {count} is negative")
+    messages = []
+    for sender, fld in step:
+        if sender not in ("A", "B"):
+            raise ProtocolError(f"repeat sender {sender!r} is neither 'A' nor 'B'")
+        messages.append((sender, _PARTNER[sender], fld.bits))
+    if not (count and messages):
+        return
+    senders = [s for s, _, _ in messages]
+    inside = sum(a != b for a, b in zip(senders, senders[1:]))
+    start = not ledger.per_message or ledger.per_message[-1][0] != senders[0]
+    between = senders[-1] != senders[0]
+    ledger.rounds += start + count * inside + (count - 1) * between
+    ledger.repeat(messages, count)
 
 
 @dataclass(frozen=True)
@@ -341,10 +402,6 @@ class RoundSchedule:
     def speaking_pair(self, round_no: int) -> str:
         other = "CD" if self.starter == "AB" else "AB"
         return self.starter if round_no % 2 == 1 else other
-
-
-_PARTNER = {"A": "B", "B": "A", "C": "D", "D": "C"}
-_OTHERS = {p: tuple("ABCD".replace(p, "")) for p in "ABCD"}
 
 
 def run_four_party(schedule: RoundSchedule,

@@ -13,6 +13,9 @@ they do that:
   of a vertex outside the buckets, so only bucketed counts are kept, and
   the live vertices are the ready ones plus the bucketed ones. A removal
   in which neither side detected anything sends fields built once per run.
+  Once nothing is bucketed, the rest of the run is known to both sides:
+  the ready heap in id order, each removal with the same three empty
+  fields. Both yield it as one repeat, which the runner charges in one go.
 
 Both always agree with the sequential peeling decision, and both return a
 peel order on Accept and the surviving (k+1)-core on Reject. Among the
@@ -166,7 +169,7 @@ def _fast_party(role, adj, n, k, stats):
     ready = [u for u in range(n) if deg[u] <= k]  # ascending, so a heap
     bucket = {u: _bucket_index(deg[u] - k, imax) for u in range(n) if deg[u] > k}
 
-    while ready or bucket:
+    while bucket:
         if not ready:
             yield ("output", Reject(frozenset(bucket)))
             if stats is not None:
@@ -222,6 +225,11 @@ def _fast_party(role, adj, n, k, stats):
             else:
                 bucket[u] = _bucket_index(deg[u] - k, imax)
 
+    # nothing is bucketed, so nothing is detected again: each removal left
+    # pops the heap and sends the three empty fields, which both sides know
+    order += sorted(ready)
+    yield ("repeat", len(ready),
+           (("A", no_pairs), ("B", no_reply), ("A", no_halves)))
     yield ("output", Accept(order))
     if stats is not None:
         _fill_update_stats(stats, updates, n)

@@ -1,5 +1,7 @@
+import heapq
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -26,7 +28,14 @@ from degencomm.comm import (
     vec,
 )
 from degencomm.gadget import build_gadget
-from degencomm.graphs import complete_graph, cycle_graph, empty_graph, gnm_random_graph
+from degencomm.graphs import (
+    Accept,
+    Reject,
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    gnm_random_graph,
+)
 from degencomm.hpc import (
     ABSTAIN,
     _aligned_party,
@@ -35,7 +44,15 @@ from degencomm.hpc import (
     sample_bhpc,
     sample_bmhpc,
 )
-from degencomm.protocols import _fast_party, _sqrt_party
+from degencomm.protocols import (
+    _bucket_count,
+    _bucket_index,
+    _fast_party,
+    _fill_update_stats,
+    _sqrt_party,
+    _swap,
+    degen_search,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +322,87 @@ def test_unknown_actions_are_errors(kind):
         parties = {"A": speaker(), "B": fine(), "C": fine(), "D": fine()}
         with pytest.raises(ProtocolError, match="unknown action"):
             run_four_party(RoundSchedule(1, "AB"), parties)
+
+
+def _copies(step, count, before, as_repeat):
+    """A's and B's parties: one flag from ``before`` (if any), then ``count``
+    copies of ``step``, as one repeat or one send per message, then
+    output 0."""
+
+    def party(me):
+        if before == me:
+            yield ("send", flag(True))
+        elif before is not None:
+            yield ("recv",)
+        if as_repeat:
+            yield ("repeat", count, step)
+        else:
+            for _ in range(count):
+                for sender, fld in step:
+                    yield ("send", fld) if sender == me else ("recv",)
+        yield ("output", 0)
+
+    return party("A"), party("B")
+
+
+# one message each, named by sender and bits
+_A3, _B5, _A0 = ("A", uint(5, 8)), ("B", uint(9, 32)), ("A", nothing())
+
+
+@pytest.mark.parametrize("step", [
+    (_A3,), (_A3, _B5), (_B5, _A3), (_A3, _B5, _A0), (_B5, _B5, _A3),
+    (_A3, _A0), (),
+])
+@pytest.mark.parametrize("before", [None, "A", "B"])
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_repeat_charges_what_its_sends_would(step, before, count):
+    out = _same_run(run_two_party(*_copies(step, count, before, True)),
+                    run_two_party(*_copies(step, count, before, False)))
+    assert out == 0
+
+
+def test_repeat_of_zero_copies_charges_nothing():
+    _, ledger = run_two_party(*_copies((_A3, _B5), 0, None, True))
+    assert ledger.per_message == []
+    assert (ledger.bits_total, ledger.intra_bits, ledger.rounds) == (0, 0, 0)
+
+
+def _yield_then_output(a_acts, b_acts):
+    """A yields a_acts and B yields b_acts, each then outputs 0."""
+
+    def party(acts):
+        yield from acts
+        yield ("output", 0)
+
+    return party(a_acts), party(b_acts)
+
+
+@pytest.mark.parametrize("a_acts, b_acts, match", [
+    ([("repeat", 2, (_A3, _B5))], [("repeat", 2, (_A3, _A0))], "different steps"),
+    ([("repeat", 2, (_A3, _B5))], [("repeat", 3, (_A3, _B5))], "repeats 2 times"),
+    ([("repeat", 2, (_A3,))], [], "never matched"),
+    ([("repeat", 1, (("C", uint(1, 2)),))], [("repeat", 1, (("C", uint(1, 2)),))],
+     "neither 'A' nor 'B'"),
+    ([("repeat", 1, (_A3,))], [("send", flag(True))], "while A's repeat waits"),
+    ([("repeat", 1, (_A3,))] * 2, [("recv",)], "while A's repeat waits"),
+    ([("repeat", -1, (_A3,))], [("repeat", -1, (_A3,))], "negative"),
+])
+def test_repeat_fails_closed(a_acts, b_acts, match):
+    with pytest.raises(ProtocolError, match=match):
+        run_two_party(*_yield_then_output(a_acts, b_acts))
+
+
+def test_four_party_runner_refuses_repeats():
+    def repeater():
+        yield ("repeat", 1, (_A3,))
+        yield ("output", 1)
+
+    def fine():
+        yield ("output", 1)
+
+    parties = {"A": repeater(), "B": repeater(), "C": fine(), "D": fine()}
+    with pytest.raises(ProtocolError, match="unknown action 'repeat'"):
+        run_four_party(RoundSchedule(1, "AB"), parties)
 
 
 # ---------------------------------------------------------------------------
@@ -810,7 +908,95 @@ def _two_party_cases():
         yield random_partition(g, rng)
 
 
-@pytest.mark.parametrize("party", [_fast_party, _sqrt_party])
+# reference_fast_party is _fast_party as it was before its settled tail
+# went out as one repeat, kept verbatim: one heap pop and three empty
+# fields per removal once nothing is bucketed. It runs on
+# reference_run_two_party, which knows no repeat.
+
+
+def reference_fast_party(role, adj, n, k, stats):
+    # Only a bucketed vertex's count is ever read (to detect it, in the
+    # halves sent, and as last_mine), so only those are kept, and every
+    # bucketed vertex is live: the live set is ready + bucket.
+    my_deg = [len(adj[u]) for u in range(n)]
+    order: list[int] = []
+    imax = _bucket_count(n)
+    threshold = [0] + [max(1, 2 ** (i - 2)) for i in range(1, imax + 1)]
+    updates: Counter[int] = Counter()
+    # the fields of a removal in which neither side detected anything,
+    # built once by the encoders that build the others
+    no_pairs = lp_pairs((), n, n)
+    no_halves = uints((), n)
+    no_reply = vec(no_halves, no_pairs)
+
+    theirs = yield from _swap(role, uints(my_deg, n))
+    deg = [mine + d for mine, d in zip(my_deg, theirs)]
+    last_mine = my_deg[:]
+    ready = [u for u in range(n) if deg[u] <= k]  # ascending, so a heap
+    bucket = {u: _bucket_index(deg[u] - k, imax) for u in range(n) if deg[u] > k}
+
+    while ready or bucket:
+        if not ready:
+            yield ("output", Reject(frozenset(bucket)))
+            if stats is not None:
+                _fill_update_stats(stats, updates, n)
+            return
+        v = heapq.heappop(ready)
+        order.append(v)
+        # one pass over the sorted row decrements and detects, in id order
+        detected = []
+        for u in adj[v]:
+            i = bucket.get(u)
+            if i is not None:
+                my_deg[u] -= 1
+                if last_mine[u] - my_deg[u] >= threshold[i]:
+                    detected.append(u)
+        # Alice sends her detections, Bob answers with his halves of them
+        # and his own detections, and Alice answers with her halves of those
+        if role == 0:
+            yield ("send", lp_pairs([(u, my_deg[u]) for u in detected], n, n)
+                   if detected else no_pairs)
+            their_halves, their_extra = yield ("recv",)
+            yield ("send", uints([my_deg[u] for u, _ in their_extra], n)
+                   if their_extra else no_halves)
+            if not (detected or their_extra):
+                continue
+            known = {u: (my_deg[u], half)
+                     for u, half in zip(detected, their_halves)}
+            for u, half in their_extra:
+                known[u] = (my_deg[u], half)
+        else:
+            their_pairs = yield ("recv",)
+            if not (detected or their_pairs):
+                yield ("send", no_reply)
+                yield ("recv",)
+                continue
+            known = {u: (half, my_deg[u]) for u, half in their_pairs}
+            extra = [u for u in detected if u not in known]
+            yield ("send", vec(
+                uints([my_deg[u] for u, _ in their_pairs], n),
+                lp_pairs([(u, my_deg[u]) for u in extra], n, n),
+            ))
+            their_halves = yield ("recv",)
+            for u, half in zip(extra, their_halves):
+                known[u] = (half, my_deg[u])
+
+        for u, (a_half, b_half) in known.items():
+            deg[u] = a_half + b_half
+            last_mine[u] = my_deg[u]
+            updates[u] += 1
+            del bucket[u]
+            if deg[u] <= k:
+                heapq.heappush(ready, u)
+            else:
+                bucket[u] = _bucket_index(deg[u] - k, imax)
+
+    yield ("output", Accept(order))
+    if stats is not None:
+        _fill_update_stats(stats, updates, n)
+
+
+@pytest.mark.parametrize("party", [reference_fast_party, _sqrt_party])
 def test_two_party_runner_matches_reference(party):
     for part in _two_party_cases():
         n = part.n
@@ -823,6 +1009,40 @@ def test_two_party_runner_matches_reference(party):
             _same_run(run_two_party(*make(stats)),
                       reference_run_two_party(*make(ref_stats)))
             assert stats == ref_stats
+
+
+def _fast_runs():
+    """(partition, k): every k from 0 to n on the two-party cases, then the
+    ks a search probes on one seeded G(1024, 4n) split."""
+    for part in _two_party_cases():
+        for k in range(part.n + 1):
+            yield part, k
+    rng = random.Random(18)
+    part = random_partition(gnm_random_graph(1024, 4 * 1024, rng), rng)
+    stats = {}
+    degen_search(part, stats=stats)
+    for k, _ in stats["decisions"]:
+        yield part, k
+
+
+def test_fast_party_matches_its_reference():
+    shapes = set()
+    for part, k in _fast_runs():
+        n = part.n
+        stats, ref_stats = {}, {}
+        out = _same_run(
+            run_two_party(_fast_party(0, part.adj_a, n, k, stats),
+                          _fast_party(1, part.adj_b, n, k, None)),
+            reference_run_two_party(
+                reference_fast_party(0, part.adj_a, n, k, ref_stats),
+                reference_fast_party(1, part.adj_b, n, k, None)))
+        assert stats == ref_stats
+        top = max((part.base.degree(v) for v in range(n)), default=0)
+        # all tail: nothing is ever bucketed; mid-run: the tail follows
+        # bucketed removals
+        shapes.add("reject" if isinstance(out, Reject)
+                   else "all tail" if k >= top else "mid-run")
+    assert shapes == {"reject", "all tail", "mid-run"}
 
 
 def test_four_party_runner_matches_reference():
