@@ -12,6 +12,12 @@ the padding is that min-degree peeling then discharges the triples along
 the pointer path first, and whether the peel runs to completion below
 threshold d-3 depends only on the parity bit of the final pointer.
 
+Four facts about the gadget are decided once, here: _layout gives the
+canonical id layout, _index_labels reads the triples, specials and aux
+ids off any labels, _target_degree gives each vertex its degree target
+and edge_family names the family of each edge. The builder, the audit,
+the sidecar loader and the reduction share these and nothing else.
+
 All element indexes here are 0-based, matching the instance model; copy
 numbers are 1..3 and special names 1..3 because those are names, not
 offsets. The parity bit of element index i is (i + 1) % 2, so bit-0
@@ -23,11 +29,13 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, islice, repeat
 from typing import Iterator
 
 from .graphs import Graph, load_graph, loads_graph, save_graph
-from .hpc import MHPCInstance, PointerPath, chase, validate_instance
+from .hpc import (MHPCInstance, PointerPath, chase, check_universe,
+                  validate_instance)
 
 Label = tuple
 
@@ -36,8 +44,45 @@ Label = tuple
 _FILL_SWEEPS = 16
 
 
-def _vid(m: int, ell: int, i: int, c: int) -> int:
-    return (ell * m + i) * 3 + (c - 1)
+FAMILY_NAMES = ("E1", "E2", "ES", "EA", "EB", "EC", "ED")
+
+_ENCODING_FAMILY = {(0, 1): "EA", (0, 2): "EB", (2, 1): "EC", (2, 2): "ED"}
+
+
+def _layout(m: int, r: int) -> tuple[int, list[Label]]:
+    """The padding width d and the canonical labels in id order.
+
+    The layer triples come first by (ell, i, c), then the specials 1..3,
+    then the d auxiliary vertices.
+    """
+    d = 6 * m * r + 3 * m
+    labels: list[Label] = [("layer", ell, i, c) for ell in range(2 * r + 1)
+                           for i in range(m) for c in (1, 2, 3)]
+    labels += [("special", j) for j in (1, 2, 3)]
+    labels += [("aux", t) for t in range(d)]
+    return d, labels
+
+
+def _index_labels(labels: list[Label]) -> tuple[
+        dict[tuple[int, int], dict[int, int]], dict[int, int], list[int]]:
+    """Index labels in one pass, whatever the order of their ids.
+
+    Returns the layer triples as {(ell, i): {copy: id}} in order of first
+    id, the specials as {j: id} and the auxiliary ids in id order. A
+    repeated label keeps its last id; unknown kinds are left out.
+    """
+    triples: dict[tuple[int, int], dict[int, int]] = {}
+    specials: dict[int, int] = {}
+    aux: list[int] = []
+    for v, label in enumerate(labels):
+        kind = label[0] if label else "?"
+        if kind == "layer":
+            triples.setdefault((label[1], label[2]), {})[label[3]] = v
+        elif kind == "special":
+            specials[label[1]] = v
+        elif kind == "aux":
+            aux.append(v)
+    return triples, specials, aux
 
 
 def _round_robin_matching(d: int, k: int) -> list[tuple[int, int]]:
@@ -57,9 +102,11 @@ class GadgetGraph:
     """A built gadget plus the bookkeeping needed to audit and export it.
 
     labels[v] is one of ("layer", ell, i, c), ("special", j), ("aux", t).
-    deficiencies and matchings_added are builder diagnostics (pre-padding
-    degree gaps and the number of auxiliary matchings used); they are not
-    part of the exported sidecar and are None on a loaded gadget.
+    triple_index, special_ids and aux_ids are derived from the labels,
+    so they always name the ids the labels give. deficiencies and
+    matchings_added are builder diagnostics (pre-padding degree gaps and
+    the number of auxiliary matchings used); they are not part of the
+    exported sidecar and are None on a loaded gadget.
     """
 
     graph: Graph
@@ -67,11 +114,26 @@ class GadgetGraph:
     r: int
     d: int
     labels: list[Label]
-    triple_index: dict[tuple[int, int], tuple[int, int, int]]
-    special_ids: tuple[int, int, int]
-    aux_ids: tuple[int, ...]
     deficiencies: dict[int, int] | None = None
     matchings_added: int | None = None
+
+    @cached_property
+    def _index(self):
+        return _index_labels(self.labels)
+
+    @cached_property
+    def triple_index(self) -> dict[tuple[int, int], tuple[int, int, int]]:
+        return {key: (t[1], t[2], t[3])
+                for key, t in sorted(self._index[0].items())}
+
+    @cached_property
+    def special_ids(self) -> tuple[int, int, int]:
+        specials = self._index[1]
+        return specials[1], specials[2], specials[3]
+
+    @cached_property
+    def aux_ids(self) -> tuple[int, ...]:
+        return tuple(self._index[2])
 
     def check_fits(self, inst: MHPCInstance) -> None:
         """Raise ValueError unless inst has this gadget's (m, r)."""
@@ -104,13 +166,13 @@ def _element_bit(i: int) -> int:
     return (i + 1) % 2
 
 
-def _target_degree(label: Label, d: int, r: int) -> int | None:
-    """Exact target for layer/special vertices, None for aux (lower-bounded)."""
+def _target_degree(label: Label, d: int, r: int) -> int:
+    """The degree target of a vertex: exact, except a floor for aux."""
     kind = label[0]
     if kind == "special":
         return d + 6 * r
     if kind == "aux":
-        return None
+        return d + 6 * r + 3
     _, ell, i, _ = label
     if ell == 0:
         return d - 3 if i == 0 else d
@@ -190,17 +252,13 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
     which is what lets the last player of the streaming simulation add
     the padding after seeing only a degree table.
     """
-    d = 6 * m * r + 3 * m
-    layers = 2 * r + 1
-    n_layer = 3 * m * layers
-    n = n_layer + 3 + d
+    d, labels = _layout(m, r)
+    n = len(labels)
     if len(degrees) != n:
         raise ValueError(f"expected {n} degrees, got {len(degrees)}")
-    aux = tuple(n_layer + 3 + t for t in range(d))
+    aux = tuple(range(n - d, n))
     deficiencies: dict[int, int] = {}
-    for v in range(n_layer + 3):
-        label = (("special", v - n_layer + 1) if v >= n_layer
-                 else ("layer", v // 3 // m, v // 3 % m, v % 3 + 1))
+    for v, label in enumerate(labels[:-d]):
         need = _target_degree(label, d, r) - degrees[v]
         if need < 0:
             raise ValueError(
@@ -211,7 +269,7 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
     # sweep, and one more to the first (total mod d) of them
     sweeps, rest = divmod(sum(deficiencies.values()), d)
     floor = min(degrees[u] + sweeps + (t < rest) for t, u in enumerate(aux))
-    x = max(0, d + 6 * r + 3 - floor)
+    x = max(0, _target_degree(labels[-1], d, r) - floor)
     if x > d - 1:
         raise ValueError(f"padding needs {x} matchings, only {d - 1} exist")
     return AuxPadding(deficiencies, x, aux)
@@ -227,34 +285,17 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     """
     validate_instance(inst)
     m, r = inst.m, inst.r
-    if m % 4:
-        raise ValueError(f"universe size must be a multiple of 4, got {m}")
-    d = 6 * m * r + 3 * m
-    layers = 2 * r + 1
-    n_layer = 3 * m * layers
-    specials = tuple(n_layer + j for j in range(3))
-    aux = tuple(n_layer + 3 + t for t in range(d))
-    n = n_layer + 3 + d
-    trip = {
-        (ell, i): tuple(_vid(m, ell, i, c) for c in (1, 2, 3))
-        for ell in range(layers)
-        for i in range(m)
-    }
-
-    labels: list[Label] = [()] * n
-    for (ell, i), t in trip.items():
-        for c, v in zip((1, 2, 3), t):
-            labels[v] = ("layer", ell, i, c)
-    for j, s in enumerate(specials, start=1):
-        labels[s] = ("special", j)
-    for t_idx, u in enumerate(aux):
-        labels[u] = ("aux", t_idx)
+    check_universe(m)
+    d, labels = _layout(m, r)
+    triples, special_of, _ = _index_labels(labels)
+    trip = {key: (t[1], t[2], t[3]) for key, t in triples.items()}
+    specials = special_of[1], special_of[2], special_of[3]
 
     # edges go straight into neighbour rows, unchecked: verify_gadget
-    # audits the packed graph. Every id appended is an object from trip,
-    # specials or aux (or, for padding, the deficiencies keys), so the
-    # rows share one int per vertex.
-    rows: list[list[int]] = [[] for _ in range(n)]
+    # audits the packed graph. Every id appended is an object from trip
+    # or specials (or, for padding, the aux ids and deficiencies keys),
+    # so the rows share one int per vertex.
+    rows: list[list[int]] = [[] for _ in labels]
 
     def join(u: int, v: int) -> None:
         rows[u].append(v)
@@ -312,9 +353,6 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
         r=r,
         d=d,
         labels=labels,
-        triple_index=trip,
-        special_ids=specials,
-        aux_ids=aux,
         deficiencies=padding.deficiencies,
         matchings_added=padding.matchings,
     )
@@ -344,43 +382,32 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         report.checks.append(GadgetCheck(name, ok, detail))
         return ok
 
-    layers = 2 * r + 1
-    triples: dict[tuple[int, int], dict[int, int]] = {}
-    special_of: dict[int, int] = {}
-    aux_set: set[int] = set()
-    for v, label in enumerate(gg.labels):
-        kind = label[0] if label else "?"
-        if kind == "layer":
-            _, ell, i, c = label
-            triples.setdefault((ell, i), {})[c] = v
-        elif kind == "special":
-            special_of[v] = label[1]
-        elif kind == "aux":
-            aux_set.add(v)
-
+    canon_d, canon = _layout(m, r)
+    triples, special_of, aux = _index_labels(gg.labels)
     # the auxiliary ids must be the last d, as the builder numbers them,
-    # so that the checks below can cut them off each sorted row
-    aux_lo = g.n - len(aux_set)
+    # so that the checks below can cut them off each sorted row; every
+    # label must be counted once, so no label repeats or is unknown
+    aux_lo = g.n - len(aux)
     shape_ok = (
         len(gg.labels) == g.n
+        and 3 * len(triples) + len(special_of) + len(aux) == g.n
         and len(special_of) == 3
-        and len(aux_set) == d
-        and min(aux_set, default=aux_lo) == aux_lo
-        and set(triples) == {(ell, i) for ell in range(layers) for i in range(m)}
+        and len(aux) == d
+        and min(aux, default=aux_lo) == aux_lo
+        and set(triples) == {(ell, i) for ell in range(2 * r + 1)
+                             for i in range(m)}
         and all(sorted(t) == [1, 2, 3] for t in triples.values())
-        and d == 6 * m * r + 3 * m
+        and d == canon_d
     )
-    check("shape", shape_ok, f"n={g.n}, aux={len(aux_set)}, d={d}")
-    check(
-        "vertex-count",
-        g.n == 3 * m * layers + 3 + d,
-        f"n={g.n}, expected {3 * m * layers + 3 + d}",
-    )
+    check("shape", shape_ok, f"n={g.n}, aux={len(aux)}, d={d}")
+    # the layout's layer and special vertices, and d auxiliary ones
+    n_want = len(canon) - canon_d + d
+    check("vertex-count", g.n == n_want, f"n={g.n}, expected {n_want}")
     if not shape_ok:
         return report
 
-    trip = {key: tuple(t[c] for c in (1, 2, 3)) for key, t in triples.items()}
-    specials = sorted(special_of)
+    trip = {key: (t[1], t[2], t[3]) for key, t in triples.items()}
+    specials = sorted(special_of.values())
     q_nodes = {
         v
         for (ell, i), t in trip.items()
@@ -457,34 +484,9 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     # anything, so only the edges between non-aux vertices are walked
     stray = ""
     for u, v in _edges_below(g, aux_lo):
-        lu, lv = gg.labels[u], gg.labels[v]
-        ku, kv = lu[0], lv[0]
-        if ku == "special" and kv == "special":
-            continue
-        if "special" in (ku, kv):
-            layer_end = v if ku == "special" else u
-            if layer_end in q_nodes:
-                stray = f"special edge into the excluded last-layer set: ({u},{v})"
-                break
-            continue
-        _, eu, iu, cu = lu
-        _, ev, iv, cv = lv
-        if eu > ev or (eu == ev and iu > iv):
-            eu, iu, cu, ev, iv, cv = ev, iv, cv, eu, iu, cu
-        if eu == ev:
-            if iu != iv:
-                stray = f"edge inside one layer across triples: ({u},{v})"
-                break
-            continue
-        if ev != eu + 1:
-            stray = f"edge skips layers: ({u},{v})"
-            break
-        if eu % 2 == 1:
-            if iu != iv:
-                stray = f"cross-pair edge between different elements: ({u},{v})"
-                break
-        elif eu == 2 * r or cu == 3 or cv == 3:
-            stray = f"illegal encoding edge: ({u},{v})"
+        family = edge_family(gg.labels[u], gg.labels[v], r)
+        if family not in FAMILY_NAMES:
+            stray = f"{family}: ({u},{v})"
             break
     check("edge-families", not stray, stray)
 
@@ -492,9 +494,9 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     for v, label in enumerate(gg.labels):
         want = _target_degree(label, d, r)
         have = g.degree(v)
-        if want is None:
-            if have < d + 6 * r + 3:
-                bad_deg = f"aux vertex {v} has degree {have} < {d + 6 * r + 3}"
+        if label[0] == "aux":
+            if have < want:
+                bad_deg = f"aux vertex {v} has degree {have} < {want}"
                 break
         elif have != want:
             bad_deg = f"vertex {v} has degree {have}, target {want}"
@@ -502,7 +504,7 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     check("degree-targets", not bad_deg, bad_deg)
 
     worst = max(
-        (g.degree(u) - bisect_left(g.neighbors(u), aux_lo), u) for u in aux_set
+        (g.degree(u) - bisect_left(g.neighbors(u), aux_lo), u) for u in aux
     )
     check(
         "aux-induced-degree",
@@ -510,6 +512,36 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         f"aux vertex {worst[1]} has {worst[0]} aux neighbors > {d - 3}",
     )
     return report
+
+
+def edge_family(lu: Label, lv: Label, r: int) -> str:
+    """The family of an edge between two non-aux vertices, from their labels.
+
+    One of FAMILY_NAMES for an edge the construction makes: E1 inside a
+    triple, E2 between the layers that replay one step, ES on a special
+    vertex, and EA..ED for the encoding edges by source layer (mod 4)
+    and carrying copy. For any other edge, the reason it is stray.
+    """
+    if lu[0] == "special":
+        lu, lv = lv, lu
+    if lv[0] == "special":
+        if lu[0] == "layer" and lu[1] == 2 * r and _element_bit(lu[2]) == 0:
+            return "special edge into the excluded last-layer set"
+        return "ES"
+    _, eu, iu, cu = lu
+    _, ev, iv, cv = lv
+    if (eu, iu) > (ev, iv):
+        eu, iu, cu, ev, iv, cv = ev, iv, cv, eu, iu, cu
+    if eu == ev:
+        return "E1" if iu == iv else "edge inside one layer across triples"
+    if ev != eu + 1:
+        return "edge skips layers"
+    if eu % 2 == 1:
+        return ("E2" if iu == iv
+                else "cross-pair edge between different elements")
+    if eu == 2 * r or cu == 3 or cv == 3:
+        return "illegal encoding edge"
+    return _ENCODING_FAMILY[(eu % 4, cu)]
 
 
 def _copies_hit(g: Graph, s: int, place: dict[int, tuple[int, int]],
@@ -610,9 +642,6 @@ def _with_sidecar(g: Graph, sidecar_text: str) -> GadgetGraph:
         )
     m, r, d = (_positive_int(obj, key) for key in ("m", "r", "d"))
     labels: list[Label] = []
-    trip: dict[tuple[int, int], dict[int, int]] = {}
-    specials: dict[int, int] = {}
-    aux: list[int] = []
     for v, label in enumerate(raw):
         if not (isinstance(label, list) and label and isinstance(label[0], str)):
             raise ValueError(
@@ -628,13 +657,8 @@ def _with_sidecar(g: Graph, sidecar_text: str) -> GadgetGraph:
                 f"sidecar field 'labels[{v}]': a {kind} label takes "
                 f"{_LABEL_ARITY[kind]} integers, got {label!r}"
             )
-        if kind == "layer":
-            trip.setdefault((fields[0], fields[1]), {})[fields[2]] = v
-        elif kind == "special":
-            specials[fields[0]] = v
-        else:
-            aux.append(v)
         labels.append(tuple(label))
+    trip, specials, _ = _index_labels(labels)
     for j in (1, 2, 3):
         if j not in specials:
             raise ValueError(f"sidecar field 'labels' has no special vertex {j}")
@@ -644,19 +668,7 @@ def _with_sidecar(g: Graph, sidecar_text: str) -> GadgetGraph:
                 raise ValueError(
                     f"sidecar field 'labels': triple {key} is missing copy {c}"
                 )
-    triple_index = {
-        key: (t[1], t[2], t[3]) for key, t in sorted(trip.items())
-    }
-    return GadgetGraph(
-        graph=g,
-        m=m,
-        r=r,
-        d=d,
-        labels=labels,
-        triple_index=triple_index,
-        special_ids=tuple(specials[j] for j in (1, 2, 3)),
-        aux_ids=tuple(aux),
-    )
+    return GadgetGraph(graph=g, m=m, r=r, d=d, labels=labels)
 
 
 def save_gadget(gg: GadgetGraph, path: str) -> None:

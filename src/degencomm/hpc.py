@@ -123,6 +123,12 @@ def _meet(first: frozenset[int], second: frozenset[int], where: str) -> int:
 # samplers
 
 
+def check_universe(m: int) -> None:
+    """Raise ValueError unless the universe size m is a positive multiple of 4."""
+    if m < 4 or m % 4:
+        raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
+
+
 def setint_draw(m: int, rng: Random) -> list[int]:
     """The ordered draw s of m/2 - 1 distinct elements of range(m).
 
@@ -160,8 +166,7 @@ def sample_setint(m: int, rng: Random) -> SetIntInstance:
     (X - e, e, Y - e) is uniform over the disjoint triples of a
     (q-1)-set, a point and a (q-1)-set, which is the hard distribution.
     """
-    if m < 4 or m % 4:
-        raise ValueError("universe size must be a positive multiple of 4")
+    check_universe(m)
     q = m // 4
     s = setint_draw(m, rng)
     return SetIntInstance(m, frozenset(s[:q]), frozenset(s[q - 1:]))
@@ -169,8 +174,7 @@ def sample_setint(m: int, rng: Random) -> SetIntInstance:
 
 def sample_side_marginal(m: int, rng: Random) -> frozenset[int]:
     """One party's input alone: a uniform size-m/4 subset."""
-    if m < 4 or m % 4:
-        raise ValueError("universe size must be a positive multiple of 4")
+    check_universe(m)
     return frozenset(rng.sample(range(m), m // 4))
 
 
@@ -180,8 +184,7 @@ def sample_given_other(m: int, other: frozenset[int], rng: Random) -> frozenset[
     Given the peer set, the intersection point is uniform inside it and the
     rest of the sampled set is a uniform subset of the complement.
     """
-    if m < 4 or m % 4:
-        raise ValueError("universe size must be a positive multiple of 4")
+    check_universe(m)
     e = rng.choice(sorted(other))
     rest = rng.sample(sorted(set(range(m)) - other), m // 4 - 1)
     return frozenset(rest) | {e}
@@ -191,8 +194,7 @@ def sample_bmhpc(m: int, r: int, rng: Random) -> MHPCInstance:
     """All r layers drawn independently per coordinate."""
     if r < 1:
         raise ValueError("need r >= 1")
-    if m < 4 or m % 4:
-        raise ValueError("universe size must be a positive multiple of 4")
+    check_universe(m)
     A, B, C, D = [], [], [], []
     for _ in range(r):
         ab = [sample_setint(m, rng) for _ in range(m)]

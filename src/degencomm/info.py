@@ -56,24 +56,17 @@ def tvd(mu: Sequence[float], nu: Sequence[float]) -> float:
 
 def entropy(p: Sequence[float]) -> float:
     validate_distribution(p)
-    return -sum(x * math.log2(x) for x in p if x > 0)
+    return _flat_entropy(p)
 
 
 def _flat_entropy(cells: Iterable[float]) -> float:
     return -sum(x * math.log2(x) for x in cells if x > 0)
 
 
-def _validate_table(cells: list[float]) -> None:
-    if any(x < 0 for x in cells):
-        raise ValueError("negative probability")
-    if abs(sum(cells) - 1.0) > SUM_TOL:
-        raise ValueError(f"table sums to {sum(cells)}, not 1")
-
-
 def mutual_information(table: Sequence[Sequence[float]]) -> float:
     """I(A;B) from a joint table indexed [a][b]."""
     cells = [x for row in table for x in row]
-    _validate_table(cells)
+    validate_distribution(cells)
     pa = [sum(row) for row in table]
     pb = [sum(row[b] for row in table) for b in range(len(table[0]))]
     return _flat_entropy(pa) + _flat_entropy(pb) - _flat_entropy(cells)
@@ -83,7 +76,7 @@ def conditional_mutual_information(
         table: Sequence[Sequence[Sequence[float]]]) -> float:
     """I(A;B|C) from a joint table indexed [a][b][c]."""
     cells = [x for plane in table for row in plane for x in row]
-    _validate_table(cells)
+    validate_distribution(cells)
     na, nb = len(table), len(table[0])
     nc = len(table[0][0])
     pac = [sum(table[a][b][c] for b in range(nb))

@@ -10,13 +10,13 @@ lockstep.
 
 simulate_streaming_reduction then drives an arbitrary multi-pass
 streaming algorithm through the four-player protocol. The edge set
-splits into input-independent families (triangles, cross-pair joins,
-special wiring) plus one encoding family per player, and the padding
-edges are derived by the last player from a degree table alone, so the
-only bits on the wire are state snapshots at every handoff and the
-degree tables of pass one. Each pass costs two cross-pair handoffs
-except the last, which ends with the answer read where the state sits:
-p passes, 2p-1 phases.
+splits, by gadget.edge_family, into input-independent families
+(triangles, cross-pair joins, special wiring) plus one encoding family
+per player, and the padding edges are derived by the last player from a
+degree table alone, so the only bits on the wire are state snapshots at
+every handoff and the degree tables of pass one. Each pass costs two
+cross-pair handoffs except the last, which ends with the answer read
+where the state sits: p passes, 2p-1 phases.
 
 The reference algorithms declare their state as fixed-width fields
 (BitState.state_layout), and one shared codec turns those fields into
@@ -31,7 +31,8 @@ from itertools import combinations, compress, count
 from typing import NamedTuple, Protocol
 
 from .comm import CommLedger, ProtocolError, uint_width
-from .gadget import GadgetGraph, _edges_below, aux_padding, pointer_path_triples
+from .gadget import (FAMILY_NAMES, GadgetGraph, _edges_below, _target_degree,
+                     aux_padding, edge_family, pointer_path_triples)
 from .graphs import Graph, degeneracy, peel
 from .hpc import MHPCInstance, chase
 
@@ -91,39 +92,20 @@ class ReductionReport:
 # edge families
 
 
-FAMILY_NAMES = ("E1", "E2", "ES", "EA", "EB", "EC", "ED")
-
-_ENCODING_FAMILY = {(0, 1): "EA", (0, 2): "EB", (2, 1): "EC", (2, 2): "ED"}
-
-
 def partition_edges(gg: GadgetGraph) -> dict[str, list[tuple[int, int]]]:
     """Split the gadget's non-padding edges into the construction's families.
 
-    E1 holds the triple triangles, E2 the 3x3 joins between replaying
-    layers, ES everything on the special vertices, and EA..ED the encoding
-    edges keyed by source layer (mod 4) and carrying copy. The rows are
-    walked in id order, so each family comes back sorted and the feed
-    order is fixed. The padding edges are not listed: the auxiliary ids
-    are the last ones, so only the rows below them are walked, and the
-    player who feeds the padding derives it from degrees (``aux_padding``).
+    Each edge goes to its gadget.edge_family, so gg must be an audited
+    gadget. The rows are walked in id order, so each family comes back
+    sorted and the feed order is fixed. The padding edges are not
+    listed: the auxiliary ids are the last ones, so only the rows below
+    them are walked, and the player who feeds the padding derives it
+    from degrees (``aux_padding``).
     """
     parts: dict[str, list[tuple[int, int]]] = {f: [] for f in FAMILY_NAMES}
-    labels = gg.labels
+    labels, r = gg.labels, gg.r
     for u, v in _edges_below(gg.graph, gg.graph.n - len(gg.aux_ids)):
-        ku, kv = labels[u][0], labels[v][0]
-        if "special" in (ku, kv):
-            parts["ES"].append((u, v))
-        else:
-            _, eu, _, cu = labels[u]
-            _, ev, _, cv = labels[v]
-            if eu > ev:
-                eu, cu, ev, cv = ev, cv, eu, cu
-            if eu == ev:
-                parts["E1"].append((u, v))
-            elif eu % 2 == 1:
-                parts["E2"].append((u, v))
-            else:
-                parts[_ENCODING_FAMILY[(eu % 4, cu)]].append((u, v))
+        parts[edge_family(labels[u], labels[v], r)].append((u, v))
     return parts
 
 
@@ -145,7 +127,9 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
     gg.check_fits(inst)
     walk = chase(inst)
     tr = peel(gg.graph)
-    d, r = gg.d, gg.r
+    d, r, labels = gg.d, gg.r, gg.labels
+    top = _target_degree(labels[gg.special_ids[0]], d, r)
+    floor = _target_degree(labels[gg.aux_ids[0]], d, r)  # aux: a lower bound
     resid = [gg.graph.degree(v) for v in range(gg.graph.n)]
     records = []
     for ell, z in enumerate(pointer_path_triples(gg, inst, walk)):
@@ -154,8 +138,8 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
         ok = (
             set(got) == set(z)
             and worst <= d - 3
-            and all(resid[s] == d + 6 * r - 3 * ell for s in gg.special_ids)
-            and all(resid[u] >= d + 6 * r + 3 - 3 * ell for u in gg.aux_ids)
+            and all(resid[s] == top - 3 * ell for s in gg.special_ids)
+            and all(resid[u] >= floor - 3 * ell for u in gg.aux_ids)
         )
         records.append(TraceRecord(ell, ok, worst))
         for v in got:

@@ -32,7 +32,8 @@ import random
 from dataclasses import dataclass
 from typing import Protocol
 
-from .hpc import SetIntInstance, sample_setint, setint_draw, validate_setint
+from .hpc import (SetIntInstance, check_universe, sample_setint, setint_draw,
+                  validate_setint)
 
 __all__ = [
     "EpsSolver",
@@ -166,8 +167,7 @@ def calibrate_tau(solver: EpsSolver, m: int, k_rounds: int, rng: random.Random) 
     Each instance is drawn as an amplification round's relabel is, so
     its target is the draw's middle label.
     """
-    if m < 4 or m % 4:
-        raise ValueError("universe size must be a positive multiple of 4")
+    check_universe(m)
     if k_rounds < 1:
         raise ValueError(f"need at least one round, got {k_rounds}")
     n = m // 4
@@ -211,8 +211,7 @@ class Failure:
 
 def _round_count(m: int, eps: float, gamma: float) -> int:
     """Check the amplifier's parameters before any work; return its round count."""
-    if m < 4 or m % 4:
-        raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
+    check_universe(m)
     if not 8 / m <= eps <= 1.0:
         raise ValueError(f"advantage must be in [8/m, 1] = [{8 / m}, 1], got {eps}")
     if not 0.0 < gamma < 1.0:
@@ -295,8 +294,7 @@ def reveal_lambda(p: float, m: int) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"reveal probability must be in [0, 1], got {p}")
-    if m < 4 or m % 4 != 0:
-        raise ValueError(f"universe size must be a positive multiple of 4, got {m}")
+    check_universe(m)
     n = m // 4
     u = 1.0 / n
     return p * (1.0 - u) ** 2 / (1.0 + u)

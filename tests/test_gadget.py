@@ -18,6 +18,7 @@ from degencomm.gadget import (
 )
 from degencomm.graphs import Graph, degeneracy, dumps_graph, peel
 from degencomm.hpc import chase, pad_instance, sample_bmhpc, worked_example
+from degencomm.reduction import trace_invariants
 
 ALL_COMBOS = [(4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3)]
 
@@ -350,6 +351,32 @@ def test_saved_gadget_files_match_the_text_forms(tmp_path):
     assert back.graph == gg.graph and back.labels == gg.labels
 
 
+@pytest.mark.parametrize("m,r,seed", [(4, 1, 21), (8, 2, 22)])
+def test_a_shuffled_layout_loads_and_audits_the_same(m, r, seed):
+    # the non-aux ids shuffled, graph and labels together, aux kept last
+    inst = sample_bmhpc(m, r, random.Random(seed))
+    gg = build_gadget(inst)
+    n, d = gg.graph.n, gg.d
+    new = list(range(n - d))
+    random.Random(seed).shuffle(new)
+    new += range(n - d, n)
+    labels = [()] * n
+    for v, label in enumerate(gg.labels):
+        labels[new[v]] = label
+    graph = Graph(n, ((new[u], new[v]) for u, v in gg.graph.edges()))
+    sidecar = json.dumps({"m": m, "r": r, "d": d,
+                          "labels": [list(label) for label in labels]})
+    back = gadget_from_strings(dumps_graph(graph), sidecar)
+    assert verify_gadget(back).ok
+    assert back.triple_index == {
+        key: tuple(new[v] for v in t) for key, t in gg.triple_index.items()}
+    assert back.special_ids == tuple(new[s] for s in gg.special_ids)
+    assert back.aux_ids == gg.aux_ids
+    want, got = trace_invariants(gg, inst), trace_invariants(back, inst)
+    assert (got.bit_true, got.kappa, got.split_ok, got.trace) == (
+        want.bit_true, want.kappa, want.split_ok, want.trace)
+
+
 def test_verify_names_a_stray_edge_and_an_aux_clique():
     gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
     u, v = gg.triple_index[(0, 1)][0], gg.triple_index[(2, 3)][0]
@@ -364,6 +391,20 @@ def test_verify_names_a_stray_edge_and_an_aux_clique():
     bad = {c.name: c.detail for c in stray.failed()}
     assert bad["edge-families"] == (
         f"special edge into the excluded last-layer set: ({q},{s})")
+
+    trip = gg.triple_index
+    for (a, ca), (b, cb), reason in (
+        (((0, 1), 1), ((0, 2), 1), "edge inside one layer across triples"),
+        (((1, 0), 1), ((2, 1), 1),
+         "cross-pair edge between different elements"),
+        (((0, 1), 3), ((1, 0), 1), "illegal encoding edge"),
+    ):
+        u, v = trip[a][ca - 1], trip[b][cb - 1]
+        assert not gg.graph.has_edge(u, v)
+        stray = verify_gadget(dataclasses.replace(gg, graph=Graph(
+            gg.graph.n, gg.graph.edges() + [(u, v)])))
+        bad = {c.name: c.detail for c in stray.failed()}
+        assert bad["edge-families"] == f"{reason}: ({u},{v})"
 
     hub = gg.aux_ids[-1]
     extra = [(a, hub) for a in gg.aux_ids[:-1] if not gg.graph.has_edge(a, hub)]
@@ -382,6 +423,25 @@ def test_verify_rejects_scattered_aux_ids():
     labels[a], labels[b] = labels[b], labels[a]
     report = verify_gadget(dataclasses.replace(gg, labels=labels))
     assert "shape" in {c.name for c in report.failed()}
+
+
+@pytest.mark.parametrize("extra", [("special", 1), ("foo",)])
+def test_verify_rejects_a_label_counted_twice_or_not_at_all(extra):
+    # one more vertex before the aux ids, labeled as a second special 1
+    # or with an unknown kind: the audit reports it, never raises
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
+    n, d = gg.graph.n, gg.d
+    labels = [*gg.labels[:n - d], extra, *gg.labels[n - d:]]
+
+    def shift(v):
+        return v if v < n - d else v + 1
+
+    graph = Graph(n + 1, ((shift(u), shift(v)) for u, v in gg.graph.edges()))
+    report = verify_gadget(dataclasses.replace(gg, graph=graph, labels=labels))
+    assert [(c.name, c.detail) for c in report.failed()] == [
+        ("shape", f"n={n + 1}, aux={d}, d={d}"),
+        ("vertex-count", f"n={n + 1}, expected {n}"),
+    ]
 
 
 def test_sidecar_rejects_wrong_length():

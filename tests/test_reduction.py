@@ -6,7 +6,7 @@ import pytest
 
 from degencomm import hpc
 from degencomm.comm import CommLedger, ProtocolError, uint_width
-from degencomm.gadget import aux_padding, build_gadget, pointer_path_triples
+from degencomm.gadget import _edges_below, aux_padding, build_gadget, pointer_path_triples
 from degencomm.graphs import Graph, degeneracy, peel
 from degencomm.hpc import MHPCInstance, chase, pad_instance, sample_bmhpc, worked_example
 from degencomm.reduction import (
@@ -57,6 +57,45 @@ def test_partition_covers_the_gadget_exactly():
     assert all(u in aux_set or v in aux_set for u, v in padding)
     assert not any(u in aux_set or v in aux_set
                    for fam in parts.values() for u, v in fam)
+
+
+# the edge partition as it was before the gadget's edge_family, kept as the
+# reference the current one must match list for list
+
+_REFERENCE_FAMILY_NAMES = ("E1", "E2", "ES", "EA", "EB", "EC", "ED")
+
+_REFERENCE_ENCODING_FAMILY = {(0, 1): "EA", (0, 2): "EB", (2, 1): "EC",
+                              (2, 2): "ED"}
+
+
+def _reference_partition_edges(gg):
+    parts = {f: [] for f in _REFERENCE_FAMILY_NAMES}
+    labels = gg.labels
+    for u, v in _edges_below(gg.graph, gg.graph.n - len(gg.aux_ids)):
+        ku, kv = labels[u][0], labels[v][0]
+        if "special" in (ku, kv):
+            parts["ES"].append((u, v))
+        else:
+            _, eu, _, cu = labels[u]
+            _, ev, _, cv = labels[v]
+            if eu > ev:
+                eu, cu, ev, cv = ev, cv, eu, cu
+            if eu == ev:
+                parts["E1"].append((u, v))
+            elif eu % 2 == 1:
+                parts["E2"].append((u, v))
+            else:
+                parts[_REFERENCE_ENCODING_FAMILY[(eu % 4, cu)]].append((u, v))
+    return parts
+
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_partition_matches_the_reference(m, r):
+    for seed in (1, 2):
+        rng = random.Random(100 * m + 10 * r + seed)
+        gg = build_gadget(sample_bmhpc(m, r, rng))
+        assert partition_edges(gg) == _reference_partition_edges(gg)
 
 
 def test_encoding_families_count_the_instance_sets():
