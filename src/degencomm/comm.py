@@ -10,6 +10,10 @@ Parties are written as generators that yield action tuples:
 
     ("send", field)            two-party: send to the peer
     ("send", dest, field)      four-party: intra-pair message
+    ("sends", dest, fields)    four-party: a batch of intra-pair messages,
+                               delivered as one inbox item (the tuple of
+                               the fields' values) and charged as one
+                               ledger message per field, in order
     ("broadcast", field)       four-party: cross-pair message, ends a round
     ("recv",)                  wait for the next message (resumed with it)
     ("output", value)          final answer; generator should then return
@@ -105,6 +109,20 @@ def charvec(members: Iterable[int], universe: int) -> Field:
         if not 0 <= e < universe:
             raise ValueError(f"element {e} outside universe {universe}")
     return Field(ms, universe)
+
+
+def charvecs(sets: Iterable[Iterable[int]], universe: int) -> tuple[Field, ...]:
+    """One ``charvec`` per set, for a batch: one range test over the union.
+
+    The same fields as ``charvec`` set by set; only when some element is
+    out of range does it run ``charvec`` set by set, so the first bad set
+    raises the same ``ValueError``.
+    """
+    ss = [frozenset(s) for s in sets]
+    union = frozenset().union(*ss)
+    if union and (min(union) < 0 or max(union) >= universe):
+        return tuple(charvec(s, universe) for s in ss)
+    return tuple(Field(s, universe) for s in ss)
 
 
 def vec(*parts: Field) -> Field:
@@ -272,7 +290,8 @@ def _drive(parties: dict[str, Party], route: Route) -> tuple[object, CommLedger]
     Each sweep gives every party one action: a recv takes the head of its
     inbox or waits, an output is stored, and anything else goes to
     ``route(party, action, ledger)``, which checks it, charges the ledger
-    and returns the recipients of its payload. A sweep in which no party
+    and returns the recipients of its payload: the field's value, or for
+    a batch the tuple of its fields' values. A sweep in which no party
     acts is a deadlock. Outputs must agree. The sweep order fixes the
     ledger's message order only when two parties have a send ready at
     once, which no protocol in this package does.
@@ -303,6 +322,9 @@ def _drive(parties: dict[str, Party], route: Route) -> tuple[object, CommLedger]
                 value = box.popleft()
             elif kind == "output":
                 outputs[p] = act[1]
+            elif kind == "sends":
+                for q in route(p, act, ledger):
+                    inbox[q].append(tuple(f.value for f in act[2]))
             else:
                 for q in route(p, act, ledger):
                     inbox[q].append(act[-1].value)
@@ -408,10 +430,11 @@ def run_four_party(schedule: RoundSchedule,
                    parties: dict[str, Party]) -> tuple[object, CommLedger]:
     """Drive four party generators under a pair-speaking schedule.
 
-    Within a round only the speaking pair may send; an intra-pair send goes
-    to the partner and the round ends with exactly one broadcast, which
-    the other three parties receive. Outputs of all four must agree. The
-    protocol may finish mid-round once every party has output.
+    Within a round only the speaking pair may send; an intra-pair send,
+    or a batch of them, goes to the partner and the round ends with
+    exactly one broadcast, which the other three parties receive.
+    Outputs of all four must agree. The protocol may finish mid-round
+    once every party has output.
     """
     if set(parties) != set("ABCD"):
         raise ValueError("need exactly parties A, B, C, D")
@@ -421,18 +444,21 @@ def run_four_party(schedule: RoundSchedule,
         if round_no > schedule.r:
             raise ProtocolError(f"{p} tried to speak after the final round")
         kind = act[0]
-        if kind not in ("send", "broadcast"):
+        if kind not in ("send", "sends", "broadcast"):
             raise ProtocolError(f"unknown action {kind!r}")
         speaking = schedule.speaking_pair(round_no)
         if p not in speaking:
-            verb = "sent" if kind == "send" else "broadcast"
+            verb = "broadcast" if kind == "broadcast" else "sent"
             raise ProtocolError(f"{p} {verb} in round {round_no} but {speaking} speaks")
-        if kind == "send":
+        if kind != "broadcast":
             if act[1] != _PARTNER[p]:
                 raise ProtocolError(
                     f"intra-pair send from {p} must target {_PARTNER[p]}"
                 )
-            ledger.record(p, act[1], act[2].bits)
+            if kind == "send":
+                ledger.record(p, act[1], act[2].bits)
+            else:
+                ledger.repeat([(p, act[1], f.bits) for f in act[2]], 1)
             return (act[1],)
         ledger.record(p, "CD" if speaking == "AB" else "AB", act[1].bits, cross=True)
         ledger.rounds += 1

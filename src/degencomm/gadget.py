@@ -12,11 +12,12 @@ the padding is that min-degree peeling then discharges the triples along
 the pointer path first, and whether the peel runs to completion below
 threshold d-3 depends only on the parity bit of the final pointer.
 
-Four facts about the gadget are decided once, here: _layout gives the
+Five facts about the gadget are decided once, here: _layout gives the
 canonical id layout, _index_labels reads the triples, specials and aux
-ids off any labels, _target_degree gives each vertex its degree target
-and edge_family names the family of each edge. The builder, the audit,
-the sidecar loader and the reduction share these and nothing else.
+ids off any labels, _excluded names the triples kept off the specials,
+_target_degree gives each vertex its degree target and edge_family
+names the family of each edge. The builder, the audit, the sidecar
+loader and the reduction share these and nothing else.
 
 All element indexes here are 0-based, matching the instance model; copy
 numbers are 1..3 and special names 1..3 because those are names, not
@@ -162,8 +163,10 @@ class GadgetReport:
         return [c for c in self.checks if not c.ok]
 
 
-def _element_bit(i: int) -> int:
-    return (i + 1) % 2
+def _excluded(ell: int, i: int, r: int) -> bool:
+    """Whether triple (ell, i) is kept off the specials: the bit-0
+    triples of the last layer 2r take no special edges."""
+    return ell == 2 * r and (i + 1) % 2 == 0
 
 
 def _target_degree(label: Label, d: int, r: int) -> int:
@@ -334,7 +337,7 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     join(specials[0], specials[2])
     join(specials[1], specials[2])
     for (ell, i), t in trip.items():
-        if ell == 2 * r and _element_bit(i) == 0:
+        if _excluded(ell, i, r):
             continue
         for v in t:
             for s in specials:
@@ -408,12 +411,8 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
 
     trip = {key: (t[1], t[2], t[3]) for key, t in triples.items()}
     specials = sorted(special_of.values())
-    q_nodes = {
-        v
-        for (ell, i), t in trip.items()
-        if ell == 2 * r and _element_bit(i) == 0
-        for v in t
-    }
+    q_nodes = {v for (ell, i), t in trip.items() if _excluded(ell, i, r)
+               for v in t}
 
     bad = next(
         (
@@ -525,7 +524,7 @@ def edge_family(lu: Label, lv: Label, r: int) -> str:
     if lu[0] == "special":
         lu, lv = lv, lu
     if lv[0] == "special":
-        if lu[0] == "layer" and lu[1] == 2 * r and _element_bit(lu[2]) == 0:
+        if lu[0] == "layer" and _excluded(lu[1], lu[2], r):
             return "special edge into the excluded last-layer set"
         return "ES"
     _, eu, iu, cu = lu

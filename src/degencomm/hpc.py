@@ -23,6 +23,7 @@ from .comm import (
     CommLedger,
     RoundSchedule,
     charvec,
+    charvecs,
     flag,
     nothing,
     run_four_party,
@@ -298,13 +299,14 @@ def misaligned_bhpc_protocol(inst: MHPCInstance, N: int,
                              rng: Random) -> tuple[object, CommLedger]:
     """Walk the pointer under a schedule where the wrong pair opens.
 
-    Round 1: the y-side pair solves N uniformly chosen y-coordinates and
-    announces the answer table. Later rounds advance the walk when the
-    speaking pair holds the pending step and stall otherwise; a pending
-    y-step whose pointer appears in the table is skipped for free. The
-    final step is always a y-step short of a round, so the run finishes
-    exactly when the table covers the last pointer (only even round
-    budgets can finish). Returns ABSTAIN when the walk falls short.
+    Round 1: the y-side pair solves N uniformly chosen y-coordinates, C
+    sending its N queries to D as one batch, and announces the answer
+    table. Later rounds advance the walk when the speaking pair holds
+    the pending step and stall otherwise; a pending y-step whose pointer
+    appears in the table is skipped for free. The final step is always
+    a y-step short of a round, so the run finishes exactly when the
+    table covers the last pointer (only even round budgets can finish).
+    Returns ABSTAIN when the walk falls short.
     """
     if not inst.is_bhpc():
         raise ValueError("misaligned pre-solving needs identical layers")
@@ -321,19 +323,15 @@ def _misaligned_party(name, inst, sel):
     fam = {"A": inst.A, "B": inst.B, "C": inst.C, "D": inst.D}[name]
     m, r = inst.m, inst.r
 
-    # round 1: pre-solve the selected y-coordinates, announce the table as
-    # one field of (y, t) pairs
+    # round 1: pre-solve the selected y-coordinates, C's queries going as
+    # one batch, and announce the table as one field of (y, t) pairs
     if name == "C":
-        for y in sel:
-            yield ("send", "D", charvec(fam[0][y], m))
+        yield ("sends", "D", charvecs([fam[0][y] for y in sel], m))
         got = yield ("recv",)
     elif name == "D":
-        pairs = []
-        for y in sel:
-            theirs = yield ("recv",)
-            t = _meet(fam[0][y], theirs, "layer 0 pair")
-            pairs.append((y, t))
-        got = tuple(pairs)
+        queries = yield ("recv",)
+        got = tuple((y, _meet(fam[0][y], theirs, "layer 0 pair"))
+                    for y, theirs in zip(sel, queries))
         yield ("broadcast", uint_pairs(got, m))
     else:
         got = yield ("recv",)

@@ -14,6 +14,7 @@ from degencomm.comm import (
     ProtocolError,
     RoundSchedule,
     charvec,
+    charvecs,
     flag,
     lp_pairs,
     lp_uints,
@@ -53,6 +54,7 @@ from degencomm.protocols import (
     _swap,
     degen_search,
 )
+from test_hpc import reference_misaligned_party
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,22 @@ def test_composite_fields():
 def test_charvec_rejects_out_of_universe():
     with pytest.raises(ValueError):
         charvec({7}, 6)
+
+
+@pytest.mark.parametrize("sets, universe", [
+    ([], 6), ([set()], 0), ([{0, 3}, set(), {5, 1, 2}], 6), ([{0}], 1),
+    ([{2, -1}], 6), ([{6, 0}], 6), ([{0, 2}, {3, 9, -2}, {7}], 6),
+    ([{1}, set(), {2, 6}, {-1}], 6),
+])
+def test_charvecs_match_one_charvec_per_set(sets, universe):
+    def outcome(encode):
+        try:
+            return encode()
+        except ValueError as exc:
+            return "ValueError", str(exc)
+
+    assert outcome(lambda: charvecs(iter(sets), universe)) == outcome(
+        lambda: tuple(charvec(s, universe) for s in sets))
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 5, 2**40])
@@ -405,6 +423,11 @@ def test_four_party_runner_refuses_repeats():
         run_four_party(RoundSchedule(1, "AB"), parties)
 
 
+def test_two_party_runner_refuses_batches():
+    with pytest.raises(ProtocolError, match="unknown action 'sends'"):
+        run_two_party(*_yield_then_output([("sends", "B", (_A3[1],))], []))
+
+
 # ---------------------------------------------------------------------------
 # ledger
 
@@ -683,6 +706,70 @@ def test_speaking_after_final_round_is_an_error():
         run_four_party(RoundSchedule(1, "AB"), parties)
 
 
+def _batch_round(fields, as_batch):
+    """One round opened by CD: C sends ``fields`` to D as one batch or one
+    send per field, D broadcasts their values and everyone outputs them."""
+
+    def c():
+        if as_batch:
+            yield ("sends", "D", fields)
+        else:
+            for fld in fields:
+                yield ("send", "D", fld)
+        got = yield ("recv",)
+        yield ("output", got)
+
+    def d():
+        if as_batch:
+            got = yield ("recv",)
+        else:
+            got = []
+            for _ in fields:
+                got.append((yield ("recv",)))
+            got = tuple(got)
+        yield ("broadcast", Field(got, 1))
+        yield ("output", got)
+
+    def listener():
+        got = yield ("recv",)
+        yield ("output", got)
+
+    return {"A": listener(), "B": listener(), "C": c(), "D": d()}
+
+
+@pytest.mark.parametrize("fields", [
+    (), (uint(5, 8),), (uint(5, 8), nothing(), flag(True), uint(5, 8)),
+])
+def test_batch_charges_what_its_sends_would(fields):
+    sched = RoundSchedule(1, "CD")
+    out = _same_run(run_four_party(sched, _batch_round(fields, True)),
+                    run_four_party(sched, _batch_round(fields, False)))
+    assert out == tuple(f.value for f in fields)
+
+
+def test_empty_batch_charges_nothing():
+    _, ledger = run_four_party(RoundSchedule(1, "CD"), _batch_round((), True))
+    assert ledger.per_message == [("D", "AB", 1)]
+    assert (ledger.intra_bits, ledger.cross_bits, ledger.rounds) == (0, 1, 1)
+
+
+@pytest.mark.parametrize("starter, c_acts, match", [
+    ("CD", [("sends", "A", (flag(True),))], "must target D"),
+    ("CD", [("sends", "B", ())], "must target D"),
+    ("AB", [("sends", "D", (flag(True),))], "C sent in round 1 but AB speaks"),
+    ("CD", [("broadcast", nothing()), ("sends", "D", (flag(True),))],
+     "after the final round"),
+])
+def test_batch_fails_closed(starter, c_acts, match):
+    def party(acts):
+        yield from acts
+        yield ("output", 0)
+
+    parties = {"A": party([]), "B": party([]), "C": party(c_acts), "D": party([])}
+    with pytest.raises(ProtocolError, match=match):
+        run_four_party(RoundSchedule(1, starter), parties)
+
+
 def test_round_schedule_validation():
     with pytest.raises(ValueError):
         RoundSchedule(0, "AB")
@@ -699,6 +786,9 @@ def test_round_schedule_validation():
 # hand-written runner loops that run_two_party and run_four_party replaced,
 # kept verbatim as oracles: on every protocol in the package the shared
 # loop must give the same output and the same ledger, message by message.
+# The misaligned party sends its presolve queries as one batch, which the
+# four-party reference does not know, so there it drives the
+# one-message-per-query reference_misaligned_party of test_hpc.py instead.
 
 
 def reference_run_two_party(alice: Party, bob: Party) -> tuple[object, CommLedger]:
@@ -1061,8 +1151,11 @@ def test_four_party_runner_matches_reference():
             sched = RoundSchedule(r, "CD")
             for n_presolve in range(m + 1):
                 sel = sorted(rng.sample(range(m), n_presolve))
-                make = lambda: {p: _misaligned_party(p, inst, sel) for p in "ABCD"}
-                out = _same_run(run_four_party(sched, make()),
-                                reference_run_four_party(sched, make()))
+                out = _same_run(
+                    run_four_party(sched, {p: _misaligned_party(p, inst, sel)
+                                           for p in "ABCD"}),
+                    reference_run_four_party(
+                        sched, {p: reference_misaligned_party(p, inst, sel)
+                                for p in "ABCD"}))
                 outcomes.add("abstain" if out is ABSTAIN else "finished")
     assert outcomes == {"abstain", "finished"}
