@@ -28,26 +28,29 @@ triples are those with odd 0-based index.
 from __future__ import annotations
 
 import json
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain
 from typing import Iterator
 
-from .graphs import Graph, load_graph, loads_graph, save_graph
+from .graphs import Graph, _sort_row, load_graph, loads_graph, save_graph
 from .hpc import (MHPCInstance, PointerPath, chase, check_universe,
                   validate_instance)
 
 Label = tuple
 
-# AuxPadding.fill hands out the padding owners this many sweeps of the
-# auxiliary vertices at a time, which bounds the owner list it holds
-_FILL_SWEEPS = 16
-
 
 FAMILY_NAMES = ("E1", "E2", "ES", "EA", "EB", "EC", "ED")
 
 _ENCODING_FAMILY = {(0, 1): "EA", (0, 2): "EB", (2, 1): "EC", (2, 2): "ED"}
+
+
+def _width(m: int, r: int) -> int:
+    """The padding width d: the number of auxiliary vertices, which is
+    also the number of layer vertices."""
+    return 6 * m * r + 3 * m
 
 
 def _layout(m: int, r: int) -> tuple[int, list[Label]]:
@@ -56,7 +59,7 @@ def _layout(m: int, r: int) -> tuple[int, list[Label]]:
     The layer triples come first by (ell, i, c), then the specials 1..3,
     then the d auxiliary vertices.
     """
-    d = 6 * m * r + 3 * m
+    d = _width(m, r)
     labels: list[Label] = [("layer", ell, i, c) for ell in range(2 * r + 1)
                            for i in range(m) for c in (1, 2, 3)]
     labels += [("special", j) for j in (1, 2, 3)]
@@ -190,8 +193,8 @@ class AuxPadding:
     degree gap; matchings is the number of disjoint auxiliary matchings
     appended; aux lists the auxiliary ids. The edges themselves are not
     stored: edges() regenerates them one by one from these three, for
-    the streaming simulation, and fill() appends them to the builder's
-    rows in bulk.
+    the streaming simulation, and pack() writes them, with the builder's
+    structural rows, straight into a packed graph.
     """
 
     deficiencies: dict[int, int]
@@ -199,7 +202,7 @@ class AuxPadding:
     aux: tuple[int, ...]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield the auxiliary edges one at a time, in the order of fill().
+        """Yield the auxiliary edges one at a time.
 
         Each deficient vertex takes its edges from the auxiliary vertices
         handed out round-robin; then come the matchings.
@@ -214,36 +217,70 @@ class AuxPadding:
             for a, b in _round_robin_matching(d, k):
                 yield aux[a], aux[b]
 
-    def fill(self, rows: list[list[int]]) -> None:
-        """Append the edges of edges() to the neighbour rows, in bulk.
+    def pack(self, rows: list[list[int]]) -> Graph:
+        """Pack the structural rows and this padding into a Graph.
 
-        Every row ends up as joining the edges one by one would leave it,
-        entry for entry. A deficient vertex's row takes one slice of the
-        doubled aux tuple, starting at its round-robin cursor. Padding
-        edge j goes to aux[j % d], so aux row t takes the owners t, t+d,
-        t+2d, ... of the owner sequence, which is read a bounded number
-        of sweeps at a time. Every id appended is an object from aux or
-        from the deficiencies keys, so the rows share one int per vertex.
+        rows[v] lists the structural neighbours of the deficient vertex
+        v, for v = 0..len(rows)-1; the aux ids are the d ids after them
+        and have none. The rows are consumed. The result equals joining
+        edges() into the rows one by one, but its two arrays are sized
+        from the degrees and written in place, with no row staged. A
+        deficient vertex's row is its sorted structural row, then its
+        slice of the aux ids from its round-robin cursor; a slice that
+        wraps goes in as the ids below the wrap, then those from the
+        cursor, so the row stays sorted. Padding edge j is owner j // d
+        of aux t = j % d; the aux rows before and after aux rest (the
+        total mod d) have one length each, so one vertex's padding
+        within one sweep of the aux ids lands in the aux rows as one
+        strided slice. The matching partners end each aux row.
+
+        Raises ValueError naming a repeated edge: a vertex that needs
+        more than d padding edges, or a repeated structural entry.
         """
         aux, d = self.aux, len(self.aux)
-        ring = aux + aux
-        cursor = 0
-        for v, need in self.deficiencies.items():
+        low = len(rows)
+        if (list(self.deficiencies) != list(range(low))
+                or aux != tuple(range(low, low + d))):
+            raise ValueError("the plan must pad ids 0..len(rows)-1 in "
+                             "order, with the aux ids right after them")
+        ids = array("i", aux)
+        needs = list(self.deficiencies.values())
+        sweeps, rest = divmod(sum(needs), d)
+        width = sweeps + self.matchings  # an aux row's length from rest on
+        offsets = array("i", accumulate(chain(
+            (len(row) + need for row, need in zip(rows, needs)),
+            (width + (t < rest) for t in range(d))), initial=0))
+        nbrs = array("i", [0]) * offsets[-1]
+        start = 0  # v's first padding edge
+        for v, need in enumerate(needs):
+            cursor = start % d
+            if need > d:
+                raise ValueError(f"duplicate edge ({v},{aux[cursor]})")
             row = rows[v]
-            for _ in range(need // d):
-                row.extend(ring[cursor:cursor + d])
-            row.extend(ring[cursor:cursor + need % d])
-            cursor = (cursor + need) % d
-        owners = chain.from_iterable(
-            repeat(v, need) for v, need in self.deficiencies.items())
-        # each chunk starts at a multiple of d, so its slice t is aux t's
-        while chunk := list(islice(owners, _FILL_SWEEPS * d)):
-            for t, u in enumerate(aux):
-                rows[u].extend(chunk[t::d])
+            rows[v] = None
+            _sort_row(v, row)
+            lo = offsets[v]
+            mid = lo + len(row)
+            nbrs[lo:mid] = array("i", row)
+            end = cursor + need
+            nbrs[mid:offsets[v + 1]] = ids[:max(end - d, 0)] + ids[cursor:end]
+            j, stop = start, start + need
+            while j < stop:
+                sweep, t = divmod(j, d)
+                count = min(stop - j, (rest if t < rest else d) - t)
+                step = width + (t < rest)
+                lo = offsets[low + t] + sweep
+                nbrs[lo:lo + count * step:step] = array("i", [v]) * count
+                j += count
+            start = stop
+        mates: list[list[int]] = [[] for _ in aux]
         for k in range(self.matchings):
             for a, b in _round_robin_matching(d, k):
-                rows[aux[a]].append(aux[b])
-                rows[aux[b]].append(aux[a])
+                mates[a].append(aux[b])
+                mates[b].append(aux[a])
+        for t, row in enumerate(mates, start=low + 1):
+            nbrs[offsets[t] - len(row):offsets[t]] = array("i", sorted(row))
+        return Graph.from_csr(offsets, nbrs)
 
 
 def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
@@ -281,9 +318,10 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
 def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     """Construct the gadget for a valid instance with m divisible by 4.
 
-    The structural edges are joined one by one into neighbour rows; the
-    padding, which is nearly all of the edges, is appended in bulk by
-    AuxPadding.fill. Raises ValueError on bad inputs and RuntimeError if
+    The structural edges are joined one by one into the neighbour rows of
+    the layer and special vertices; AuxPadding.pack adds the padding,
+    which is nearly all of the edges, as slices of the aux ids while it
+    packs the graph. Raises ValueError on bad inputs and RuntimeError if
     the finished graph fails its own audit (which would be a builder bug).
     """
     validate_instance(inst)
@@ -294,11 +332,9 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     trip = {key: (t[1], t[2], t[3]) for key, t in triples.items()}
     specials = special_of[1], special_of[2], special_of[3]
 
-    # edges go straight into neighbour rows, unchecked: verify_gadget
-    # audits the packed graph. Every id appended is an object from trip
-    # or specials (or, for padding, the aux ids and deficiencies keys),
-    # so the rows share one int per vertex.
-    rows: list[list[int]] = [[] for _ in labels]
+    # structural edges go straight into the rows of the layer and special
+    # vertices, unchecked: verify_gadget audits the packed graph
+    rows: list[list[int]] = [[] for _ in range(len(labels) - d)]
 
     def join(u: int, v: int) -> None:
         rows[u].append(v)
@@ -346,9 +382,8 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     # pad every layer/special vertex up to its target with auxiliary
     # edges handed out round-robin, then lift the auxiliary floor with
     # disjoint matchings; the plan depends only on the degrees so far
-    padding = aux_padding(m, r, [len(row) for row in rows])
-    padding.fill(rows)
-    g = Graph.from_rows(rows)
+    padding = aux_padding(m, r, [len(row) for row in rows] + [0] * d)
+    g = padding.pack(rows)
 
     gg = GadgetGraph(
         graph=g,
@@ -385,7 +420,9 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         report.checks.append(GadgetCheck(name, ok, detail))
         return ok
 
-    canon_d, canon = _layout(m, r)
+    # m and r may come from a file: nothing here is sized by them, so a
+    # huge value fails the checks instead of exhausting memory
+    canon_d = _width(m, r)
     triples, special_of, aux = _index_labels(gg.labels)
     # the auxiliary ids must be the last d, as the builder numbers them,
     # so that the checks below can cut them off each sorted row; every
@@ -397,14 +434,14 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         and len(special_of) == 3
         and len(aux) == d
         and min(aux, default=aux_lo) == aux_lo
-        and set(triples) == {(ell, i) for ell in range(2 * r + 1)
-                             for i in range(m)}
+        and len(triples) == (2 * r + 1) * m
+        and all(0 <= ell <= 2 * r and 0 <= i < m for ell, i in triples)
         and all(sorted(t) == [1, 2, 3] for t in triples.values())
         and d == canon_d
     )
     check("shape", shape_ok, f"n={g.n}, aux={len(aux)}, d={d}")
-    # the layout's layer and special vertices, and d auxiliary ones
-    n_want = len(canon) - canon_d + d
+    # the layout's canon_d layer and 3 special vertices, and d auxiliary
+    n_want = canon_d + 3 + d
     check("vertex-count", g.n == n_want, f"n={g.n}, expected {n_want}")
     if not shape_ok:
         return report

@@ -3,13 +3,17 @@
 Everything downstream (the two-party protocols, the hardness gadget, the
 streaming harness) sits on top of this module, so it stays deliberately
 small: an immutable compact graph (sorted neighbour rows packed into two
-integer arrays), one min-degree peeling loop over degree buckets, stopped
-at a threshold or run to the end, the orderings and cores that are views
-of it (peel, peel_decision, k_core, degeneracy), and a line-based text
-format. Files are written one row at a time, and a file in that layout
-with at least eight edges per vertex is read in bounded chunks, one
-row's run of lines per step; any other file is read line by line, and
-errors still name their line.
+integer arrays), one min-degree peel, stopped at a threshold or run to
+the end, the orderings and cores that are views of it (peel,
+peel_decision, k_core, degeneracy), and a line-based text format. The
+peel picks the least (degree, id) vertex either from degree buckets or,
+on a graph dense enough that a scan over all vertices per pick costs no
+more than its edges, by min() over one integer key per vertex; both
+give the same order. Files are written one row at a time, and a file in
+that layout with at least eight edges per vertex is read in bounded
+chunks, one row's run of lines per step, into one integer array per row
+that is copied into the packed graph as it stands; any other file is
+read line by line, and errors still name their line.
 
 Vertices are integers 0..n-1 throughout. Graphs are simple: no loops,
 no parallel edges.
@@ -76,6 +80,20 @@ class Graph:
         g._pack(rows)
         return g
 
+    @classmethod
+    def from_csr(cls, offsets: array, nbrs: array) -> "Graph":
+        """Wrap packed rows as they are, without checking or copying them.
+
+        The caller guarantees the layout of the class docstring: offsets
+        starts at 0 and ends at len(nbrs), and each row is strictly
+        ascending, in range, loop-free and mirrored by its neighbours.
+        """
+        g = cls.__new__(cls)
+        g.n = len(offsets) - 1
+        g.offsets = offsets
+        g.nbrs = nbrs
+        return g
+
     def _pack(self, rows: list[list[int]]) -> None:
         self.n = len(rows)
         self.offsets = array("i", [0])
@@ -83,10 +101,7 @@ class Graph:
         for v in range(self.n):
             row = rows[v]
             rows[v] = None
-            row.sort()
-            if len(set(row)) != len(row):
-                w = next(a for a, b in zip(row, row[1:]) if a == b)
-                raise ValueError(f"duplicate edge ({min(v, w)},{max(v, w)})")
+            _sort_row(v, row)
             self.nbrs.fromlist(row)
             self.offsets.append(len(self.nbrs))
 
@@ -132,6 +147,15 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def _sort_row(v: int, row: list[int]) -> None:
+    """Sort the neighbour row of v in place; a repeated entry raises
+    ValueError naming the edge."""
+    row.sort()
+    if len(set(row)) != len(row):
+        w = next(a for a, b in zip(row, row[1:]) if a == b)
+        raise ValueError(f"duplicate edge ({min(v, w)},{max(v, w)})")
+
+
 @dataclass
 class PeelTrace:
     """Result of running min-degree peeling to exhaustion.
@@ -153,15 +177,23 @@ class Reject(NamedTuple):
     core: frozenset[int]
 
 
+# a graph with n * n <= _DENSE * len(nbrs) is peeled by key scans: n
+# scans of n keys then cost no more than 8 visits per edge endpoint
+_DENSE = 8
+
+
 def _peel(g: Graph, k: int) -> tuple[list[int], list[int]]:
     """Remove a minimum-residual-degree vertex while that degree is <= k.
 
-    The one peeling loop: bucket[d] holds the live vertices of residual
-    degree d, and a floor cursor tracks the smallest nonempty bucket (a
-    decrement moves it down by at most one); the least id in that bucket
-    goes next. Returns the removal order and each vertex's residual
-    degree when it went; the vertices left over form the (k+1)-core.
+    The least id among the vertices of least residual degree goes next.
+    Returns the removal order and each vertex's residual degree when it
+    went; the vertices left over form the (k+1)-core. A dense graph (see
+    _DENSE) is peeled by _peel_dense; on any other, bucket[d] holds the
+    live vertices of residual degree d, and a floor cursor tracks the
+    smallest nonempty bucket (a decrement moves it down by at most one).
     """
+    if g.n * g.n <= _DENSE * len(g.nbrs):
+        return _peel_dense(g, k)
     nbrs, off = g.nbrs, g.offsets
     deg = [off[v + 1] - off[v] for v in range(g.n)]
     buckets: list[set[int]] = [set() for _ in range(g.n + 1)]
@@ -190,6 +222,30 @@ def _peel(g: Graph, k: int) -> tuple[list[int], list[int]]:
             buckets[d - 1].add(u)
             if d <= floor:
                 floor = d - 1
+    return order, removal
+
+
+def _peel_dense(g: Graph, k: int) -> tuple[list[int], list[int]]:
+    """_peel by one key per vertex, degree * n + id, so min() of the keys
+    is the least (degree, id) live vertex.
+
+    A retired vertex's key starts at 2n^2 and loses n at most n-1 times,
+    so it stays above n^2 - 1, the largest live key, with no check.
+    """
+    nbrs, off, n = g.nbrs, g.offsets, g.n
+    key = [(off[v + 1] - off[v]) * n + v for v in range(n)]
+    retired = 2 * n * n
+    order: list[int] = []
+    removal: list[int] = []
+    for _ in range(n):
+        d, v = divmod(min(key), n)
+        if d > k:
+            break
+        key[v] = retired
+        order.append(v)
+        removal.append(d)
+        for u in nbrs[off[v]:off[v + 1]]:
+            key[u] -= n
     return order, removal
 
 
@@ -351,17 +407,18 @@ def _parse_edge(parts: list[str], lineno: int, n: int) -> tuple[int, int]:
 _READ_CHUNK = 1 << 16
 
 
-def _read_runs(fh: IO[str], n: int, rows: list[list[int]]) -> int | None:
+def _read_runs(fh: IO[str], n: int, rows: list[array]) -> int | None:
     """Read the lines after the header as _write_graph lays them out.
 
     That layout is one "u v" line per edge with u < v, sorted, each
     name canonical decimal and each line ending in a newline. A run is
     a maximal block of lines with the same head u; each is split and
     looked up in one step, u is appended to the row of each v in it,
-    and rows[u] is extended by it. Since u ascends, every row comes out
-    sorted. The body is read in chunks of _READ_CHUNK characters; a run
-    cut by a chunk's end or by the search bound goes on in the next
-    step, starting above where it stopped. Returns the edge count, or
+    and rows[u] is extended by it. Since the edges come strictly
+    ascending, every row comes out strictly ascending. The body is read
+    in chunks of _READ_CHUNK characters; a run cut by a chunk's end or
+    by the search bound goes on in the next step, starting above where
+    it stopped. Returns the edge count, or
     None at the first departure from the layout, leaving rows partly
     filled.
     """
@@ -398,8 +455,8 @@ def _read_runs(fh: IO[str], n: int, rows: list[list[int]]) -> int | None:
                     return None
                 if not all(map(lt, vals, vals[1:])):
                     return None
-                rows[u] += vals
-                deque(map(list.append, map(rows.__getitem__, vals),
+                rows[u].fromlist(vals)
+                deque(map(array.append, map(rows.__getitem__, vals),
                           repeat(u)), 0)
                 count += len(vals)
                 prev_u, prev_v = u, vals[-1]
@@ -421,11 +478,12 @@ def _read_graph(fh: IO[str]) -> Graph:
     """Parse the line format from a seekable text stream.
 
     A file with at least eight edges per vertex is first read run by
-    run (_read_runs); any other, and any text that strays from the
-    layout _write_graph writes, is read from the top line by line. The
-    rows are filled as the text streams past and packed once, so no
-    edge list or per-line integer is held. Raises ValueError naming
-    the first offending line.
+    run (_read_runs) into one array per row, and the rows are copied
+    into the graph as they stand; any other, and any text that strays
+    from the layout _write_graph writes, is read from the top line by
+    line into lists that are packed once. Either way the rows are
+    filled as the text streams past, so no edge list or per-line
+    integer is held. Raises ValueError naming the first offending line.
     """
     head = fh.readline().split()
     if len(head) != 2:
@@ -436,7 +494,7 @@ def _read_graph(fh: IO[str]) -> Graph:
     # with shorter runs, a run's fixed steps cost more than the line
     # scan spends on its lines
     by_runs = m >= 8 * n
-    rows: list[list[int]] = [[] for _ in range(n)]
+    rows: list = [array("i") if by_runs else [] for _ in range(n)]
     try:
         count = _read_runs(fh, n, rows) if by_runs else None
         if count is None:
@@ -444,7 +502,9 @@ def _read_graph(fh: IO[str]) -> Graph:
                 rows = [[] for _ in range(n)]
                 _rewind(fh)
             count = _scan_edges(fh, n, rows)
-        g = Graph.from_rows(rows)
+            g = Graph.from_rows(rows)
+        else:
+            g = _concat(rows)
     except ValueError as exc:
         # exc names the first malformed line, but packing only sees that
         # some pair repeats. The rows still in hand tell which pairs
@@ -465,6 +525,18 @@ def _read_graph(fh: IO[str]) -> Graph:
     if count != m:
         raise ValueError(f"header claims {m} edges but file has {count}")
     return g
+
+
+def _concat(rows: list[array]) -> Graph:
+    """Pack strictly ascending rows as they stand, without sorting or
+    checking them again, dropping each once it is copied."""
+    offsets = array("i", [0])
+    nbrs = array("i")
+    for v, row in enumerate(rows):
+        rows[v] = None
+        nbrs += row
+        offsets.append(len(nbrs))
+    return Graph.from_csr(offsets, nbrs)
 
 
 def dumps_graph(g: Graph) -> str:
@@ -555,7 +627,3 @@ def gnm_random_graph(n: int, m: int, rng: random.Random) -> Graph:
         chosen.add((min(u, v), max(u, v)))
     return Graph(n, chosen)
 
-
-def gnp_random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                     if rng.random() < p])

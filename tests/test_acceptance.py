@@ -32,7 +32,6 @@ from degencomm.graphs import (
     disjoint_union,
     empty_graph,
     gnm_random_graph,
-    gnp_random_graph,
     is_k_ordering,
     path_graph,
     petersen_graph,
@@ -69,6 +68,7 @@ from degencomm.sisolver import (
     scored_round,
     solver_experiment,
 )
+from test_graphs import gnp_random_graph
 
 
 @contextlib.contextmanager

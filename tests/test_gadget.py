@@ -1,11 +1,16 @@
 import dataclasses
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import pytest
 
+import degencomm
 from degencomm.gadget import (
-    _FILL_SWEEPS,
     AuxPadding,
     aux_padding,
     build_gadget,
@@ -99,33 +104,35 @@ def test_padding_fill_matches_the_per_edge_builder(m, r):
         assert gg.graph == graph
         assert gg.deficiencies == deficiencies
         assert gg.matchings_added == matchings
-        # the fill reads the owners in more than one chunk
-        assert sum(deficiencies.values()) > _FILL_SWEEPS * gg.d
 
 
-def test_padding_fill_appends_what_edges_joins():
+def test_padding_pack_matches_what_edges_joins():
     gg = build_gadget(sample_bmhpc(16, 2, random.Random(41)))
-    assert gg.graph.n > 256  # ids beyond the small-int cache
     degrees = [len(gg.graph.neighbors(v)) for v in range(gg.graph.n)]
     for v in gg.aux_ids:
         degrees[v] = 0
     for v, need in gg.deficiencies.items():
         degrees[v] -= need
     plan = aux_padding(gg.m, gg.r, degrees)
-    # a plan whose first vertex needs more than one sweep of the aux ids
-    small = AuxPadding({0: 9, 1: 3, 2: 4}, 2, (3, 4, 5, 6))
+    # a plan with a vertex that takes every aux id once, a slice that
+    # wraps mid-sweep, and aux rows of two lengths (total mod d = 1)
+    small = AuxPadding({0: 4, 1: 3, 2: 2}, 1, (3, 4, 5, 6))
     for p in (small, plan):
         n = max(p.aux) + 1
-        filled = [[] for _ in range(n)]
-        p.fill(filled)
         joined = [[] for _ in range(n)]
         for u, v in p.edges():
             joined[u].append(v)
             joined[v].append(u)
-        assert filled == joined
-    # one int object per vertex: the aux tuple's or the deficiency key's
-    canon = {v: v for v in (*plan.aux, *plan.deficiencies)}
-    assert all(x is canon[x] for row in filled for x in row)
+        assert p.pack([[] for _ in range(n - len(p.aux))]) == (
+            Graph.from_rows(joined))
+    # a vertex that needs more than one sweep of the aux ids would be
+    # joined twice to the first aux id of its slice
+    over = AuxPadding({0: 9, 1: 3, 2: 4}, 2, (3, 4, 5, 6))
+    with pytest.raises(ValueError, match=r"duplicate edge \(0,3\)"):
+        over.pack([[], [], []])
+    # pack writes ids by position, so it refuses a plan laid out otherwise
+    with pytest.raises(ValueError, match="aux ids right after"):
+        AuxPadding({0: 1, 1: 1}, 0, (3, 4)).pack([[], []])
 
 
 def test_start_triple_sits_three_below_everyone():
@@ -542,6 +549,35 @@ def test_load_rejects_a_triple_outside_the_layers(tmp_path):
         load_gadget(path)
 
 
+@pytest.mark.parametrize("key", ["m", "r"])
+def test_load_fails_closed_on_a_huge_sidecar_size(tmp_path, key):
+    # the audit must refuse m or r by arithmetic before anything sized by
+    # them is built; the child caps its own address space at 1 GiB, so a
+    # regression fails with MemoryError instead of exhausting the host
+    gg, obj = _sidecar_obj()
+    path = str(tmp_path / "gadget.txt")
+    save_gadget(gg, path)
+    obj[key] = 1_000_000
+    with open(path + ".json", "w", encoding="ascii") as fh:
+        fh.write(json.dumps(obj))
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from degencomm.gadget import load_gadget
+        try:
+            load_gadget(sys.argv[1])
+        except ValueError as exc:
+            print(exc)
+    """)
+    src = os.path.dirname(os.path.dirname(degencomm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child, path], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("gadget audit failed: shape: n=75, aux=36")
+
+
 # ---------------------------------------------------------------------------
 # tampered encodings and joins: each case pins the check and its detail
 
@@ -629,3 +665,49 @@ def test_verify_names_the_tampered_encoding(name):
     assert bad[check] == detail
     other = {"encoding-signature", "cross-pairs"} - {check}
     assert other.isdisjoint(bad)
+
+
+# ---------------------------------------------------------------------------
+# memory: what each stage of the gadget path holds beyond the packed graph
+
+
+def _traced_peak(f, *args):
+    """f(*args), and the most memory tracemalloc saw allocated in the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        return f(*args), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def traced_build():
+    """The m=16, r=2 gadget (n = 483) and the traced peak of its build."""
+    gg, peak = _traced_peak(build_gadget, sample_bmhpc(16, 2, random.Random(1)))
+    assert gg.graph.n == 483
+    return gg, peak
+
+
+def test_build_holds_little_beyond_the_packed_graph(traced_build):
+    # rows packed straight into the two arrays: nothing holds a second
+    # copy of the padding
+    gg, peak = traced_build
+    assert peak < 2.2 * 4 * len(gg.graph.nbrs)
+
+
+def test_peel_holds_linear_memory_on_a_dense_gadget(traced_build):
+    gg, _ = traced_build
+    trace, peak = _traced_peak(peel, gg.graph)
+    assert trace.degeneracy == degeneracy(gg.graph)
+    assert peak < 256 * gg.graph.n
+
+
+def test_load_holds_little_beyond_the_packed_graph(traced_build, tmp_path):
+    gg, _ = traced_build
+    path = str(tmp_path / "gadget.txt")
+    save_gadget(gg, path)
+    back, peak = _traced_peak(load_gadget, path)
+    assert back.graph == gg.graph
+    assert peak < 2 * 4 * len(gg.graph.nbrs)

@@ -14,6 +14,12 @@ PROPERTY_SETTINGS = settings(
 )
 
 
+def gnp_random_graph(n, p, rng):
+    """G(n, p): each pair (u, v), u < v in order, joined with probability p."""
+    return G.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                       if rng.random() < p])
+
+
 @st.composite
 def small_graphs(draw, max_n=12):
     n = draw(st.integers(min_value=0, max_value=max_n))
@@ -75,7 +81,7 @@ def test_star_and_empty():
 def test_seeded_gnp_matches_oracle():
     rng = random.Random(1405)
     for _ in range(25):
-        g = G.gnp_random_graph(10, 0.4, rng)
+        g = gnp_random_graph(10, 0.4, rng)
         assert G.degeneracy(g) == G.brute_force_degeneracy(g)
 
 
@@ -83,6 +89,21 @@ def test_peel_tie_break_is_smallest_id():
     # all degrees equal, so removal starts at vertex 0 and cascades
     trace = G.peel(G.cycle_graph(4))
     assert trace.order[0] == 0
+
+
+@pytest.mark.parametrize("n", [24, 41])
+def test_peel_matches_the_reference_on_both_sides_of_the_density_cut(n):
+    # a graph with n * n <= _DENSE * 2e is peeled by key scans, any other
+    # by buckets: e runs from just below the cut to just above it
+    cut = -(-n * n // (2 * G._DENSE))  # the least e on the dense side
+    rng = random.Random(n)
+    dense = set()
+    for e in (cut - 1, cut, cut + 1):
+        for _ in range(3):
+            g = G.gnm_random_graph(n, e, rng)
+            dense.add(g.n * g.n <= G._DENSE * len(g.nbrs))
+            assert_matches_reference(g)
+    assert dense == {False, True}
 
 
 def test_peel_alternate_tie_breaks_same_degeneracy():
