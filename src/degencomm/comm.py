@@ -25,9 +25,10 @@ Parties are written as generators that yield action tuples:
 
 Bit lengths are fixed by the encoding rules below, not by guesswork:
 integers in [0, M) cost max(1, ceil(log2 M)) bits, lists carry a
-length prefix, sets over a known universe go as characteristic vectors.
-All payloads stay structured python values; only the declared widths are
-charged to the ledger. Lists of integers and of integer pairs are
+length prefix, sets over a known universe go as characteristic vectors
+(an int bitmask, bit e set iff e is a member). All payloads stay
+structured python values; only the declared widths are charged to the
+ledger. Lists of integers and of integer pairs are
 encoded in bulk (``uints`` and ``uint_pairs`` at a fixed length,
 ``lp_uints`` and ``lp_pairs`` with a length prefix): one tuple and one
 min/max range test per message, not one ``Field`` per entry.
@@ -102,27 +103,31 @@ def flag(b: bool) -> Field:
     return Field(bool(b), 1)
 
 
-def charvec(members: Iterable[int], universe: int) -> Field:
-    """Subset of [0, universe) as a characteristic vector: universe bits."""
-    ms = frozenset(members)
-    for e in ms:
-        if not 0 <= e < universe:
-            raise ValueError(f"element {e} outside universe {universe}")
-    return Field(ms, universe)
+def charvec(mask: int, universe: int) -> Field:
+    """Subset of [0, universe) as its characteristic vector: universe bits.
 
-
-def charvecs(sets: Iterable[Iterable[int]], universe: int) -> tuple[Field, ...]:
-    """One ``charvec`` per set, for a batch: one range test over the union.
-
-    The same fields as ``charvec`` set by set; only when some element is
-    out of range does it run ``charvec`` set by set, so the first bad set
-    raises the same ``ValueError``.
+    The subset is given as that vector already, an int bitmask with bit e
+    set iff e is a member, and goes on the wire as it is.
     """
-    ss = [frozenset(s) for s in sets]
-    union = frozenset().union(*ss)
-    if union and (min(union) < 0 or max(union) >= universe):
-        return tuple(charvec(s, universe) for s in ss)
-    return tuple(Field(s, universe) for s in ss)
+    if not 0 <= mask < 1 << universe:
+        raise ValueError(f"mask {mask:#x} leaves universe {universe}")
+    return Field(mask, universe)
+
+
+def charvecs(masks: Iterable[int], universe: int) -> tuple[Field, ...]:
+    """One ``charvec`` per mask, for a batch: one range test over their OR.
+
+    The same fields as ``charvec`` mask by mask; only when some mask is
+    out of range does it run ``charvec`` mask by mask, so the first bad
+    mask raises the same ``ValueError``.
+    """
+    ms = tuple(masks)
+    union = 0
+    for mask in ms:
+        union |= mask
+    if not 0 <= union < 1 << universe:
+        return tuple(charvec(mask, universe) for mask in ms)
+    return tuple(Field(mask, universe) for mask in ms)
 
 
 def vec(*parts: Field) -> Field:

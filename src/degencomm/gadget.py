@@ -37,7 +37,7 @@ from typing import Iterator
 
 from .graphs import Graph, _sort_row, load_graph, loads_graph, save_graph
 from .hpc import (MHPCInstance, PointerPath, chase, check_universe,
-                  validate_instance)
+                  mask_members, validate_instance)
 
 Label = tuple
 
@@ -356,10 +356,11 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
         # copy 1 of the source triple carries fam1, copy 2 carries fam2;
         # a member j receives one edge on each of copies 1 and 2 of its
         # triple in layer src+1, so a set-pair intersection shows up as
-        # all four cross edges and a one-sided member as exactly two
+        # all four cross edges and a one-sided member as exactly two;
+        # members go in ascending order
         for i in range(m):
             for u, fam in zip(trip[(src, i)], (fam1, fam2)):
-                for j in sorted(fam[i]):
+                for j in mask_members(fam[i]):
                     target = trip[(src + 1, j)]
                     join(u, target[0])
                     join(u, target[1])

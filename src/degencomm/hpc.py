@@ -8,6 +8,12 @@ pointer walk starts at x_0 and alternates sides, resolving one hidden
 intersection per step; the answer bit is the parity of the final pointer
 under 1-based indexing, so bit = (index + 1) % 2 with 0-based storage.
 
+Each set of an instance is one int bitmask over its universe: bit e is
+set iff e is a member, so a pair's intersection is one ``&`` and a set
+goes on the wire as its own characteristic vector. The set-intersection
+inputs (``SetIntInstance``) stay frozensets; ``to_mask`` and
+``mask_members`` convert between the two forms.
+
 Layers are stored even where they cannot affect the walk (the y-side
 families on odd steps and x-side families on even steps stay unused);
 samplers fill them anyway so every instance is uniform to validate.
@@ -18,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from random import Random
+from typing import Iterable, Iterator
 
 from .comm import (
     CommLedger,
@@ -42,6 +49,25 @@ ABSTAIN = object()
 # instances
 
 
+def to_mask(members: Iterable[int]) -> int:
+    """The bitmask of a set of non-negative ints: bit e set iff e is a member."""
+    mask = 0
+    for e in members:
+        mask |= 1 << e
+    return mask
+
+
+def mask_members(mask: int) -> Iterator[int]:
+    """The members of a non-negative bitmask, in ascending order."""
+    if mask < 0:
+        # a negative int has infinitely many bits set
+        raise ValueError(f"negative mask {mask} has no member list")
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class SetIntInstance:
     m: int
@@ -50,14 +76,14 @@ class SetIntInstance:
 
     @property
     def e_star(self) -> int:
-        return _meet(self.X, self.Y, "pair X/Y")
+        return _meet(to_mask(self.X), to_mask(self.Y), "pair X/Y")
 
 
 def validate_setint(si: SetIntInstance) -> None:
     for side, s in (("first", si.X), ("second", si.Y)):
         if any(not 0 <= e < si.m for e in s):
             raise ValueError(f"{side} set leaves the universe [{si.m})")
-    _meet(si.X, si.Y, "pair X/Y")
+    _meet(to_mask(si.X), to_mask(si.Y), "pair X/Y")
 
 
 @dataclass
@@ -65,15 +91,16 @@ class MHPCInstance:
     """r layers of hidden-pointer data over two size-m universes.
 
     A[j][x] and B[j][x] are y-side sets; C[j][y] and D[j][y] are x-side
-    sets. All indices 0-based, layer-major.
+    sets. Each set is an int bitmask over [0, m): bit e is set iff e is
+    a member. All indices 0-based, layer-major.
     """
 
     m: int
     r: int
-    A: list[list[frozenset[int]]]
-    B: list[list[frozenset[int]]]
-    C: list[list[frozenset[int]]]
-    D: list[list[frozenset[int]]]
+    A: list[list[int]]
+    B: list[list[int]]
+    C: list[list[int]]
+    D: list[list[int]]
 
     def is_bhpc(self) -> bool:
         return all(
@@ -84,6 +111,7 @@ class MHPCInstance:
 
 
 def validate_instance(inst: MHPCInstance) -> None:
+    """Check the shape, that every set stays inside [0, m), and every promise."""
     if inst.m < 1 or inst.r < 1:
         raise ValueError("need m >= 1 and r >= 1")
     for fam, name in ((inst.A, "A"), (inst.B, "B"), (inst.C, "C"), (inst.D, "D")):
@@ -102,22 +130,22 @@ def _pair_target(inst: MHPCInstance, j: int, side: str, i: int) -> int:
         first, second, names = inst.A[j][i], inst.B[j][i], ("A", "B")
     else:
         first, second, names = inst.C[j][i], inst.D[j][i], ("C", "D")
-    t = _meet(first, second,
-              f"layer {j} pair {names[0]}[{j}][{i}]/{names[1]}[{j}][{i}]")
-    if not 0 <= t < inst.m:
-        raise ValueError(f"target {t} outside universe [{inst.m})")
-    return t
+    full = 1 << inst.m
+    for name, s in zip(names, (first, second)):
+        if not 0 <= s < full:
+            raise ValueError(f"set {name}[{j}][{i}] leaves the universe [{inst.m})")
+    return _meet(first, second,
+                 f"layer {j} pair {names[0]}[{j}][{i}]/{names[1]}[{j}][{i}]")
 
 
-def _meet(first: frozenset[int], second: frozenset[int], where: str) -> int:
-    """The one element of first & second; ValueError naming where otherwise."""
+def _meet(first: int, second: int, where: str) -> int:
+    """The one member of masks first & second; ValueError naming where otherwise."""
     inter = first & second
-    if len(inter) != 1:
+    if not inter or inter & (inter - 1):
         raise ValueError(
-            f"{where} intersects in {len(inter)} elements, need exactly 1"
+            f"{where} intersects in {inter.bit_count()} elements, need exactly 1"
         )
-    (t,) = inter
-    return t
+    return inter.bit_length() - 1
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +219,34 @@ def sample_given_other(m: int, other: frozenset[int], rng: Random) -> frozenset[
     return frozenset(rest) | {e}
 
 
+def _setint_masks(m: int, rng: Random, bit: list[int]) -> tuple[int, int]:
+    """``sample_setint``'s draw as two masks; bit[e] is 1 << e.
+
+    The same setint_draw, so the same sets and the same rng state after.
+    """
+    q = m // 4
+    s = setint_draw(m, rng)
+    at = bit.__getitem__
+    e = bit[s[q - 1]]
+    return sum(map(at, s[:q - 1])) | e, sum(map(at, s[q:])) | e
+
+
 def sample_bmhpc(m: int, r: int, rng: Random) -> MHPCInstance:
-    """All r layers drawn independently per coordinate."""
+    """All r layers drawn independently per coordinate.
+
+    Each coordinate pair is one ``sample_setint`` draw, layer by layer,
+    the m A/B pairs before the m C/D pairs.
+    """
     if r < 1:
         raise ValueError("need r >= 1")
     check_universe(m)
+    bit = [1 << e for e in range(m)]
     A, B, C, D = [], [], [], []
     for _ in range(r):
-        ab = [sample_setint(m, rng) for _ in range(m)]
-        cd = [sample_setint(m, rng) for _ in range(m)]
-        A.append([si.X for si in ab])
-        B.append([si.Y for si in ab])
-        C.append([si.X for si in cd])
-        D.append([si.Y for si in cd])
+        for fam1, fam2 in ((A, B), (C, D)):
+            xs, ys = zip(*[_setint_masks(m, rng, bit) for _ in range(m)])
+            fam1.append(list(xs))
+            fam2.append(list(ys))
     return MHPCInstance(m, r, A, B, C, D)
 
 
@@ -407,86 +450,38 @@ def embed_setint(si: SetIntInstance, j: int, r: int, rng_public: Random,
     C = [[None] * m for _ in range(r)]
     D = [[None] * m for _ in range(r)]
     jj = j - 1
+    bit = [1 << e for e in range(m)]
 
-    A[jj][I], B[jj][I] = si.X, si.Y
+    def split(layer: int, i: int, public_a: bool) -> None:
+        # the public half first, then the other side's conditioned half
+        pub = sample_side_marginal(m, rng_public)
+        priv = sample_given_other(m, pub, rng_private_b if public_a else rng_private_a)
+        a, b = (pub, priv) if public_a else (priv, pub)
+        A[layer][i], B[layer][i] = to_mask(a), to_mask(b)
+
+    A[jj][I], B[jj][I] = to_mask(si.X), to_mask(si.Y)
     for i in range(I):
-        A[jj][i] = sample_side_marginal(m, rng_public)
-        B[jj][i] = sample_given_other(m, A[jj][i], rng_private_b)
+        split(jj, i, True)
     for i in range(I + 1, m):
-        B[jj][i] = sample_side_marginal(m, rng_public)
-        A[jj][i] = sample_given_other(m, B[jj][i], rng_private_a)
+        split(jj, i, False)
 
     for layer in range(r):
         for y in range(m):
-            cd = sample_setint(m, rng_public)
-            C[layer][y], D[layer][y] = cd.X, cd.Y
-        if layer == jj:
-            continue
-        if layer < jj:
+            C[layer][y], D[layer][y] = _setint_masks(m, rng_public, bit)
+        if layer != jj:
             for i in range(m):
-                A[layer][i] = sample_side_marginal(m, rng_public)
-                B[layer][i] = sample_given_other(m, A[layer][i], rng_private_b)
-        else:
-            for i in range(m):
-                B[layer][i] = sample_side_marginal(m, rng_public)
-                A[layer][i] = sample_given_other(m, B[layer][i], rng_private_a)
+                split(layer, i, layer < jj)
 
     return MHPCInstance(m, r, A, B, C, D), I
 
 
 # ---------------------------------------------------------------------------
-# fixtures, padding, serialization
-
-
-def worked_example() -> MHPCInstance:
-    """The hand-checkable three-element, three-layer instance.
-
-    Its walk is x_0 -> y_1 -> x_1 -> y_2 with answer bit 1. Families that
-    cannot affect the walk hold self-intersecting singletons.
-    """
-    f = frozenset
-    idont = [[f({i}) for i in range(3)]]  # identity singletons, one layer
-    A = [
-        [f({0, 1}), f({0, 1}), f({1})],
-        idont[0],
-        [f({1}), f({1, 2}), f({0})],
-    ]
-    B = [
-        [f({1, 2}), f({0}), f({1, 2})],
-        idont[0],
-        [f({0, 1}), f({2}), f({0, 2})],
-    ]
-    C = [
-        idont[0],
-        [f({0}), f({0, 1}), f({2})],
-        idont[0],
-    ]
-    D = [
-        idont[0],
-        [f({0, 1}), f({1, 2}), f({1, 2})],
-        idont[0],
-    ]
-    return MHPCInstance(3, 3, A, B, C, D)
-
-
-def pad_instance(inst: MHPCInstance, m_new: int) -> MHPCInstance:
-    """Grow the universes to m_new with self-intersecting singleton pairs.
-
-    The walk never reaches the new coordinates, so the path and answer
-    are unchanged.
-    """
-    if m_new < inst.m:
-        raise ValueError("cannot shrink the universe")
-    pads = [frozenset({i}) for i in range(inst.m, m_new)]
-    grow = lambda fam: [layer + pads for layer in fam]
-    return MHPCInstance(
-        m_new, inst.r,
-        grow(inst.A), grow(inst.B), grow(inst.C), grow(inst.D),
-    )
+# serialization
 
 
 def instance_to_json(inst: MHPCInstance) -> str:
-    dump = lambda fam: [[sorted(s) for s in layer] for layer in fam]
+    """The instance as canonical JSON, each set a sorted member list."""
+    dump = lambda fam: [[list(mask_members(s)) for s in layer] for layer in fam]
     return json.dumps(
         {"m": inst.m, "r": inst.r, "A": dump(inst.A), "B": dump(inst.B),
          "C": dump(inst.C), "D": dump(inst.D)},

@@ -344,7 +344,7 @@ def hpc_runs():
     exhaustive_count = 0
     for r in (1, 2):
         for path in itertools.product(range(4), repeat=r):
-            fam = [[frozenset({path[j]})] * 4 for j in range(r)]
+            fam = [[1 << path[j]] * 4 for j in range(r)]
             inst = MHPCInstance(4, r, fam, fam, fam, fam)
             validate_instance(inst)
             walk = chase(inst)

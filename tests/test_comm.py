@@ -54,7 +54,7 @@ from degencomm.protocols import (
     _swap,
     degen_search,
 )
-from test_hpc import reference_misaligned_party
+from test_hpc import frozenset_instance, reference_misaligned_party
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def test_uint_range_checked():
 
 
 def test_composite_fields():
-    assert charvec({0, 3}, 6).bits == 6
+    assert charvec(0b1001, 6).bits == 6
     assert vec(uint(3, 8), flag(True)).bits == 4
     # 5 ids from a 10-vertex graph: prefix for counts 0..5 plus 5 * 4 bits
     ids = [vertex_id(i, 10) for i in range(5)]
@@ -113,24 +113,27 @@ def test_composite_fields():
 
 
 def test_charvec_rejects_out_of_universe():
-    with pytest.raises(ValueError):
-        charvec({7}, 6)
+    # a member at or past the universe, or a negative mask
+    for mask in (1 << 7, 1 << 6 | 1, -1, ~0b100):
+        with pytest.raises(ValueError, match="leaves universe 6"):
+            charvec(mask, 6)
+    assert charvec(0b111111, 6) == Field(0b111111, 6)
 
 
-@pytest.mark.parametrize("sets, universe", [
-    ([], 6), ([set()], 0), ([{0, 3}, set(), {5, 1, 2}], 6), ([{0}], 1),
-    ([{2, -1}], 6), ([{6, 0}], 6), ([{0, 2}, {3, 9, -2}, {7}], 6),
-    ([{1}, set(), {2, 6}, {-1}], 6),
+@pytest.mark.parametrize("masks, universe", [
+    ([], 6), ([0], 0), ([0b1001, 0, 0b100110], 6), ([0b1], 1),
+    ([~0b11], 6), ([0b1000001], 6), ([0b101, 1 << 9 | 0b1000, 1 << 7], 6),
+    ([0b10, 0, 0b1000100, -1], 6), ([0b10, -1, 1 << 6], 6),
 ])
-def test_charvecs_match_one_charvec_per_set(sets, universe):
+def test_charvecs_match_one_charvec_per_set(masks, universe):
     def outcome(encode):
         try:
             return encode()
         except ValueError as exc:
             return "ValueError", str(exc)
 
-    assert outcome(lambda: charvecs(iter(sets), universe)) == outcome(
-        lambda: tuple(charvec(s, universe) for s in sets))
+    assert outcome(lambda: charvecs(iter(masks), universe)) == outcome(
+        lambda: tuple(charvec(s, universe) for s in masks))
 
 
 @pytest.mark.parametrize("bound", [0, 1, 2, 5, 2**40])
@@ -1148,6 +1151,7 @@ def test_four_party_runner_matches_reference():
             assert out == chase(inst).bit
 
             inst = sample_bhpc(m, r, rng)
+            ref = frozenset_instance(inst)
             sched = RoundSchedule(r, "CD")
             for n_presolve in range(m + 1):
                 sel = sorted(rng.sample(range(m), n_presolve))
@@ -1155,7 +1159,7 @@ def test_four_party_runner_matches_reference():
                     run_four_party(sched, {p: _misaligned_party(p, inst, sel)
                                            for p in "ABCD"}),
                     reference_run_four_party(
-                        sched, {p: reference_misaligned_party(p, inst, sel)
+                        sched, {p: reference_misaligned_party(p, ref, sel)
                                 for p in "ABCD"}))
                 outcomes.add("abstain" if out is ABSTAIN else "finished")
     assert outcomes == {"abstain", "finished"}

@@ -22,8 +22,10 @@ from degencomm.gadget import (
     verify_gadget,
 )
 from degencomm.graphs import Graph, degeneracy, dumps_graph, peel
-from degencomm.hpc import chase, pad_instance, sample_bmhpc, worked_example
+from degencomm.hpc import chase, sample_bmhpc
 from degencomm.reduction import trace_invariants
+
+from test_hpc import pad_instance, worked_example
 
 ALL_COMBOS = [(4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3)]
 
@@ -72,7 +74,7 @@ def _per_edge_build(inst):
     def encode(src, fam1, fam2):
         for i in range(m):
             for u, fam in zip(trip[(src, i)], (fam1, fam2)):
-                for j in sorted(fam[i]):
+                for j in (e for e in range(m) if fam[i] >> e & 1):
                     join(u, trip[(src + 1, j)][0])
                     join(u, trip[(src + 1, j)][1])
 
@@ -161,6 +163,16 @@ def test_rejects_universe_not_multiple_of_four():
         build_gadget(worked_example())
 
 
+@pytest.mark.parametrize("member", [9, -1])
+def test_rejects_a_member_outside_the_universe(member):
+    # it used to reach the encoder and raise KeyError: (1, 9)
+    inst = sample_bmhpc(8, 2, random.Random(3))
+    s = inst.A[0][3]
+    inst.A[0][3] = s | 1 << member if member >= 0 else ~s
+    with pytest.raises(ValueError, match=r"A\[0\]\[3\] leaves the universe"):
+        build_gadget(inst)
+
+
 def test_deficiency_ranges():
     rng = random.Random(3)
     for m, r in ALL_COMBOS:
@@ -246,10 +258,10 @@ def test_encoding_edges_match_the_sets():
                     for u in gg.triple_index[(src, i)]
                     for v in gg.triple_index[(src + 1, j)]
                 )
-                members = (j in fam1[i]) + (j in fam2[i])
+                members = (fam1[i] >> j & 1) + (fam2[i] >> j & 1)
                 assert count == 2 * members
                 if count == 4:
-                    assert {j} == fam1[i] & fam2[i]
+                    assert 1 << j == fam1[i] & fam2[i]
 
 
 def test_last_layer_bit_wiring():
@@ -600,9 +612,9 @@ def _tamper_cases():
     fams = {0: (inst.A[0], inst.B[0]), 2: (inst.C[1], inst.D[1])}
     # the target that gets all four edges from (src, i), and the
     # smallest one that gets none
-    hit = {(src, i): min(f1[i] & f2[i])
+    hit = {(src, i): (f1[i] & f2[i]).bit_length() - 1
            for src, (f1, f2) in fams.items() for i in range(m)}
-    miss = {(src, i): min(set(range(m)) - f1[i] - f2[i])
+    miss = {(src, i): min(j for j in range(m) if not (f1[i] | f2[i]) >> j & 1)
             for src, (f1, f2) in fams.items() for i in range(m)}
 
     def four(src, i, j):

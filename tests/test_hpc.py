@@ -1,12 +1,14 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from degencomm.comm import (
+    Field,
     RoundSchedule,
-    charvec,
+    flag,
     nothing,
     run_four_party,
     uint,
@@ -21,23 +23,67 @@ from degencomm.hpc import (
     chase,
     embed_setint,
     instance_to_json,
+    mask_members,
     misaligned_bhpc_protocol,
-    pad_instance,
     sample_bhpc,
     sample_bmhpc,
     sample_given_other,
     sample_setint,
     sample_side_marginal,
     setint_draw,
+    to_mask,
     validate_instance,
     validate_setint,
-    _meet,
-    worked_example,
 )
 
 
 def _three_sigma(n, p):
     return 3 * math.sqrt(n * p * (1 - p))
+
+
+def _members(mask, m):
+    """The members of a mask over [0, m), by testing each bit in turn."""
+    return [e for e in range(m) if mask >> e & 1]
+
+
+def _fam(*layers):
+    """A family of masks from member sets, one list of sets per layer."""
+    return [[to_mask(s) for s in layer] for layer in layers]
+
+
+# ---------------------------------------------------------------------------
+# fixtures: hand-made instances
+
+
+def worked_example() -> MHPCInstance:
+    """The hand-checkable three-element, three-layer instance.
+
+    Its walk is x_0 -> y_1 -> x_1 -> y_2 with answer bit 1. Families that
+    cannot affect the walk hold self-intersecting singletons. Masks are
+    written high bit first: 0b011 is {0, 1}.
+    """
+    ident = [0b001, 0b010, 0b100]  # identity singletons, one layer
+    A = [[0b011, 0b011, 0b010], ident, [0b010, 0b110, 0b001]]
+    B = [[0b110, 0b001, 0b110], ident, [0b011, 0b100, 0b101]]
+    C = [ident, [0b001, 0b011, 0b100], ident]
+    D = [ident, [0b011, 0b110, 0b110], ident]
+    return MHPCInstance(3, 3, A, B, C, D)
+
+
+def pad_instance(inst: MHPCInstance, m_new: int) -> MHPCInstance:
+    """Grow the universes to m_new with self-intersecting singleton pairs.
+
+    The walk never reaches the new coordinates, so the path and answer
+    are unchanged.
+    """
+    if m_new < inst.m:
+        raise ValueError("cannot shrink the universe")
+    pads = [1 << i for i in range(inst.m, m_new)]
+    grow = lambda fam: [layer + pads for layer in fam]
+    return MHPCInstance(
+        m_new, inst.r,
+        grow(inst.A), grow(inst.B), grow(inst.C), grow(inst.D),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +167,7 @@ def test_bmhpc_unit_universe_pairs():
     inst = sample_bmhpc(4, 1, random.Random(2))
     validate_instance(inst)
     for fam in (inst.A, inst.B, inst.C, inst.D):
-        assert all(len(s) == 1 for s in fam[0])
+        assert all(s.bit_count() == 1 for s in fam[0])
 
 
 def test_bmhpc_seeded_instance_validates():
@@ -147,8 +193,10 @@ def _oracle_walk(inst):
     fx = []
     fy = []
     for j in range(inst.r):
-        fx.append({x: sorted(inst.A[j][x] & inst.B[j][x]) for x in range(inst.m)})
-        fy.append({y: sorted(inst.C[j][y] & inst.D[j][y]) for y in range(inst.m)})
+        fx.append({x: _members(inst.A[j][x] & inst.B[j][x], inst.m)
+                   for x in range(inst.m)})
+        fy.append({y: _members(inst.C[j][y] & inst.D[j][y], inst.m)
+                   for y in range(inst.m)})
     idx = 0
     for step in range(1, inst.r + 1):
         table = fx[step - 1] if step % 2 else fy[step - 1]
@@ -164,9 +212,8 @@ def test_worked_example_walk():
 
 
 def test_single_step_walk():
-    f = frozenset
-    inst = MHPCInstance(2, 1, [[f({0}), f({1})]], [[f({0}), f({0, 1})]],
-                        [[f({0}), f({1})]], [[f({0}), f({1})]])
+    inst = MHPCInstance(2, 1, _fam([{0}, {1}]), _fam([{0}, {0, 1}]),
+                        _fam([{0}, {1}]), _fam([{0}, {1}]))
     path = chase(inst)
     assert path.z == [("x", 0), ("y", 0)]
     assert path.bit == 1  # first element of the universe is odd 1-based
@@ -186,13 +233,36 @@ def test_walk_matches_oracle_on_samples():
 
 
 def test_walk_error_names_offending_pair():
-    f = frozenset
-    inst = MHPCInstance(2, 1, [[f({0}), f({1})]], [[f({1}), f({0, 1})]],
-                        [[f({0}), f({1})]], [[f({0}), f({1})]])
+    inst = MHPCInstance(2, 1, _fam([{0}, {1}]), _fam([{1}, {0, 1}]),
+                        _fam([{0}, {1}]), _fam([{0}, {1}]))
     with pytest.raises(ValueError, match=r"A\[0\]\[0\]/B\[0\]\[0\]"):
         chase(inst)
     with pytest.raises(ValueError, match=r"A\[0\]\[0\]"):
         validate_instance(inst)
+
+
+@pytest.mark.parametrize("fam, j, i", [("A", 0, 3), ("B", 1, 0), ("C", 0, 7),
+                                       ("D", 1, 5)])
+@pytest.mark.parametrize("member", [9, 8, -1])
+def test_validation_fails_closed_outside_the_universe(fam, j, i, member):
+    # a member at or past m, or a negative mask (every member below 0
+    # joined too), is named by family, layer and coordinate, whether or
+    # not the walk reaches that set
+    inst = sample_bmhpc(8, 2, random.Random(3))
+    layer = getattr(inst, fam)[j]
+    layer[i] = layer[i] | 1 << member if member >= 0 else ~layer[i]
+    with pytest.raises(ValueError,
+                       match=rf"set {fam}\[{j}\]\[{i}\] leaves the universe \[8\)"):
+        validate_instance(inst)
+
+
+def test_masks_and_members_round_trip():
+    for members in ([], [0], [3, 1, 4], list(range(0, 130, 7))):
+        mask = to_mask(members)
+        assert list(mask_members(mask)) == sorted(members) == _members(mask, 130)
+    assert to_mask([2, 2, 5]) == 0b100100
+    with pytest.raises(ValueError, match="negative mask"):
+        list(mask_members(~0b100))
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +356,116 @@ def test_misaligned_odd_budget_cannot_finish():
     assert out is ABSTAIN
 
 
+# ---------------------------------------------------------------------------
+# frozenset references: the instances, encoders and parties as they were
+# when every set was a frozenset, kept as oracles for the mask code
+
+
+def reference_charvec(members, universe):
+    """``charvec`` over a frozenset: the same universe bits."""
+    ms = frozenset(members)
+    for e in ms:
+        if not 0 <= e < universe:
+            raise ValueError(f"element {e} outside universe {universe}")
+    return Field(ms, universe)
+
+
+def reference_meet(first, second, where):
+    inter = first & second
+    if len(inter) != 1:
+        raise ValueError(
+            f"{where} intersects in {len(inter)} elements, need exactly 1"
+        )
+    (t,) = inter
+    return t
+
+
+def reference_bmhpc(m, r, rng):
+    """sample_bmhpc with frozenset families: one sample_setint per pair."""
+    A, B, C, D = [], [], [], []
+    for _ in range(r):
+        ab = [sample_setint(m, rng) for _ in range(m)]
+        cd = [sample_setint(m, rng) for _ in range(m)]
+        A.append([si.X for si in ab])
+        B.append([si.Y for si in ab])
+        C.append([si.X for si in cd])
+        D.append([si.Y for si in cd])
+    return MHPCInstance(m, r, A, B, C, D)
+
+
+def frozenset_instance(inst):
+    """The same instance with each mask as a frozenset of its members."""
+    sets = lambda fam: [[frozenset(_members(s, inst.m)) for s in layer]
+                        for layer in fam]
+    return MHPCInstance(inst.m, inst.r, sets(inst.A), sets(inst.B),
+                        sets(inst.C), sets(inst.D))
+
+
+def reference_bhpc(m, r, rng):
+    base = reference_bmhpc(m, 1, rng)
+    return MHPCInstance(
+        m, r,
+        [base.A[0]] * r, [base.B[0]] * r, [base.C[0]] * r, [base.D[0]] * r,
+    )
+
+
+def reference_json(inst):
+    """instance_to_json over frozenset families."""
+    dump = lambda fam: [[sorted(s) for s in layer] for layer in fam]
+    return json.dumps(
+        {"m": inst.m, "r": inst.r, "A": dump(inst.A), "B": dump(inst.B),
+         "C": dump(inst.C), "D": dump(inst.D)},
+        sort_keys=True, separators=(",", ":"),
+    )
+
+
+def reference_aligned_party(name, inst):
+    fam = {"A": inst.A, "B": inst.B, "C": inst.C, "D": inst.D}[name]
+    partner = {"A": "B", "B": "A", "C": "D", "D": "C"}[name]
+    m = inst.m
+    idx = 0
+    for j in range(inst.r):
+        x_step = j % 2 == 0
+        my_round = (name in "AB") == x_step
+        if my_round and name in "AC":
+            yield ("send", partner, reference_charvec(fam[j][idx], m))
+            t = yield ("recv",)
+            yield ("broadcast", vec(uint(t, m), flag((t + 1) % 2 == 1)))
+            idx = t
+        elif my_round:
+            theirs = yield ("recv",)
+            t = reference_meet(fam[j][idx], theirs, f"layer {j} pair")
+            yield ("send", partner, uint(t, m))
+            got = yield ("recv",)
+            idx = got[0]
+        else:
+            got = yield ("recv",)
+            idx = got[0]
+    yield ("output", (idx + 1) % 2)
+
+
+def reference_aligned_protocol(inst):
+    parties = {p: reference_aligned_party(p, inst) for p in "ABCD"}
+    return run_four_party(RoundSchedule(inst.r, "AB"), parties)
+
+
 def reference_misaligned_party(name, inst, sel):
     """The misaligned party as it was when D broadcast the table as one
-    nested ``vec`` per (y, t) pair, kept verbatim as an oracle for the
-    bulk table encoding."""
+    nested ``vec`` per (y, t) pair and the sets were frozensets, kept as
+    an oracle for the bulk table encoding and the masks."""
     fam = {"A": inst.A, "B": inst.B, "C": inst.C, "D": inst.D}[name]
     m, r = inst.m, inst.r
 
     # round 1: pre-solve the selected y-coordinates, announce the table
     if name == "C":
         for y in sel:
-            yield ("send", "D", charvec(fam[0][y], m))
+            yield ("send", "D", reference_charvec(fam[0][y], m))
         got = yield ("recv",)
     elif name == "D":
         pairs = []
         for y in sel:
             theirs = yield ("recv",)
-            t = _meet(fam[0][y], theirs, "layer 0 pair")
+            t = reference_meet(fam[0][y], theirs, "layer 0 pair")
             pairs.append((y, t))
         got = tuple(pairs)
         yield ("broadcast", vec(*(vec(uint(y, m), uint(t, m)) for y, t in pairs)))
@@ -327,7 +490,7 @@ def reference_misaligned_party(name, inst, sel):
         if my_round and name in "AC":
             if active:
                 yield ("send", partner := ("B" if name == "A" else "D"),
-                       charvec(fam[frontier][idx], m))
+                       reference_charvec(fam[frontier][idx], m))
                 t = yield ("recv",)
                 yield ("broadcast", uint(t, m))
                 idx, frontier = t, frontier + 1
@@ -336,7 +499,8 @@ def reference_misaligned_party(name, inst, sel):
         elif my_round:
             if active:
                 theirs = yield ("recv",)
-                t = _meet(fam[frontier][idx], theirs, f"layer {frontier} pair")
+                t = reference_meet(fam[frontier][idx], theirs,
+                                   f"layer {frontier} pair")
                 yield ("send", "A" if name == "B" else "C", uint(t, m))
                 yield ("recv",)
                 idx, frontier = t, frontier + 1
@@ -359,6 +523,14 @@ def reference_misaligned_protocol(inst, N, rng):
     return run_four_party(RoundSchedule(inst.r, "CD"), parties)
 
 
+def _same_run(got, want):
+    (out, ledger), (ref_out, ref_ledger) = got, want
+    assert out is ref_out if ref_out is ABSTAIN else out == ref_out
+    assert ledger.to_json() == ref_ledger.to_json()
+    assert (ledger.intra_bits, ledger.cross_bits) == (
+        ref_ledger.intra_bits, ref_ledger.cross_bits)
+
+
 def test_misaligned_table_field_matches_the_nested_vec_reference():
     # the CLI's hpc rows keep only the largest bit total, so compare every
     # message of every run here
@@ -366,18 +538,49 @@ def test_misaligned_table_field_matches_the_nested_vec_reference():
     outcomes = set()
     for m in (4, 16, 64):
         for r in (1, 2, 4, 5):
+            ref_rng = random.Random()
+            ref_rng.setstate(rng.getstate())
             inst = sample_bhpc(m, r, rng)
+            ref = reference_bhpc(m, r, ref_rng)
             for N in sorted({0, 1, m // 2, m}):
                 seed = rng.getrandbits(32)
-                out, ledger = misaligned_bhpc_protocol(inst, N, random.Random(seed))
-                ref_out, ref_ledger = reference_misaligned_protocol(
-                    inst, N, random.Random(seed))
-                assert out == ref_out
-                assert ledger.to_json() == ref_ledger.to_json()
-                assert (ledger.intra_bits, ledger.cross_bits) == (
-                    ref_ledger.intra_bits, ref_ledger.cross_bits)
-                outcomes.add("abstain" if out is ABSTAIN else "finished")
+                out = misaligned_bhpc_protocol(inst, N, random.Random(seed))
+                _same_run(out, reference_misaligned_protocol(
+                    ref, N, random.Random(seed)))
+                outcomes.add("abstain" if out[0] is ABSTAIN else "finished")
     assert outcomes == {"abstain", "finished"}
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 64])
+@pytest.mark.parametrize("r", [1, 2, 5])
+def test_masks_match_the_frozenset_reference(m, r):
+    # the same draws as frozensets: the same JSON text, the same rng state
+    # after sampling, and the same walks, outputs and ledgers
+    for seed in range(3):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        inst, ref = sample_bmhpc(m, r, rng), reference_bmhpc(m, r, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+        assert instance_to_json(inst) == reference_json(ref)
+        _same_run(aligned_protocol(inst, RoundSchedule(r, "AB")),
+                  reference_aligned_protocol(ref))
+
+        inst, ref = sample_bhpc(m, r, rng), reference_bhpc(m, r, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+        assert instance_to_json(inst) == reference_json(ref)
+        for N in sorted({0, m // 2, m}):
+            _same_run(misaligned_bhpc_protocol(inst, N, random.Random(N)),
+                      reference_misaligned_protocol(ref, N, random.Random(N)))
+
+
+def test_sampled_instance_memory_is_bounded():
+    # 1 024 masks of 64 bits; frozensets of 16 members took about 750 KB
+    tracemalloc.start()
+    try:
+        sample_bmhpc(64, 4, random.Random(1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +597,8 @@ def test_embedding_places_input_verbatim():
     for seed in range(20):
         si = sample_setint(4, rng)
         inst, pos = _embed(si, 1, 1, seed)
-        assert inst.A[0][pos] == si.X
-        assert inst.B[0][pos] == si.Y
+        assert inst.A[0][pos] == to_mask(si.X)
+        assert inst.B[0][pos] == to_mask(si.Y)
         validate_instance(inst)
 
 
@@ -406,7 +609,7 @@ def test_embedding_validates_across_layers():
             si = sample_setint(8, rng)
             inst, _ = _embed(si, j, 3, seed)
             validate_instance(inst)
-            assert inst.A[j - 1].count(si.X) >= 1
+            assert inst.A[j - 1].count(to_mask(si.X)) >= 1
 
 
 def test_embedding_position_is_uniform():
@@ -435,8 +638,7 @@ def test_embedding_smallest_universe_coordinates_match_hard_distribution():
         support = []
         for i in range(4):
             assert inst.A[0][i] == inst.B[0][i]
-            assert len(inst.A[0][i]) == 1
-            (u,) = inst.A[0][i]
+            (u,) = _members(inst.A[0][i], 4)
             counts[(i, u)] += 1
             support.append(u)
         key = (support[0], support[1])
@@ -471,7 +673,7 @@ def test_padding_preserves_walk():
     assert chase(padded).z == chase(inst).z
     for fam in (padded.A, padded.B, padded.C, padded.D):
         for layer in fam:
-            assert layer[3] == frozenset({3})
+            assert layer[3] == 1 << 3
     with pytest.raises(ValueError):
         pad_instance(inst, 2)
 
@@ -483,5 +685,5 @@ def test_json_roundtrip():
     assert text == json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert (obj["m"], obj["r"]) == (inst.m, inst.r)
     for key in "ABCD":
-        assert obj[key] == [[sorted(s) for s in layer]
+        assert obj[key] == [[_members(s, inst.m) for s in layer]
                             for layer in getattr(inst, key)], key

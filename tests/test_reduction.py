@@ -8,7 +8,7 @@ from degencomm import hpc
 from degencomm.comm import CommLedger, ProtocolError, uint_width
 from degencomm.gadget import _edges_below, aux_padding, build_gadget, pointer_path_triples
 from degencomm.graphs import Graph, degeneracy, peel
-from degencomm.hpc import MHPCInstance, chase, pad_instance, sample_bmhpc, worked_example
+from degencomm.hpc import MHPCInstance, chase, sample_bmhpc
 from degencomm.reduction import (
     NaivePeeler,
     SimulationResult,
@@ -19,6 +19,8 @@ from degencomm.reduction import (
     simulate_streaming_reduction,
     trace_invariants,
 )
+
+from test_hpc import pad_instance, worked_example
 
 
 def _norm(edges):
@@ -105,13 +107,13 @@ def test_encoding_families_count_the_instance_sets():
     even_steps = range(0, inst.r, 2)
     odd_steps = range(1, inst.r, 2)
     assert len(parts["EA"]) == 2 * sum(
-        len(s) for t in even_steps for s in inst.A[t])
+        s.bit_count() for t in even_steps for s in inst.A[t])
     assert len(parts["EB"]) == 2 * sum(
-        len(s) for t in even_steps for s in inst.B[t])
+        s.bit_count() for t in even_steps for s in inst.B[t])
     assert len(parts["EC"]) == 2 * sum(
-        len(s) for t in odd_steps for s in inst.C[t])
+        s.bit_count() for t in odd_steps for s in inst.C[t])
     assert len(parts["ED"]) == 2 * sum(
-        len(s) for t in odd_steps for s in inst.D[t])
+        s.bit_count() for t in odd_steps for s in inst.D[t])
 
 
 def test_padding_rederives_from_degrees_alone():
