@@ -20,7 +20,14 @@ whatever the run wrote there (the ``--emit-gadget`` files). The
 * ``graph-loose.txt`` and ``graph-dense-loose.txt``: the same two graphs
   laid out by hand (the first row moved to the end, one blank line, one
   CRLF line end, one leading zero), which the reader must take line by
-  line. Their runs must print what the runs of the canonical files do.
+  line. Their runs must print what the runs of the canonical files do;
+* ``graph-empty.txt`` and ``graph-sparse.txt``: 5 000 vertices with no
+  edges, and G(5 000, 5 000), whose 2-core is nonempty and whose
+  degeneracy is 2. Far below the density cut, these are peeled by the
+  sparse path, where most vertices share the least degree.
+
+The last runs are refusals that must exit 2: sweep flags given with
+``--graph``.
 
 Everything is seeded, so two checkouts that behave the same give
 byte-identical trees; compare them with ``diff -r``. Standard library
@@ -36,6 +43,7 @@ import sys
 
 KAPPA = 7
 DENSE_KAPPA = 16
+SPARSE_N = 5000
 
 RUNS: list[tuple[str, list[str]]] = [
     *[(f"degeneracy-n{n}-{fmt}",
@@ -94,6 +102,15 @@ RUNS: list[tuple[str, list[str]]] = [
       for stem, kappa in (("graph-loose", KAPPA), ("graph-dense", DENSE_KAPPA),
                           ("graph-dense-loose", DENSE_KAPPA))
       for k in (kappa - 1, kappa)],
+    ("degeneracy-graph-empty-k0",
+     ["degeneracy", "--graph", "../graph-empty.txt", "--k", "0", "--seed", "3"]),
+    *[(f"degeneracy-graph-sparse-k{k}",
+       ["degeneracy", "--graph", "../graph-sparse.txt", "--k", str(k),
+        "--seed", "3"])
+      for k in (1, 2)],
+    *[(f"degeneracy-graph-refuses-{flag}",
+       ["degeneracy", "--graph", "../graph.txt", "--k", "3", f"--{flag}", "5"])
+      for flag in ("n", "trials")],
 ]
 
 
@@ -113,6 +130,17 @@ def dense_graph_text() -> str:
     edges = [(u, v) for u in range(40) for v in range(u + 1, 40)
              if rng.random() < 0.5]
     return f"40 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+def sparse_graph_text() -> str:
+    """G(SPARSE_N, SPARSE_N): uniform pairs drawn until that many differ."""
+    rng = random.Random(2026)
+    edges: set[tuple[int, int]] = set()
+    while len(edges) < SPARSE_N:
+        u, v = sorted(rng.sample(range(SPARSE_N), 2))
+        edges.add((u, v))
+    return (f"{SPARSE_N} {SPARSE_N}\n"
+            + "".join(f"{u} {v}\n" for u, v in sorted(edges)))
 
 
 def loose_text(text: str) -> str:
@@ -139,6 +167,10 @@ def main(argv: list[str]) -> int:
         for suffix, data in (("", text), ("-loose", loose_text(text))):
             with open(os.path.join(out, f"{name}{suffix}.txt"), "wb") as fh:
                 fh.write(data.encode("ascii"))
+    for name, text in (("graph-empty", f"{SPARSE_N} 0\n"),
+                       ("graph-sparse", sparse_graph_text())):
+        with open(os.path.join(out, f"{name}.txt"), "wb") as fh:
+            fh.write(text.encode("ascii"))
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env = dict(os.environ, DEGENCOMM_WORKERS="1", PYTHONHASHSEED="0",
                PYTHONPATH=os.pathsep.join(

@@ -14,11 +14,13 @@ Five subcommands, one per experiment family:
 * ``sisolver``: amplification trials for synthetic reveal solvers.
 
 Every subcommand is deterministic given ``--seed``: trial i runs on an
-independent generator seeded by sha256("{seed}:{i}"), so reruns produce
-byte-identical output whether trials run serially (the default) or on a
-process pool capped by the ``DEGENCOMM_WORKERS`` environment variable.
-Output goes to stdout or ``--out``, as JSON (everything) or CSV (the
-documented column subsets below).
+independent generator seeded by sha256("{seed}:{i}") (``spawn_seed``).
+Output is byte-identical whether the trials of the degeneracy sweep,
+reduction, hpc and info run serially (the default) or on a process pool
+capped by ``DEGENCOMM_WORKERS``; sisolver and the single decision run
+serially on trial 0's seed. Output goes to stdout or ``--out``, as JSON
+(everything) or CSV (the columns below): one row per sweep trial, one
+for a single decision or a summary (hpc, info, sisolver).
 
 CSV columns by subcommand:
 
@@ -33,7 +35,8 @@ CSV columns by subcommand:
   success_rate, overflow, empty_intersection
 
 Exit codes: 0 when every check in the run passed, 1 when some check
-failed, 2 on usage, configuration, or file-format errors.
+failed, 2 on usage, configuration, or file-format errors and when the
+run runs out of memory.
 """
 
 from __future__ import annotations
@@ -164,6 +167,9 @@ def cmd_degeneracy(args) -> int:
     if args.graph is not None:
         if args.k is None:
             raise ValueError("--graph needs --k to decide against")
+        for flag, value in (("--n", args.n), ("--trials", args.trials)):
+            if value is not None:
+                raise ValueError(f"{flag} needs the sweep, not --graph")
         g = load_graph(args.graph)
         part = random_partition(g, random.Random(spawn_seed(args.seed, 0)))
         stats: dict = {}
@@ -180,10 +186,12 @@ def cmd_degeneracy(args) -> int:
         }]
         columns = ["n", "k", "accept", "bits_total", "updates_max"]
     else:
-        if args.n < 0:
-            raise ValueError(f"--n must be >= 0, got {args.n}")
-        _need_trials(args.trials)
-        tasks = [(args.n, spawn_seed(args.seed, i)) for i in range(args.trials)]
+        n = 32 if args.n is None else args.n
+        trials = 100 if args.trials is None else args.trials
+        if n < 0:
+            raise ValueError(f"--n must be >= 0, got {n}")
+        _need_trials(trials)
+        tasks = [(n, spawn_seed(args.seed, i)) for i in range(trials)]
         rows = _run_trials(_degeneracy_trial, tasks)
         columns = ["n", "kappa", "bits_total", "updates_max"]
     return _emit(args, {"rows": rows}, rows, columns,
@@ -441,8 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("degeneracy", help="two-party degeneracy search sweeps")
-    sp.add_argument("--n", type=int, default=32, help="vertices per random graph")
-    sp.add_argument("--trials", type=int, default=100)
+    sp.add_argument("--n", type=int, help="vertices per random graph (default 32)")
+    sp.add_argument("--trials", type=int, help="random graphs (default 100)")
     sp.add_argument("--graph", default=None, help="decide one graph file instead")
     sp.add_argument("--k", type=int, default=None, help="decision threshold for --graph")
     _add_common(sp)
@@ -496,8 +504,11 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (ValueError, OSError) as exc:
-        print(f"degencomm: error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:  # reported once the handler frees what the run held
+        message = "out of memory"
+    print(f"degencomm: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -6,14 +6,14 @@ small: an immutable compact graph (sorted neighbour rows packed into two
 integer arrays), one min-degree peel, stopped at a threshold or run to
 the end, the orderings and cores that are views of it (peel,
 peel_decision, k_core, degeneracy), and a line-based text format. The
-peel picks the least (degree, id) vertex either from degree buckets or,
-on a graph dense enough that a scan over all vertices per pick costs no
-more than its edges, by min() over one integer key per vertex; both
-give the same order. Files are written one row at a time, and a file in
-that layout with at least eight edges per vertex is read in bounded
-chunks, one row's run of lines per step, into one integer array per row
-that is copied into the packed graph as it stands; any other file is
-read line by line, and errors still name their line.
+peel keeps one integer key per vertex, degree * n + id, and picks the
+least: by min() over all keys on a graph dense enough that a scan per
+pick costs no more than its edges, from a heap of the keys on any
+other; both give the same order. Files are written one row at a time,
+and a file in that layout with at least eight edges per vertex is read
+in bounded chunks, one row's run of lines per step, into one integer
+array per row that is copied into the packed graph as it stands; any
+other file is read line by line, and errors still name their line.
 
 Vertices are integers 0..n-1 throughout. Graphs are simple: no loops,
 no parallel edges.
@@ -27,6 +27,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from itertools import repeat
 from operator import lt
 from typing import IO, Collection, Iterable, NamedTuple
@@ -187,65 +188,50 @@ def _peel(g: Graph, k: int) -> tuple[list[int], list[int]]:
 
     The least id among the vertices of least residual degree goes next.
     Returns the removal order and each vertex's residual degree when it
-    went; the vertices left over form the (k+1)-core. A dense graph (see
-    _DENSE) is peeled by _peel_dense; on any other, bucket[d] holds the
-    live vertices of residual degree d, and a floor cursor tracks the
-    smallest nonempty bucket (a decrement moves it down by at most one).
-    """
-    if g.n * g.n <= _DENSE * len(g.nbrs):
-        return _peel_dense(g, k)
-    nbrs, off = g.nbrs, g.offsets
-    deg = [off[v + 1] - off[v] for v in range(g.n)]
-    buckets: list[set[int]] = [set() for _ in range(g.n + 1)]
-    for v, d in enumerate(deg):
-        buckets[d].add(v)
-    order: list[int] = []
-    removal: list[int] = []
-    floor = 0
-    for _ in range(g.n):
-        while not buckets[floor]:
-            floor += 1
-        if floor > k:
-            break
-        bucket = buckets[floor]
-        v = min(bucket)
-        bucket.discard(v)
-        deg[v] = -1  # retired
-        order.append(v)
-        removal.append(floor)
-        for u in nbrs[off[v]:off[v + 1]]:
-            d = deg[u]
-            if d < 0:
-                continue
-            buckets[d].discard(u)
-            deg[u] = d - 1
-            buckets[d - 1].add(u)
-            if d <= floor:
-                floor = d - 1
-    return order, removal
-
-
-def _peel_dense(g: Graph, k: int) -> tuple[list[int], list[int]]:
-    """_peel by one key per vertex, degree * n + id, so min() of the keys
-    is the least (degree, id) live vertex.
-
+    went; the vertices left over form the (k+1)-core. Each vertex has
+    one key, degree * n + id, so the least live key is the next vertex.
     A retired vertex's key starts at 2n^2 and loses n at most n-1 times,
-    so it stays above n^2 - 1, the largest live key, with no check.
+    so it stays above n^2 - 1, the largest live key. A dense graph (see
+    _DENSE) finds the least key by min() over all of them; any other
+    pops it from a heap that gets each lowered key pushed. A popped key
+    that is no longer its vertex's key is stale and skipped; since keys
+    only go down, the least current key comes out first.
     """
     nbrs, off, n = g.nbrs, g.offsets, g.n
     key = [(off[v + 1] - off[v]) * n + v for v in range(n)]
-    retired = 2 * n * n
+    top = n * n  # live keys are below it, retired ones never go below
+    retired = 2 * top
     order: list[int] = []
     removal: list[int] = []
-    for _ in range(n):
-        d, v = divmod(min(key), n)
+    if top <= _DENSE * len(nbrs):
+        for _ in range(n):
+            d, v = divmod(min(key), n)
+            if d > k:
+                break
+            key[v] = retired
+            order.append(v)
+            removal.append(d)
+            for u in nbrs[off[v]:off[v + 1]]:
+                key[u] -= n
+        return order, removal
+    heap = key[:]
+    heapify(heap)
+    push, pop = heappush, heappop
+    while heap:
+        x = pop(heap)
+        d, v = divmod(x, n)
+        if key[v] != x:
+            continue
         if d > k:
             break
         key[v] = retired
         order.append(v)
         removal.append(d)
         for u in nbrs[off[v]:off[v + 1]]:
-            key[u] -= n
+            x = key[u] - n
+            key[u] = x
+            if x < top:
+                push(heap, x)
     return order, removal
 
 

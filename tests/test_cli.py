@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import os
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -254,6 +256,10 @@ def test_empty_or_negative_sweeps_exit_2(argv, message, capsys):
      "--p must be 'auto' or an integer, got 'x'"),
     (["reduction", "--trials", "1", "--p", "5"], "--p needs --streaming"),
     (["hpc", "--trials", "1", "--N", "8"], "--N needs --misaligned"),
+    (["degeneracy", "--graph", "g.txt", "--k", "3", "--n", "50"],
+     "--n needs the sweep, not --graph"),
+    (["degeneracy", "--graph", "g.txt", "--k", "3", "--trials", "7"],
+     "--trials needs the sweep, not --graph"),
     (["reduction", "--m", "4", "--r", "1", "--trials", "1",
       "--streaming", "naive", "--p", "3"],
      "pass budget --p 3 is too small for --streaming naive: "
@@ -264,6 +270,27 @@ def test_ignored_or_misparsed_flags_exit_2(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert err == f"degencomm: error: {message}\n"
+
+
+def test_running_out_of_memory_exits_2(tmp_path):
+    # the header's n alone asks for 10^8 rows; the child caps its own
+    # address space at 256 MiB, so the run fails soon and without
+    # exhausting the host
+    path = tmp_path / "huge.txt"
+    path.write_text("100000000 0\n", encoding="ascii")
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))
+        from degencomm.cli import main
+        sys.exit(main(["degeneracy", "--graph", sys.argv[1], "--k", "1"]))
+    """)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "degencomm: error: out of memory\n"
 
 
 def test_emit_gadget_with_streaming_exits_2_and_writes_nothing(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import io
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -94,7 +95,7 @@ def test_peel_tie_break_is_smallest_id():
 @pytest.mark.parametrize("n", [24, 41])
 def test_peel_matches_the_reference_on_both_sides_of_the_density_cut(n):
     # a graph with n * n <= _DENSE * 2e is peeled by key scans, any other
-    # by buckets: e runs from just below the cut to just above it
+    # by a heap of keys: e runs from just below the cut to just above it
     cut = -(-n * n // (2 * G._DENSE))  # the least e on the dense side
     rng = random.Random(n)
     dense = set()
@@ -104,6 +105,41 @@ def test_peel_matches_the_reference_on_both_sides_of_the_density_cut(n):
             dense.add(g.n * g.n <= G._DENSE * len(g.nbrs))
             assert_matches_reference(g)
     assert dense == {False, True}
+
+
+@pytest.mark.parametrize("n,e", [(2000, 2000), (2000, 8000), (3000, 3000),
+                                 (3000, 12_000)])
+def test_peel_matches_the_reference_on_sparse_graphs(n, e):
+    # far below the density cut, where every pick comes off the heap and
+    # most vertices share the least degree
+    g = G.gnm_random_graph(n, e, random.Random(n + e))
+    assert g.n * g.n > 16 * G._DENSE * len(g.nbrs)
+    assert_matches_reference(g)
+
+
+def _within_5s(fn, *args):
+    t0 = time.perf_counter()
+    out = fn(*args)
+    assert time.perf_counter() - t0 < 5.0, fn.__name__
+    return out
+
+
+@pytest.mark.parametrize("e", [0, 100_000])
+def test_sparse_peels_scale_to_100k_vertices(e):
+    # n = 100 000 with e = 0 or n: each call is well under a second on a
+    # 2-core host; a peel quadratic in n takes tens of seconds per call
+    n = 100_000
+    g = G.gnm_random_graph(n, e, random.Random(2026))
+    trace = _within_5s(G.peel, g)
+    decision = _within_5s(G.peel_decision, g, 1)
+    core = _within_5s(G.k_core, g, 2)
+    assert sorted(trace.order) == list(range(n))
+    if e == 0:
+        assert trace.order == list(range(n)) and trace.degeneracy == 0
+        assert decision == G.Accept(trace.order) and core == frozenset()
+    else:
+        assert isinstance(decision, G.Reject) and decision.core == core
+        assert core == reference_k_core(g, 2)
 
 
 def test_peel_alternate_tie_breaks_same_degeneracy():
