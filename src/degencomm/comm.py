@@ -44,6 +44,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
+from operator import sub
 from typing import Callable, Generator, Iterable, NamedTuple
 
 from .graphs import Graph
@@ -262,9 +264,11 @@ class EdgePartition:
         self.adj_a = adj_a = [[] for _ in range(base.n)]
         self.adj_b = adj_b = [[] for _ in range(base.n)]
         # v's row gets its lower neighbours (in the rows before v's) and
-        # then its upper ones, so every row comes out ascending
+        # then its upper ones, so every row comes out ascending; a vertex
+        # without edges has no row to walk
+        off = base.offsets
         codes = iter(side)
-        for u in range(base.n):
+        for u in compress(range(base.n), map(sub, off[1:], off)):
             for v, c in zip(base.upper(u), codes):
                 rows = adj_b if c else adj_a
                 rows[u].append(v)

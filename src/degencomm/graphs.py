@@ -9,7 +9,12 @@ peel_decision, k_core, degeneracy), and a line-based text format. The
 peel keeps one integer key per vertex, degree * n + id, and picks the
 least: by min() over all keys on a graph dense enough that a scan per
 pick costs no more than its edges, from a heap of the keys on any
-other; both give the same order. Files are written one row at a time,
+other; both give the same order. A peel given a prefix (as degeneracy
+and the gadget audit give it) stops after at least that many removals
+once the degeneracy is settled: when no live vertex's residual degree
+exceeds the largest removal degree so far, no later removal can, since
+residual degrees only go down. Its order is then a prefix of the full
+order and its degeneracy exact. Files are written one row at a time,
 and a file in that layout with at least eight edges per vertex is read
 in bounded chunks, one row's run of lines per step, into one integer
 array per row that is copied into the packed graph as it stands; any
@@ -159,10 +164,11 @@ def _sort_row(v: int, row: list[int]) -> None:
 
 @dataclass
 class PeelTrace:
-    """Result of running min-degree peeling to exhaustion.
+    """Result of min-degree peeling, run to exhaustion or settled early.
 
     order[i] is the i-th removed vertex and degree_at_removal[i] its
-    residual degree at that moment. The degeneracy is the running max.
+    residual degree at that moment. The degeneracy is the running max;
+    a settled peel (peel's prefix) lists a prefix of the full order.
     """
 
     order: list[int] = field(default_factory=list)
@@ -183,7 +189,8 @@ class Reject(NamedTuple):
 _DENSE = 8
 
 
-def _peel(g: Graph, k: int) -> tuple[list[int], list[int]]:
+def _peel(g: Graph, k: int, prefix: int | None = None
+          ) -> tuple[list[int], list[int]]:
     """Remove a minimum-residual-degree vertex while that degree is <= k.
 
     The least id among the vertices of least residual degree goes next.
@@ -196,6 +203,13 @@ def _peel(g: Graph, k: int) -> tuple[list[int], list[int]]:
     pops it from a heap that gets each lowered key pushed. A popped key
     that is no longer its vertex's key is stale and skipped; since keys
     only go down, the least current key comes out first.
+
+    With a prefix, the peel also stops after at least min(prefix, n)
+    removals once no live residual degree can exceed worst, the largest
+    removal degree so far. Both paths bound the live degrees by live - 1
+    and by the largest starting degree after each removal; the dense
+    path also takes the largest live key by one max() whenever the
+    removal count is a power of two.
     """
     nbrs, off, n = g.nbrs, g.offsets, g.n
     key = [(off[v + 1] - off[v]) * n + v for v in range(n)]
@@ -203,16 +217,32 @@ def _peel(g: Graph, k: int) -> tuple[list[int], list[int]]:
     retired = 2 * top
     order: list[int] = []
     removal: list[int] = []
+    # no prefix runs to the end; worst is the largest removal degree so
+    # far, and stop the removal count at which it is settled
+    prefix = n if prefix is None else min(prefix, n)
+    cap = max(key) // n if n else 0  # the largest starting degree
+    worst, stop = -1, n
+
+    def settle(d: int) -> int:
+        # the count at which no live degree can exceed d: at once if no
+        # vertex started above d, else once live - 1 <= d
+        return prefix if cap <= d else max(prefix, n - 1 - d)
+
     if top <= _DENSE * len(nbrs):
-        for _ in range(n):
+        for i in range(1, n + 1):
             d, v = divmod(min(key), n)
-            if d > k:
-                break
+            if d > worst:
+                if d > k:
+                    break
+                worst, stop = d, settle(d)
             key[v] = retired
             order.append(v)
             removal.append(d)
             for u in nbrs[off[v]:off[v + 1]]:
                 key[u] -= n
+            if i >= stop or (i >= prefix and not i & (i - 1) and max(
+                    filter(top.__gt__, key)) // n <= worst):
+                break
         return order, removal
     heap = key[:]
     heapify(heap)
@@ -222,8 +252,10 @@ def _peel(g: Graph, k: int) -> tuple[list[int], list[int]]:
         d, v = divmod(x, n)
         if key[v] != x:
             continue
-        if d > k:
-            break
+        if d > worst:
+            if d > k:
+                break
+            worst, stop = d, settle(d)
         key[v] = retired
         order.append(v)
         removal.append(d)
@@ -232,21 +264,30 @@ def _peel(g: Graph, k: int) -> tuple[list[int], list[int]]:
             key[u] = x
             if x < top:
                 push(heap, x)
+        if len(order) >= stop:
+            break
     return order, removal
 
 
-def peel(g: Graph) -> PeelTrace:
+def peel(g: Graph, prefix: int | None = None) -> PeelTrace:
     """Repeatedly remove a minimum-residual-degree vertex.
 
     Ties are broken by the smallest vertex id. The max residual degree
-    seen along the way is the degeneracy.
+    seen along the way is the degeneracy. Without a prefix the peel runs
+    to the end. With one, it removes at least min(prefix, n) vertices
+    and stops once the degeneracy is settled (see _peel). The trace is
+    then a prefix of the full one with the exact degeneracy: each later
+    removal's degree is at most its vertex's current residual degree,
+    which is at most the largest removal degree already seen.
     """
-    order, removal = _peel(g, g.n)
+    if prefix is not None and prefix < 0:
+        raise ValueError("prefix must be nonnegative")
+    order, removal = _peel(g, g.n, prefix)
     return PeelTrace(order, removal, max(removal, default=0))
 
 
 def degeneracy(g: Graph) -> int:
-    return peel(g).degeneracy
+    return peel(g, prefix=0).degeneracy
 
 
 def outdegree_profile(g: Graph, order: list[int]) -> list[int]:

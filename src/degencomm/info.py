@@ -186,27 +186,3 @@ def measure_eps_solving(protocol: Protocol, m: int, mode: str) -> float:
         prior = [x / ptotal for x in pw]
         result += mass[k] * triangular_discrimination(post, prior)
     return result
-
-
-# ---------------------------------------------------------------------------
-# the Bernoulli rate distinguisher
-
-
-def bernoulli_distinguisher(sampler: Callable[[], int], alpha: float,
-                            beta: float, gamma: float) -> str:
-    """Tell a rate <= alpha from a rate >= (1+beta)*alpha.
-
-    Draws k = ceil(48/(alpha*beta^2) * ln(1/gamma)) samples and thresholds
-    their sum at alpha*(1+beta/4)*k; wrong with probability at most gamma
-    when the promise holds.
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    if not 0 < beta <= 1:
-        raise ValueError("beta must be in (0, 1]")
-    if not 0 < gamma < 1:
-        raise ValueError("gamma must be in (0, 1)")
-    k = math.ceil(48 / (alpha * beta * beta) * math.log(1 / gamma))
-    tau = alpha * (1 + beta / 4) * k
-    total = sum(1 for _ in range(k) if sampler())
-    return "low" if total < tau else "high"

@@ -2,11 +2,12 @@
 
 Every function takes a GadgetGraph the caller built or loaded, so one
 gadget per instance is both audited and streamed. trace_invariants
-peels it once, confirms that its degeneracy lands on the side of d-3
-dictated by the instance's answer bit, and replays the peel to confirm
-the structured prefix: the pointer-path triples go first, each below
-the threshold, while the special and auxiliary degrees march down in
-lockstep.
+peels it once, only until the audited prefix is removed and the
+degeneracy is settled, confirms that the degeneracy lands on the side
+of d-3 dictated by the instance's answer bit, and replays the peel to
+confirm the structured prefix: the pointer-path triples go first, each
+below the threshold, while the special and auxiliary degrees march down
+in lockstep.
 
 simulate_streaming_reduction then drives an arbitrary multi-pass
 streaming algorithm through the four-player protocol. The edge set
@@ -126,13 +127,14 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
     """
     gg.check_fits(inst)
     walk = chase(inst)
-    tr = peel(gg.graph)
+    triples = pointer_path_triples(gg, inst, walk)
+    tr = peel(gg.graph, prefix=3 * len(triples))
     d, r, labels = gg.d, gg.r, gg.labels
     top = _target_degree(labels[gg.special_ids[0]], d, r)
     floor = _target_degree(labels[gg.aux_ids[0]], d, r)  # aux: a lower bound
     resid = [gg.graph.degree(v) for v in range(gg.graph.n)]
     records = []
-    for ell, z in enumerate(pointer_path_triples(gg, inst, walk)):
+    for ell, z in enumerate(triples):
         got = tr.order[3 * ell:3 * ell + 3]
         worst = max(tr.degree_at_removal[3 * ell:3 * ell + 3])
         ok = (

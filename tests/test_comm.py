@@ -31,6 +31,7 @@ from degencomm.comm import (
 from degencomm.gadget import build_gadget
 from degencomm.graphs import (
     Accept,
+    Graph,
     Reject,
     complete_graph,
     cycle_graph,
@@ -513,6 +514,7 @@ def _partition_graphs():
     rng = random.Random(31)
     yield empty_graph(0)
     yield empty_graph(9)  # no edges
+    yield Graph(8, [(1, 4), (4, 7), (2, 7)])  # 0, 3, 5 and 6 have none
     yield complete_graph(6)
     for n in (2, 13, 40, 120):
         yield gnm_random_graph(n, rng.randrange(0, min(4 * n, n * (n - 1) // 2) + 1), rng)

@@ -117,6 +117,40 @@ def test_peel_matches_the_reference_on_sparse_graphs(n, e):
     assert_matches_reference(g)
 
 
+def test_settled_peel_is_a_prefix_of_the_full_peel():
+    # peel(g, prefix=p) removes at least min(p, n) vertices, then stops
+    # once no later removal can raise the degeneracy; G(n, e) over every
+    # density covers the key scan's power-of-two checks and the heap
+    rng = random.Random(2406)
+    for _ in range(400):
+        n = rng.randrange(61)
+        g = G.gnm_random_graph(n, rng.randrange(n * (n - 1) // 2 + 1), rng)
+        full = G.peel(g)
+        if n <= 12:
+            assert full.degeneracy == G.brute_force_degeneracy(g)
+        for p in (0, 1, 3, n):
+            part = G.peel(g, prefix=p)
+            size = len(part.order)
+            assert min(p, n) <= size <= n
+            assert part.order == full.order[:size]
+            assert part.degree_at_removal == full.degree_at_removal[:size]
+            assert part.degeneracy == full.degeneracy
+
+
+def test_settled_peel_stops_early_on_low_degrees():
+    # no vertex starts above degree 0, so the first removal settles it
+    assert G.peel(G.empty_graph(100_000), prefix=0).order == [0]
+    assert G.degeneracy(G.empty_graph(100_000)) == 0
+    # K5 plus a pendant path: once the path is gone, live - 1 <= 4
+    g = G.Graph(8, [(u, v) for u in range(5) for v in range(u + 1, 5)]
+                + [(4, 5), (5, 6), (6, 7)])
+    part = G.peel(g, prefix=0)
+    assert part.degeneracy == 4 and len(part.order) == 4
+    assert G.peel(g, prefix=6).order == G.peel(g).order[:6]
+    with pytest.raises(ValueError, match="prefix"):
+        G.peel(g, prefix=-1)
+
+
 def _within_5s(fn, *args):
     t0 = time.perf_counter()
     out = fn(*args)

@@ -4,7 +4,6 @@ import random
 import pytest
 
 from degencomm.info import (
-    bernoulli_distinguisher,
     conditional_mutual_information,
     entropy,
     enumerate_setint,
@@ -284,7 +283,27 @@ def test_unknown_mode_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli distinguisher
+# Bernoulli distinguisher, kept with its tests since no package code
+# calls it
+
+
+def bernoulli_distinguisher(sampler, alpha, beta, gamma):
+    """Tell a rate <= alpha from a rate >= (1+beta)*alpha.
+
+    Draws k = ceil(48/(alpha*beta^2) * ln(1/gamma)) samples and thresholds
+    their sum at alpha*(1+beta/4)*k; wrong with probability at most gamma
+    when the promise holds.
+    """
+    if not 0 < alpha <= 1:
+        raise ValueError("alpha must be in (0, 1]")
+    if not 0 < beta <= 1:
+        raise ValueError("beta must be in (0, 1]")
+    if not 0 < gamma < 1:
+        raise ValueError("gamma must be in (0, 1)")
+    k = math.ceil(48 / (alpha * beta * beta) * math.log(1 / gamma))
+    tau = alpha * (1 + beta / 4) * k
+    total = sum(1 for _ in range(k) if sampler())
+    return "low" if total < tau else "high"
 
 
 def test_distinguisher_extreme_rates():

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from degencomm import hpc
+from degencomm import hpc, reduction
 from degencomm.comm import CommLedger, ProtocolError, uint_width
 from degencomm.gadget import _edges_below, aux_padding, build_gadget, pointer_path_triples
 from degencomm.graphs import Graph, degeneracy, peel
@@ -209,6 +209,29 @@ def test_trace_is_clean_on_samples():
         assert all(t.ok for t in rep.trace)
         assert all(t.max_degree_at_removal <= rep.d - 3 for t in rep.trace)
         assert rep.split_ok
+
+
+@pytest.mark.parametrize("m,r", [(4, 1), (8, 2), (16, 2)])
+def test_settled_trace_matches_the_full_peel(monkeypatch, m, r):
+    # trace_invariants stops its peel once the audited prefix is gone and
+    # the degeneracy is settled; a full peel must give the same report
+    inst = sample_bmhpc(m, r, random.Random(m + r))
+    gg = build_gadget(inst)
+    peels = []
+
+    def spy(g, prefix=None):
+        peels.append(peel(g, prefix))
+        return peels[-1]
+
+    monkeypatch.setattr(reduction, "peel", spy)
+    settled = trace_invariants(gg, inst)
+    monkeypatch.setattr(reduction, "peel", lambda g, prefix: spy(g))
+    assert trace_invariants(gg, inst) == settled
+    short, full = peels
+    assert 3 * (2 * r + 1) <= len(short.order) < len(full.order)
+    assert full.order[:len(short.order)] == short.order
+    if (m, r) == (16, 2):
+        assert len(short.order) <= 64
 
 
 def test_trace_invariants_walks_the_chain_once(monkeypatch):
