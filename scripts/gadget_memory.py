@@ -12,7 +12,9 @@ peel and its checks), ``save_gadget`` into a temporary directory, and
 ``load_gadget`` (which parses and audits the file again). After each
 stage it prints the stage's wall time and the process's peak resident
 set so far (``ru_maxrss``), so a stage's line shows the peak up to and
-including that stage. Standard library only.
+including that stage. After the build it also prints the bytes of the
+packed neighbour array, ``len(nbrs) * itemsize``, which each stage's
+peak can be read against. Standard library only.
 """
 
 from __future__ import annotations
@@ -57,7 +59,10 @@ def measure(m: int, r: int, seed: int) -> None:
             wall = time.perf_counter() - t0
             if name == "build":
                 gg = out
-                print(f"m={m} r={r}: n={gg.graph.n}, edges={gg.graph.m}")
+                nbrs = gg.graph.nbrs
+                packed = len(nbrs) * nbrs.itemsize / 2**20
+                print(f"m={m} r={r}: n={gg.graph.n}, edges={gg.graph.m}, "
+                      f"packed nbrs {packed:.1f} MB ({nbrs.itemsize} B per id)")
             print(f"  {name:<5} {wall:7.2f} s   peak RSS {peak_mb():8.1f} MB",
                   flush=True)
             del out

@@ -52,7 +52,7 @@ import random
 import sys
 
 from .comm import ProtocolError, RoundSchedule, random_partition
-from .gadget import build_gadget, load_gadget, save_gadget
+from .gadget import _read_gadget, build_gadget, save_gadget
 from .graphs import (
     Accept,
     brute_force_degeneracy,
@@ -220,10 +220,13 @@ def _reduction_trial(task: tuple[int, int, int, str | None]) -> dict:
     if emit_dir is not None:
         path = os.path.join(emit_dir, f"gadget_m{m}_r{r}_{seed:016x}.txt")
         save_gadget(gg, path)
-        reloaded = load_gadget(path)
+        # verify_gadget reads only the graph, labels, m, r and d, so a
+        # reload equal to the audited build in these passes it too
+        reloaded = _read_gadget(path)
         row["gadget_file"] = path
         row["reload_ok"] = (
             reloaded.graph == gg.graph and reloaded.labels == gg.labels
+            and (reloaded.m, reloaded.r, reloaded.d) == (gg.m, gg.r, gg.d)
         )
     row["ok"] = row["split_ok"] and row["trace_ok"] and row.get("reload_ok", True)
     return row

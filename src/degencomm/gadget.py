@@ -35,7 +35,8 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterator
 
-from .graphs import Graph, _sort_row, load_graph, loads_graph, save_graph
+from .graphs import (Graph, _sort_row, id_typecode, load_graph, loads_graph,
+                     save_graph)
 from .hpc import (MHPCInstance, PointerPath, chase, check_universe,
                   mask_members, validate_instance)
 
@@ -224,7 +225,8 @@ class AuxPadding:
         v, for v = 0..len(rows)-1; the aux ids are the d ids after them
         and have none. The rows are consumed. The result equals joining
         edges() into the rows one by one, but its two arrays are sized
-        from the degrees and written in place, with no row staged. A
+        from the degrees and written in place, with no row staged, and
+        the ids take the width id_typecode gives any packed graph. A
         deficient vertex's row is its sorted structural row, then its
         slice of the aux ids from its round-robin cursor; a slice that
         wraps goes in as the ids below the wrap, then those from the
@@ -243,14 +245,15 @@ class AuxPadding:
                 or aux != tuple(range(low, low + d))):
             raise ValueError("the plan must pad ids 0..len(rows)-1 in "
                              "order, with the aux ids right after them")
-        ids = array("i", aux)
+        code = id_typecode(low + d)
+        ids = array(code, aux)
         needs = list(self.deficiencies.values())
         sweeps, rest = divmod(sum(needs), d)
         width = sweeps + self.matchings  # an aux row's length from rest on
         offsets = array("i", accumulate(chain(
             (len(row) + need for row, need in zip(rows, needs)),
             (width + (t < rest) for t in range(d))), initial=0))
-        nbrs = array("i", [0]) * offsets[-1]
+        nbrs = array(code, [0]) * offsets[-1]
         start = 0  # v's first padding edge
         for v, need in enumerate(needs):
             cursor = start % d
@@ -261,7 +264,7 @@ class AuxPadding:
             _sort_row(v, row)
             lo = offsets[v]
             mid = lo + len(row)
-            nbrs[lo:mid] = array("i", row)
+            nbrs[lo:mid] = array(code, row)
             end = cursor + need
             nbrs[mid:offsets[v + 1]] = ids[:max(end - d, 0)] + ids[cursor:end]
             j, stop = start, start + need
@@ -270,7 +273,7 @@ class AuxPadding:
                 count = min(stop - j, (rest if t < rest else d) - t)
                 step = width + (t < rest)
                 lo = offsets[low + t] + sweep
-                nbrs[lo:lo + count * step:step] = array("i", [v]) * count
+                nbrs[lo:lo + count * step:step] = array(code, [v]) * count
                 j += count
             start = stop
         mates: list[list[int]] = [[] for _ in aux]
@@ -279,7 +282,7 @@ class AuxPadding:
                 mates[a].append(aux[b])
                 mates[b].append(aux[a])
         for t, row in enumerate(mates, start=low + 1):
-            nbrs[offsets[t] - len(row):offsets[t]] = array("i", sorted(row))
+            nbrs[offsets[t] - len(row):offsets[t]] = array(code, sorted(row))
         return Graph.from_csr(offsets, nbrs)
 
 
@@ -715,12 +718,21 @@ def save_gadget(gg: GadgetGraph, path: str) -> None:
         fh.write(sidecar_json(gg) + "\n")
 
 
+def _read_gadget(path: str) -> GadgetGraph:
+    """Read a saved gadget without auditing it.
+
+    Raises ValueError naming the malformed line or field. For a caller
+    that compares the result with a gadget it has already audited.
+    """
+    with open(path + ".json", "r", encoding="ascii") as fh:
+        sidecar_text = fh.read()
+    return _with_sidecar(load_graph(path), sidecar_text)
+
+
 def load_gadget(path: str) -> GadgetGraph:
     """Read a saved gadget and audit it.
 
     Raises ValueError naming the malformed field or the first failed
     check of verify_gadget, so a loaded gadget is safe to hand on.
     """
-    with open(path + ".json", "r", encoding="ascii") as fh:
-        sidecar_text = fh.read()
-    return _audited(_with_sidecar(load_graph(path), sidecar_text), ValueError)
+    return _audited(_read_gadget(path), ValueError)

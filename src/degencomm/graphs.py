@@ -3,7 +3,8 @@
 Everything downstream (the two-party protocols, the hardness gadget, the
 streaming harness) sits on top of this module, so it stays deliberately
 small: an immutable compact graph (sorted neighbour rows packed into two
-integer arrays), one min-degree peel, stopped at a threshold or run to
+integer arrays, the ids two bytes wide when every id fits, see
+id_typecode), one min-degree peel, stopped at a threshold or run to
 the end, the orderings and cores that are views of it (peel,
 peel_decision, k_core, degeneracy), and a line-based text format. The
 peel keeps one integer key per vertex, degree * n + id, and picks the
@@ -16,8 +17,8 @@ exceeds the largest removal degree so far, no later removal can, since
 residual degrees only go down. Its order is then a prefix of the full
 order and its degeneracy exact. Files are written one row at a time,
 and a file in that layout with at least eight edges per vertex is read
-in bounded chunks, one row's run of lines per step, into one integer
-array per row that is copied into the packed graph as it stands; any
+in bounded chunks, one row's run of lines per step, into one id array
+per row that is copied into the packed graph as it stands; any
 other file is read line by line, and errors still name their line.
 
 Vertices are integers 0..n-1 throughout. Graphs are simple: no loops,
@@ -38,13 +39,24 @@ from operator import lt
 from typing import IO, Collection, Iterable, NamedTuple
 
 
+def id_typecode(n: int) -> str:
+    """The array typecode of the neighbour ids of an n-vertex graph.
+
+    "H" (two bytes) when every id 0..n-1 fits in it, that is when
+    n <= 65 536, else "i". Every builder of a packed graph uses it, so a
+    graph's nbrs array is half as large whenever the ids allow.
+    """
+    return "H" if n <= 1 << 16 else "i"
+
+
 class Graph:
     """Immutable undirected simple graph on vertices 0..n-1.
 
     Stored as compressed sparse rows: the neighbours of v are
     nbrs[offsets[v]:offsets[v + 1]], sorted ascending, and each edge sits
-    in the rows of both its endpoints. Two graphs are equal when they
-    have the same n and the same edges.
+    in the rows of both its endpoints. offsets is an array("i") and nbrs
+    an array of id_typecode(n). Two graphs are equal when they have the
+    same n and the same edges.
 
     Args:
         n: number of vertices.
@@ -91,7 +103,8 @@ class Graph:
         """Wrap packed rows as they are, without checking or copying them.
 
         The caller guarantees the layout of the class docstring: offsets
-        starts at 0 and ends at len(nbrs), and each row is strictly
+        starts at 0 and ends at len(nbrs), nbrs has typecode
+        id_typecode(len(offsets) - 1), and each row is strictly
         ascending, in range, loop-free and mirrored by its neighbours.
         """
         g = cls.__new__(cls)
@@ -103,7 +116,7 @@ class Graph:
     def _pack(self, rows: list[list[int]]) -> None:
         self.n = len(rows)
         self.offsets = array("i", [0])
-        self.nbrs = array("i")
+        self.nbrs = array(id_typecode(self.n))
         for v in range(self.n):
             row = rows[v]
             rows[v] = None
@@ -438,16 +451,16 @@ def _read_runs(fh: IO[str], n: int, rows: list[array]) -> int | None:
     """Read the lines after the header as _write_graph lays them out.
 
     That layout is one "u v" line per edge with u < v, sorted, each
-    name canonical decimal and each line ending in a newline. A run is
-    a maximal block of lines with the same head u; each is split and
-    looked up in one step, u is appended to the row of each v in it,
-    and rows[u] is extended by it. Since the edges come strictly
-    ascending, every row comes out strictly ascending. The body is read
-    in chunks of _READ_CHUNK characters; a run cut by a chunk's end or
-    by the search bound goes on in the next step, starting above where
-    it stopped. Returns the edge count, or
-    None at the first departure from the layout, leaving rows partly
-    filled.
+    name canonical decimal and each line ending in a newline. rows holds
+    one empty array of id_typecode(n) per vertex. A run is a maximal
+    block of lines with the same head u; each is split and looked up in
+    one step, u is appended to the row of each v in it, and rows[u] is
+    extended by it. Since the edges come strictly ascending, every row
+    comes out strictly ascending. The body is read in chunks of
+    _READ_CHUNK characters; a run cut by a chunk's end or by the search
+    bound goes on in the next step, starting above where it stopped.
+    Returns the edge count, or None at the first departure from the
+    layout, leaving rows partly filled.
     """
     get = {str(v): v for v in range(n)}.__getitem__
     width = len(str(n))  # no name is longer
@@ -505,12 +518,13 @@ def _read_graph(fh: IO[str]) -> Graph:
     """Parse the line format from a seekable text stream.
 
     A file with at least eight edges per vertex is first read run by
-    run (_read_runs) into one array per row, and the rows are copied
-    into the graph as they stand; any other, and any text that strays
-    from the layout _write_graph writes, is read from the top line by
-    line into lists that are packed once. Either way the rows are
-    filled as the text streams past, so no edge list or per-line
-    integer is held. Raises ValueError naming the first offending line.
+    run (_read_runs) into one array of id_typecode(n) per row, and the
+    rows are copied into the graph as they stand; any other, and any
+    text that strays from the layout _write_graph writes, is read from
+    the top line by line into lists that are packed once. Either way
+    the rows are filled as the text streams past, so no edge list or
+    per-line integer is held. Raises ValueError naming the first
+    offending line.
     """
     head = fh.readline().split()
     if len(head) != 2:
@@ -521,7 +535,8 @@ def _read_graph(fh: IO[str]) -> Graph:
     # with shorter runs, a run's fixed steps cost more than the line
     # scan spends on its lines
     by_runs = m >= 8 * n
-    rows: list = [array("i") if by_runs else [] for _ in range(n)]
+    code = id_typecode(n)
+    rows: list = [array(code) if by_runs else [] for _ in range(n)]
     try:
         count = _read_runs(fh, n, rows) if by_runs else None
         if count is None:
@@ -556,9 +571,10 @@ def _read_graph(fh: IO[str]) -> Graph:
 
 def _concat(rows: list[array]) -> Graph:
     """Pack strictly ascending rows as they stand, without sorting or
-    checking them again, dropping each once it is copied."""
+    checking them again, dropping each once it is copied. Each row is an
+    array of id_typecode(len(rows)), the typecode of the packed nbrs."""
     offsets = array("i", [0])
-    nbrs = array("i")
+    nbrs = array(id_typecode(len(rows)))
     for v, row in enumerate(rows):
         rows[v] = None
         nbrs += row

@@ -130,12 +130,23 @@ def test_reduction_emit_gadget_roundtrip(tmp_path, capsys):
     assert os.path.exists(row["gadget_file"] + ".json")
 
 
+def _reload_changed(tmp_path, monkeypatch, capsys, change):
+    """The reduction row when change(gadget) alters each reloaded gadget."""
+    def reload_changed(path):
+        return change(gadget._read_gadget(path))
+
+    monkeypatch.setattr(cli, "_read_gadget", reload_changed)
+    code, out, _ = run(
+        ["reduction", "--m", "4", "--r", "1", "--trials", "1", "--seed", "2",
+         "--emit-gadget", str(tmp_path)], capsys
+    )
+    assert code == 1
+    return json.loads(out)["rows"][0]
+
+
 def test_reduction_reload_check_sees_a_moved_edge(tmp_path, monkeypatch,
                                                   capsys):
-    from degencomm import cli
-
-    def load_with_a_moved_edge(path):
-        gg = gadget.load_gadget(path)
+    def move_an_edge(gg):
         g = gg.graph
         u = 0
         v = min(g.neighbors(u))
@@ -143,39 +154,55 @@ def test_reduction_reload_check_sees_a_moved_edge(tmp_path, monkeypatch,
         edges = [e for e in g.edges() if e != (u, v)] + [(u, w)]
         return dataclasses.replace(gg, graph=Graph(g.n, edges))
 
-    monkeypatch.setattr(cli, "load_gadget", load_with_a_moved_edge)
-    code, out, _ = run(
-        ["reduction", "--m", "4", "--r", "1", "--trials", "1", "--seed", "2",
-         "--emit-gadget", str(tmp_path)], capsys
-    )
-    assert code == 1
-    row = json.loads(out)["rows"][0]
+    row = _reload_changed(tmp_path, monkeypatch, capsys, move_an_edge)
     assert row["reload_ok"] is False
+
+
+@pytest.mark.parametrize("field", ["labels", "m", "r", "d"])
+def test_reduction_reload_check_compares_what_the_audit_reads(
+        field, tmp_path, monkeypatch, capsys):
+    # the reload is not audited again, so it must equal the audited
+    # build in everything verify_gadget reads
+    def change(gg):
+        if field == "labels":
+            return dataclasses.replace(gg, labels=gg.labels[::-1])
+        return dataclasses.replace(gg, **{field: getattr(gg, field) + 1})
+
+    row = _reload_changed(tmp_path, monkeypatch, capsys, change)
+    assert row["reload_ok"] is False
+
+
+def _count_calls(monkeypatch, original) -> list:
+    """Wrap every binding of original in degencomm; return its call list."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # modules import functions by name, so every binding is wrapped; a
+    # call hidden in any degencomm module still counts
+    for name, module in list(sys.modules.items()):
+        if name == "degencomm" or name.startswith("degencomm."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 @pytest.mark.parametrize("extra", [[], ["--emit-gadget", None],
                                    ["--streaming", "naive"]])
 def test_each_reduction_trial_builds_its_gadget_once(extra, tmp_path,
                                                       monkeypatch, capsys):
-    original = gadget.build_gadget
-    calls = []
-
-    def counting(inst):
-        calls.append(inst)
-        return original(inst)
-
-    # modules import build_gadget by name, so every binding is wrapped;
-    # a build hidden in any degencomm module still counts
-    for name, module in list(sys.modules.items()):
-        if name == "degencomm" or name.startswith("degencomm."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counting)
+    # and audits it once: the reload under --emit-gadget is compared
+    # with the audited build, not audited a second time
+    builds = _count_calls(monkeypatch, gadget.build_gadget)
+    audits = _count_calls(monkeypatch, gadget.verify_gadget)
     extra = [str(tmp_path) if arg is None else arg for arg in extra]
     code, _, _ = run(["reduction", "--m", "4", "--r", "1", "--trials", "3",
                       "--seed", "6"] + extra, capsys)
     assert code == 0
-    assert len(calls) == 3
+    assert len(builds) == len(audits) == 3
 
 
 def test_streaming_harness_rows(capsys):

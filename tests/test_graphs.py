@@ -1,6 +1,7 @@
 import io
 import random
 import time
+from array import array
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -905,3 +906,61 @@ def test_a_wrong_edge_count_after_canonical_rows(claimed, chunk, monkeypatch,
         with pytest.raises(ValueError) as err:
             read()
         assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# id width
+
+
+def test_id_typecode_is_two_bytes_exactly_when_every_id_fits():
+    assert G.id_typecode(0) == G.id_typecode(65536) == "H"
+    assert G.id_typecode(65537) == "i"
+    assert array("H", [65535])[0] == 65535
+    with pytest.raises(OverflowError):
+        array("H", [65536])
+
+
+def _hubs(n, hubs):
+    """Vertices 0..hubs-1 joined to every other vertex of n, as rows."""
+    return [[u for u in range(n) if u != v] if v < hubs else list(range(hubs))
+            for v in range(n)]
+
+
+@pytest.mark.parametrize("n", [65536, 65537])
+@pytest.mark.parametrize("path", ["lines", "runs"])
+def test_the_top_id_round_trips_at_the_width_edge(n, path, line_scans):
+    # nine hubs give the run reader its eight edges per vertex
+    g = (G.Graph(n, [(0, n - 1), (n - 2, n - 1)]) if path == "lines"
+         else G.Graph.from_rows(_hubs(n, 9)))
+    assert g.nbrs.typecode == G.id_typecode(n)
+    del line_scans[:]
+    back = G.loads_graph(G.dumps_graph(g))
+    assert bool(line_scans) == (path == "lines")
+    assert back == g and back.nbrs.typecode == G.id_typecode(n)
+    assert back.has_edge(0, n - 1) and back.neighbors(n - 1)[0] == 0
+
+
+@pytest.mark.parametrize("n", [65536, 65537])
+def test_every_builder_takes_the_width_rule(n, tmp_path):
+    from degencomm.gadget import build_gadget
+    from degencomm.hpc import sample_bmhpc
+
+    edges = [(0, n - 1), (1, n - 1)]
+    path = tmp_path / "g.txt"
+    path.write_text(f"{n} 2\n0 {n - 1}\n1 {n - 1}\n")
+    code = G.id_typecode(n)
+    for g in (G.Graph(n, edges), G.Graph.from_rows(_hubs(n, 0)),
+              G.load_graph(str(path))):
+        assert (g.nbrs.typecode, g.offsets.typecode) == (code, "i")
+    gg = build_gadget(sample_bmhpc(8, 2, random.Random(3)))
+    assert gg.graph.nbrs.typecode == G.id_typecode(gg.graph.n) == "H"
+
+
+def test_a_narrow_graph_equals_the_same_rows_held_wide():
+    rng = random.Random(12)
+    for g in (G.Graph(0), G.petersen_graph(),
+              G.gnm_random_graph(50, 300, rng)):
+        assert g.nbrs.typecode == "H"
+        wide = G.Graph.from_csr(array("i", g.offsets), array("i", g.nbrs))
+        assert wide == g and g == wide and wide.edges() == g.edges()
+        assert G.peel(wide) == G.peel(g)
