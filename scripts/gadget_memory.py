@@ -1,4 +1,4 @@
-"""Peak memory and wall time of the gadget path, one fresh process per size.
+"""Peak memory and wall time of the gadget path, in fresh processes per size.
 
 Usage::
 
@@ -6,15 +6,18 @@ Usage::
 
 For each size m x r, a new Python process imports the package from the
 ``src/`` of the checkout this script sits in, samples one instance with
-``sample_bmhpc(m, r, Random(seed))`` and runs four stages in turn:
+``sample_bmhpc(m, r, Random(seed))`` and runs three stages in turn:
 ``build_gadget`` (which includes its audit), ``trace_invariants`` (one
-peel and its checks), ``save_gadget`` into a temporary directory, and
-``load_gadget`` (which parses and audits the file again). After each
-stage it prints the stage's wall time and the process's peak resident
-set so far (``ru_maxrss``), so a stage's line shows the peak up to and
-including that stage. After the build it also prints the bytes of the
-packed neighbour array, ``len(nbrs) * itemsize``, which each stage's
-peak can be read against. Standard library only.
+peel and its checks) and ``save_gadget`` into a temporary directory.
+After each stage it prints the stage's wall time and the process's peak
+resident set so far (``ru_maxrss``), so a stage's line shows the peak
+up to and including that stage. After the build it also prints the
+bytes of the packed neighbour array, ``len(nbrs) * itemsize``, which
+each stage's peak can be read against, and after the save the bytes of
+the graph file and its sidecar. A second new process then runs
+``load_gadget`` on the saved files (it parses the structural edges,
+rebuilds the padding and audits the result), so the load line's peak
+is the reload's own. Standard library only.
 """
 
 from __future__ import annotations
@@ -37,35 +40,43 @@ def peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def measure(m: int, r: int, seed: int) -> None:
-    """Run the four stages on one m x r gadget and print a line for each."""
+def _stage(name: str, stage):
+    """Run stage() and print its wall time and the peak RSS so far."""
+    t0 = time.perf_counter()
+    out = stage()
+    wall = time.perf_counter() - t0
+    print(f"  {name:<5} {wall:7.2f} s   peak RSS {peak_mb():8.1f} MB",
+          flush=True)
+    return out
+
+
+def measure(m: int, r: int, seed: int, path: str) -> None:
+    """Build, trace and save one m x r gadget at path; print each stage."""
     sys.path.insert(0, SRC)
-    from degencomm.gadget import build_gadget, load_gadget, save_gadget
+    from degencomm.gadget import build_gadget, save_gadget
     from degencomm.hpc import sample_bmhpc
     from degencomm.reduction import trace_invariants
 
     inst = sample_bmhpc(m, r, random.Random(seed))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "gadget.txt")
-        stages = [
-            ("build", lambda: build_gadget(inst)),
-            ("trace", lambda: trace_invariants(gg, inst)),
-            ("save", lambda: save_gadget(gg, path)),
-            ("load", lambda: load_gadget(path)),
-        ]
-        for name, stage in stages:
-            t0 = time.perf_counter()
-            out = stage()
-            wall = time.perf_counter() - t0
-            if name == "build":
-                gg = out
-                nbrs = gg.graph.nbrs
-                packed = len(nbrs) * nbrs.itemsize / 2**20
-                print(f"m={m} r={r}: n={gg.graph.n}, edges={gg.graph.m}, "
-                      f"packed nbrs {packed:.1f} MB ({nbrs.itemsize} B per id)")
-            print(f"  {name:<5} {wall:7.2f} s   peak RSS {peak_mb():8.1f} MB",
-                  flush=True)
-            del out
+    print(f"m={m} r={r}:", flush=True)
+    gg = _stage("build", lambda: build_gadget(inst))
+    nbrs = gg.graph.nbrs
+    packed = len(nbrs) * nbrs.itemsize / 2**20
+    print(f"  n={gg.graph.n}, edges={gg.graph.m}, "
+          f"packed nbrs {packed:.1f} MB ({nbrs.itemsize} B per id)")
+    _stage("trace", lambda: trace_invariants(gg, inst))
+    _stage("save", lambda: save_gadget(gg, path))
+    size = os.path.getsize(path) / 2**20
+    side = os.path.getsize(path + ".json")
+    print(f"  file  {size:7.2f} MB, sidecar {side} B", flush=True)
+
+
+def reload(path: str) -> None:
+    """Load and audit the gadget saved at path; print the stage."""
+    sys.path.insert(0, SRC)
+    from degencomm.gadget import load_gadget
+
+    _stage("load", lambda: load_gadget(path))
 
 
 def main() -> int:
@@ -73,19 +84,26 @@ def main() -> int:
     ap.add_argument("--sizes", default="32x4,64x4,64x8",
                     help="comma-separated m x r pairs")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--one", nargs=2, type=int, metavar=("M", "R"),
+    ap.add_argument("--one", nargs=3, metavar=("M", "R", "PATH"),
                     help=argparse.SUPPRESS)
+    ap.add_argument("--load", metavar="PATH", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.one:
-        measure(*args.one, args.seed)
+        m, r, path = args.one
+        measure(int(m), int(r), args.seed, path)
         return 0
+    if args.load:
+        reload(args.load)
+        return 0
+    me = [sys.executable, os.path.abspath(__file__), "--seed", str(args.seed)]
     for size in args.sizes.split(","):
-        m, r = (int(x) for x in size.split("x"))
-        done = subprocess.run([sys.executable, os.path.abspath(__file__),
-                               "--one", str(m), str(r),
-                               "--seed", str(args.seed)])
-        if done.returncode:
-            return done.returncode
+        m, r = size.split("x")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "gadget.txt")
+            for extra in (["--one", m, r, path], ["--load", path]):
+                done = subprocess.run(me + extra)
+                if done.returncode:
+                    return done.returncode
     return 0
 
 

@@ -464,7 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r", type=int, default=1)
     sp.add_argument("--trials", type=int, default=20)
     sp.add_argument("--emit-gadget", default=None, metavar="DIR",
-                    help="write each gadget (and its label sidecar) here")
+                    help="write each gadget (its structural edges and an "
+                         "m, r, d sidecar) here")
     sp.add_argument("--streaming", choices=("naive", "store-all"), default=None,
                     help="replay this reference algorithm through the harness")
     sp.add_argument("--p", default=None,

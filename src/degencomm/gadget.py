@@ -16,8 +16,10 @@ Five facts about the gadget are decided once, here: _layout gives the
 canonical id layout, _index_labels reads the triples, specials and aux
 ids off any labels, _excluded names the triples kept off the specials,
 _target_degree gives each vertex its degree target and edge_family
-names the family of each edge. The builder, the audit, the sidecar
-loader and the reduction share these and nothing else.
+names the family of each edge. The builder, the audit, the file
+reader and the reduction share these and nothing else. A saved gadget
+holds only its structural edges and (m, r, d); the reader rebuilds the
+padding and the labels from them as the builder makes them.
 
 All element indexes here are 0-based, matching the instance model; copy
 numbers are 1..3 and special names 1..3 because those are names, not
@@ -32,11 +34,10 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from typing import Iterator
 
-from .graphs import (Graph, _sort_row, id_typecode, load_graph, loads_graph,
-                     save_graph)
+from .graphs import Graph, _read_graph, _sort_row, id_typecode, save_graph
 from .hpc import (MHPCInstance, PointerPath, chase, check_universe,
                   mask_members, validate_instance)
 
@@ -109,9 +110,9 @@ class GadgetGraph:
     labels[v] is one of ("layer", ell, i, c), ("special", j), ("aux", t).
     triple_index, special_ids and aux_ids are derived from the labels,
     so they always name the ids the labels give. deficiencies and
-    matchings_added are builder diagnostics (pre-padding degree gaps and
-    the number of auxiliary matchings used); they are not part of the
-    exported sidecar and are None on a loaded gadget.
+    matchings_added are padding diagnostics (pre-padding degree gaps and
+    the number of auxiliary matchings used). They are not saved: the
+    builder and the file reader each compute them with the padding.
     """
 
     graph: Graph
@@ -383,14 +384,22 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
             for s in specials:
                 join(s, v)
 
-    # pad every layer/special vertex up to its target with auxiliary
-    # edges handed out round-robin, then lift the auxiliary floor with
-    # disjoint matchings; the plan depends only on the degrees so far
-    padding = aux_padding(m, r, [len(row) for row in rows] + [0] * d)
-    g = padding.pack(rows)
+    return _audited(_padded(m, r, rows), RuntimeError)
 
-    gg = GadgetGraph(
-        graph=g,
+
+def _padded(m: int, r: int, rows: list[list[int]]) -> GadgetGraph:
+    """The gadget on the canonical layout whose layer and special vertices
+    have the given structural rows, padded as the builder pads them.
+
+    Every layer/special vertex is padded up to its target with auxiliary
+    edges handed out round-robin, then the auxiliary floor is lifted
+    with disjoint matchings; the plan depends only on the row lengths.
+    The rows are consumed.
+    """
+    d, labels = _layout(m, r)
+    padding = aux_padding(m, r, [len(row) for row in rows] + [0] * d)
+    return GadgetGraph(
+        graph=padding.pack(rows),
         m=m,
         r=r,
         d=d,
@@ -398,7 +407,6 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
         deficiencies=padding.deficiencies,
         matchings_added=padding.matchings,
     )
-    return _audited(gg, RuntimeError)
 
 
 def _audited(gg: GadgetGraph, error: type[Exception]) -> GadgetGraph:
@@ -632,21 +640,15 @@ def pointer_path_triples(
 
 
 # ---------------------------------------------------------------------------
-# export
+# export: the structural edges and {m, r, d}; the reader rebuilds the rest
+# (DECISIONS.md, D2)
 
 
 def sidecar_json(gg: GadgetGraph) -> str:
-    obj = {
-        "m": gg.m,
-        "r": gg.r,
-        "d": gg.d,
-        "labels": [list(label) for label in gg.labels],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# integer fields after the kind, per label kind
-_LABEL_ARITY = {"layer": 3, "special": 1, "aux": 1}
+    """The sidecar text: m, r and d, from which the labels and, with the
+    structural degrees, the padding follow."""
+    return json.dumps({"m": gg.m, "r": gg.r, "d": gg.d}, sort_keys=True,
+                      separators=(",", ":"))
 
 
 def _positive_int(obj: dict, key: str) -> int:
@@ -658,62 +660,46 @@ def _positive_int(obj: dict, key: str) -> int:
     return value
 
 
-def gadget_from_strings(graph_text: str, sidecar_text: str) -> GadgetGraph:
-    """Parse a gadget from its graph text and JSON label sidecar.
-
-    Fails closed: a malformed sidecar raises ValueError naming the
-    field. Only shape and types are checked here; load_gadget also runs
-    the structural audit.
-    """
-    return _with_sidecar(loads_graph(graph_text), sidecar_text)
-
-
-def _with_sidecar(g: Graph, sidecar_text: str) -> GadgetGraph:
-    """Attach the labels of a JSON sidecar to a parsed graph."""
-    obj = json.loads(sidecar_text)
+def _sidecar_params(text: str) -> tuple[int, int, int]:
+    """m, r and d from sidecar text, which must hold exactly those three,
+    with d = 6mr+3m. Raises ValueError naming the faulty field."""
+    obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("sidecar must be a JSON object")
-    raw = obj.get("labels")
-    if not isinstance(raw, list):
-        raise ValueError("sidecar field 'labels' must be a list")
-    if len(raw) != g.n:
-        raise ValueError(
-            f"sidecar lists {len(raw)} labels for {g.n} vertices"
-        )
+    extra = sorted(set(obj) - {"m", "r", "d"})
+    if extra:
+        raise ValueError(f"sidecar field {extra[0]!r} is not one of m, r, d")
     m, r, d = (_positive_int(obj, key) for key in ("m", "r", "d"))
-    labels: list[Label] = []
-    for v, label in enumerate(raw):
-        if not (isinstance(label, list) and label and isinstance(label[0], str)):
-            raise ValueError(
-                f"sidecar field 'labels[{v}]' must be a list starting with "
-                f"a kind, got {label!r}"
-            )
-        kind, *fields = label
-        if kind not in _LABEL_ARITY:
-            raise ValueError(f"unknown label kind {kind!r} at vertex {v}")
-        if (len(fields) != _LABEL_ARITY[kind]
-                or any(type(x) is not int for x in fields)):
-            raise ValueError(
-                f"sidecar field 'labels[{v}]': a {kind} label takes "
-                f"{_LABEL_ARITY[kind]} integers, got {label!r}"
-            )
-        labels.append(tuple(label))
-    trip, specials, _ = _index_labels(labels)
-    for j in (1, 2, 3):
-        if j not in specials:
-            raise ValueError(f"sidecar field 'labels' has no special vertex {j}")
-    for key, t in trip.items():
-        for c in (1, 2, 3):
-            if c not in t:
-                raise ValueError(
-                    f"sidecar field 'labels': triple {key} is missing copy {c}"
-                )
-    return GadgetGraph(graph=g, m=m, r=r, d=d, labels=labels)
+    if d != _width(m, r):
+        raise ValueError(
+            f"sidecar field 'd' must be 6mr+3m = {_width(m, r)}, got {d}")
+    return m, r, d
+
+
+def _structural(g: Graph, low: int) -> Graph:
+    """g with only its edges among the ids below low, on the same vertices.
+
+    Each row is sorted, so its part below low is a prefix, cut by one
+    bisect; the rows from low on come out empty.
+    """
+    offsets = array("i", [0])
+    nbrs = array(g.nbrs.typecode)
+    for v in range(low):
+        lo = g.offsets[v]
+        nbrs += g.nbrs[lo:bisect_left(g.nbrs, low, lo, g.offsets[v + 1])]
+        offsets.append(len(nbrs))
+    offsets.extend(repeat(len(nbrs), g.n - low))
+    return Graph.from_csr(offsets, nbrs)
 
 
 def save_gadget(gg: GadgetGraph, path: str) -> None:
-    """Write the graph text at path and the label sidecar at path.json."""
-    save_graph(gg.graph, path)
+    """Write the structural edges at path and the sidecar at path.json.
+
+    The graph file is the usual line format on all n vertices, holding
+    only the edges with both ends below the aux ids; the padding and the
+    labels are left to the reader, which rebuilds them.
+    """
+    save_graph(_structural(gg.graph, gg.graph.n - gg.d), path)
     with open(path + ".json", "w", encoding="ascii") as fh:
         fh.write(sidecar_json(gg) + "\n")
 
@@ -721,18 +707,36 @@ def save_gadget(gg: GadgetGraph, path: str) -> None:
 def _read_gadget(path: str) -> GadgetGraph:
     """Read a saved gadget without auditing it.
 
-    Raises ValueError naming the malformed line or field. For a caller
-    that compares the result with a gadget it has already audited.
+    The sidecar is read first, and the header's n is checked against
+    the 2d+3 that m and r give before anything sized by them is built.
+    The structural rows are then padded and labelled as build_gadget
+    does it. Raises ValueError naming the malformed field or line, an
+    edge on an aux id (as in a file that lists the padding too) or a
+    vertex above its target degree. For a caller that compares the
+    result with a gadget it has already audited.
     """
     with open(path + ".json", "r", encoding="ascii") as fh:
-        sidecar_text = fh.read()
-    return _with_sidecar(load_graph(path), sidecar_text)
+        m, r, d = _sidecar_params(fh.read())
+    n = 2 * d + 3
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        head = fh.readline().split()[:1]
+        if head and head[0].isascii() and head[0].isdigit() and (
+                int(head[0]) != n):
+            raise ValueError(f"line 1: header claims {head[0]} vertices, "
+                             f"m={m} and r={r} give {n}")
+        fh.seek(0)
+        g = _read_graph(fh)
+    low = n - d
+    if g.offsets[low] < g.offsets[n]:
+        u, v = next((u, v) for u in range(n) for v in g.upper(u) if v >= low)
+        raise ValueError(f"edge ({u},{v}) touches an aux id")
+    return _padded(m, r, [g.neighbors(v).tolist() for v in range(low)])
 
 
 def load_gadget(path: str) -> GadgetGraph:
     """Read a saved gadget and audit it.
 
-    Raises ValueError naming the malformed field or the first failed
-    check of verify_gadget, so a loaded gadget is safe to hand on.
+    Raises ValueError naming the malformed field or line, or the first
+    failed check of verify_gadget, so a loaded gadget is safe to hand on.
     """
     return _audited(_read_gadget(path), ValueError)

@@ -12,9 +12,10 @@ import pytest
 import degencomm
 from degencomm.gadget import (
     AuxPadding,
+    GadgetGraph,
+    _read_gadget,
     aux_padding,
     build_gadget,
-    gadget_from_strings,
     load_gadget,
     pointer_path_triples,
     save_gadget,
@@ -342,37 +343,66 @@ def test_aux_floor_and_induced_degree():
         assert induced == gg.matchings_added <= gg.d - 3
 
 
-def test_export_roundtrip(tmp_path):
-    gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
+def _saved(tmp_path, gg):
+    """save_gadget(gg) into tmp_path; returns the graph file's path."""
     path = str(tmp_path / "gadget.txt")
     save_gadget(gg, path)
-    back = load_gadget(path)
+    return path
+
+
+def _structural_graph(gg):
+    """gg's graph without the edges on aux ids, on the same vertices."""
+    low = gg.graph.n - gg.d
+    return Graph(gg.graph.n, ((u, v) for u, v in gg.graph.edges() if v < low))
+
+
+def test_export_roundtrip(tmp_path):
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
+    back = load_gadget(_saved(tmp_path, gg))
     assert back.graph.edges() == gg.graph.edges()
     assert back.triple_index == gg.triple_index
     assert back.special_ids == gg.special_ids
     assert back.aux_ids == gg.aux_ids
-    assert back.deficiencies is None
+    # the reader pads as the builder does, diagnostics included
+    assert back.deficiencies == gg.deficiencies
+    assert back.matchings_added == gg.matchings_added
     assert verify_gadget(back).ok
     assert sidecar_json(back) == sidecar_json(gg)
-    assert gadget_from_strings(
-        dumps_graph(gg.graph), sidecar_json(gg)
-    ).labels == gg.labels
 
 
 def test_saved_gadget_files_match_the_text_forms(tmp_path):
     gg = build_gadget(sample_bmhpc(8, 2, random.Random(13)))
     path = tmp_path / "gadget.txt"
     save_gadget(gg, str(path))
-    assert path.read_bytes() == dumps_graph(gg.graph).encode("ascii")
+    # the structural edges alone, under a header with the full n
+    text = path.read_bytes().decode("ascii")
+    assert text == dumps_graph(_structural_graph(gg))
+    n, count = (int(x) for x in text.split("\n", 1)[0].split())
+    assert n == gg.graph.n and 0 < count < gg.graph.m // 10
     sidecar = tmp_path / "gadget.txt.json"
     assert sidecar.read_bytes() == (sidecar_json(gg) + "\n").encode("ascii")
+    assert json.loads(sidecar.read_text()) == {"m": 8, "r": 2, "d": gg.d}
     back = load_gadget(str(path))
     assert back.graph == gg.graph and back.labels == gg.labels
 
 
+@pytest.mark.parametrize("m,r", [(4, 1), (4, 2), (4, 3), (8, 1), (8, 2),
+                                 (12, 3), (16, 4)])
+def test_a_reload_equals_the_build(m, r, tmp_path):
+    # the padding and the labels rebuilt from the structural edges and
+    # {m, r, d} equal what the builder made, for odd and even r
+    for seed in (1, 2, 3):
+        gg = build_gadget(sample_bmhpc(m, r, random.Random(100 * m + r + seed)))
+        back = _read_gadget(_saved(tmp_path, gg))
+        assert back.graph == gg.graph
+        assert back.labels == gg.labels
+        assert (back.m, back.r, back.d) == (gg.m, gg.r, gg.d)
+
+
 @pytest.mark.parametrize("m,r,seed", [(4, 1, 21), (8, 2, 22)])
-def test_a_shuffled_layout_loads_and_audits_the_same(m, r, seed):
-    # the non-aux ids shuffled, graph and labels together, aux kept last
+def test_a_shuffled_layout_audits_the_same(m, r, seed):
+    # the non-aux ids shuffled, graph and labels together, aux kept last;
+    # a file holds no labels, so this is an in-memory audit
     inst = sample_bmhpc(m, r, random.Random(seed))
     gg = build_gadget(inst)
     n, d = gg.graph.n, gg.d
@@ -383,9 +413,7 @@ def test_a_shuffled_layout_loads_and_audits_the_same(m, r, seed):
     for v, label in enumerate(gg.labels):
         labels[new[v]] = label
     graph = Graph(n, ((new[u], new[v]) for u, v in gg.graph.edges()))
-    sidecar = json.dumps({"m": m, "r": r, "d": d,
-                          "labels": [list(label) for label in labels]})
-    back = gadget_from_strings(dumps_graph(graph), sidecar)
+    back = GadgetGraph(graph=graph, m=m, r=r, d=d, labels=labels)
     assert verify_gadget(back).ok
     assert back.triple_index == {
         key: tuple(new[v] for v in t) for key, t in gg.triple_index.items()}
@@ -463,115 +491,133 @@ def test_verify_rejects_a_label_counted_twice_or_not_at_all(extra):
     ]
 
 
-def test_sidecar_rejects_wrong_length():
-    gg = build_gadget(sample_bmhpc(4, 1, random.Random(14)))
-    bad = sidecar_json(gg).replace('["special",1],', "", 1)
-    with pytest.raises(ValueError, match="labels"):
-        gadget_from_strings(dumps_graph(gg.graph), bad)
-
-
 # ---------------------------------------------------------------------------
 # fail-closed loading
 
 
-def _sidecar_obj(seed=15):
+def _sidecar_obj(tmp_path, seed=15):
+    """A saved m=4, r=1 gadget, its graph file's path and its sidecar."""
     gg = build_gadget(sample_bmhpc(4, 1, random.Random(seed)))
-    return gg, json.loads(sidecar_json(gg))
+    return gg, _saved(tmp_path, gg), json.loads(sidecar_json(gg))
 
 
-def test_sidecar_rejects_an_empty_object():
-    gg, _ = _sidecar_obj()
-    with pytest.raises(ValueError, match="'labels' must be a list"):
-        gadget_from_strings(dumps_graph(gg.graph), "{}")
+def _write(path, text):
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(text)
 
 
-def test_sidecar_rejects_a_top_level_list():
-    gg, obj = _sidecar_obj()
+def test_sidecar_rejects_an_empty_object(tmp_path):
+    _, path, _ = _sidecar_obj(tmp_path)
+    _write(path + ".json", "{}")
+    with pytest.raises(ValueError, match="'m' must be a positive integer"):
+        load_gadget(path)
+
+
+def test_sidecar_rejects_a_top_level_list(tmp_path):
+    _, path, obj = _sidecar_obj(tmp_path)
+    _write(path + ".json", json.dumps([obj]))
     with pytest.raises(ValueError, match="JSON object"):
-        gadget_from_strings(dumps_graph(gg.graph), json.dumps([obj]))
+        load_gadget(path)
 
 
-def test_sidecar_rejects_empty_labels():
-    obj = {"m": 4, "r": 1, "d": 36, "labels": [[], [], []]}
-    with pytest.raises(ValueError, match=r"labels\[0\]"):
-        gadget_from_strings("3 0\n", json.dumps(obj))
-
-
-def test_sidecar_rejects_integer_labels():
-    obj = {"m": 4, "r": 1, "d": 36, "labels": [0, 1, 2]}
-    with pytest.raises(ValueError, match=r"labels\[0\]"):
-        gadget_from_strings("3 0\n", json.dumps(obj))
-
-
-def test_sidecar_rejects_a_short_layer_label():
-    gg, obj = _sidecar_obj()
-    obj["labels"][5] = ["layer", 0]
-    with pytest.raises(ValueError, match=r"labels\[5\].*3 integers"):
-        gadget_from_strings(dumps_graph(gg.graph), json.dumps(obj))
-
-
-def test_sidecar_rejects_missing_specials():
-    gg, obj = _sidecar_obj()
-    for v in gg.special_ids:
-        obj["labels"][v] = ["aux", 1000 + v]
-    with pytest.raises(ValueError, match="no special vertex 1"):
-        gadget_from_strings(dumps_graph(gg.graph), json.dumps(obj))
+@pytest.mark.parametrize("key", ["labels", "n", "M"])
+def test_sidecar_rejects_a_field_beyond_m_r_d(key, tmp_path):
+    # an old sidecar's label list is refused by name, like any other
+    gg, path, obj = _sidecar_obj(tmp_path)
+    obj[key] = [list(label) for label in gg.labels]
+    _write(path + ".json", json.dumps(obj))
+    with pytest.raises(ValueError,
+                       match=f"sidecar field '{key}' is not one of m, r, d"):
+        load_gadget(path)
 
 
 @pytest.mark.parametrize("key,value", [("m", "4"), ("r", 1.5), ("d", True),
                                        ("m", None)])
-def test_sidecar_rejects_non_integer_parameters(key, value):
-    gg, obj = _sidecar_obj()
+def test_sidecar_rejects_non_integer_parameters(key, value, tmp_path):
+    _, path, obj = _sidecar_obj(tmp_path)
     obj[key] = value
+    _write(path + ".json", json.dumps(obj))
     with pytest.raises(ValueError, match=f"'{key}' must be a positive integer"):
-        gadget_from_strings(dumps_graph(gg.graph), json.dumps(obj))
-
-
-def test_sidecar_rejects_a_triple_missing_a_copy():
-    gg, obj = _sidecar_obj()
-    obj["labels"][gg.triple_index[(0, 1)][2]] = ["aux", 999]
-    with pytest.raises(ValueError, match=r"triple \(0, 1\) is missing copy 3"):
-        gadget_from_strings(dumps_graph(gg.graph), json.dumps(obj))
-
-
-def test_load_audits_the_structure(tmp_path):
-    gg = build_gadget(sample_bmhpc(4, 1, random.Random(16)))
-    path = str(tmp_path / "gadget.txt")
-    save_gadget(gg, path)
-    aux = set(gg.aux_ids)
-    victim = next((u, v) for u, v in gg.graph.edges()
-                  if (u in aux) != (v in aux))
-    edges = [e for e in gg.graph.edges() if e != victim]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps_graph(Graph(gg.graph.n, edges)))
-    with pytest.raises(ValueError, match="degree-targets"):
         load_gadget(path)
 
 
-def test_load_rejects_a_triple_outside_the_layers(tmp_path):
-    gg = build_gadget(sample_bmhpc(4, 1, random.Random(17)))
-    path = str(tmp_path / "gadget.txt")
-    save_gadget(gg, path)
-    obj = json.loads(sidecar_json(gg))
-    for c, v in enumerate(gg.triple_index[(0, 1)], start=1):
-        obj["labels"][v] = ["layer", 0, 99, c]
-    with open(path + ".json", "w", encoding="ascii") as fh:
-        fh.write(json.dumps(obj))
-    with pytest.raises(ValueError, match="shape"):
+def test_sidecar_rejects_a_d_that_m_and_r_do_not_give(tmp_path):
+    _, path, obj = _sidecar_obj(tmp_path)
+    obj["d"] += 1
+    _write(path + ".json", json.dumps(obj))
+    with pytest.raises(ValueError,
+                       match=r"field 'd' must be 6mr\+3m = 36, got 37"):
+        load_gadget(path)
+
+
+def test_load_rejects_a_header_that_m_and_r_do_not_give(tmp_path):
+    gg, path, obj = _sidecar_obj(tmp_path)
+    obj.update(m=8, d=72)
+    _write(path + ".json", json.dumps(obj))
+    with pytest.raises(ValueError, match=(
+            "line 1: header claims 75 vertices, m=8 and r=1 give 147")):
+        load_gadget(path)
+
+
+def test_load_refuses_an_edge_on_an_aux_id(tmp_path):
+    gg, path, _ = _sidecar_obj(tmp_path)
+    a, b = gg.aux_ids[:2]
+    s = gg.special_ids[0]
+    for extra in [(s, a)], [(a, b)]:
+        edges = _structural_graph(gg).edges() + extra
+        _write(path, dumps_graph(Graph(gg.graph.n, edges)))
+        u, v = extra[0]
+        with pytest.raises(ValueError,
+                           match=rf"edge \({u},{v}\) touches an aux id"):
+            load_gadget(path)
+
+
+def test_load_refuses_a_file_that_lists_the_padding(tmp_path):
+    # the full edge list the format once held: its first padding edge
+    # is the first edge on an aux id
+    gg, path, _ = _sidecar_obj(tmp_path)
+    _write(path, dumps_graph(gg.graph))
+    low = gg.graph.n - gg.d
+    u, v = next((u, v) for u, v in gg.graph.edges() if v >= low)
+    with pytest.raises(ValueError, match=rf"edge \({u},{v}\) touches an aux"):
+        load_gadget(path)
+
+
+def test_load_refuses_a_vertex_above_its_target(tmp_path):
+    # the start vertex (target d - 3) joined to every other non-aux id
+    gg, path, _ = _sidecar_obj(tmp_path)
+    low = gg.graph.n - gg.d
+    start = gg.triple_index[(0, 0)][0]
+    edges = set(_structural_graph(gg).edges())
+    edges |= {(min(start, v), max(start, v)) for v in range(low) if v != start}
+    _write(path, dumps_graph(Graph(gg.graph.n, edges)))
+    with pytest.raises(ValueError, match=(
+            f"vertex {start} already exceeds its target degree by 5")):
+        load_gadget(path)
+
+
+def test_load_audits_the_structure(tmp_path):
+    # a triangle edge dropped from the file: the reader pads its two
+    # ends back up to their targets, so the audit names the triangle
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(16)))
+    u, v = gg.triple_index[(1, 2)][:2]
+    path = _saved(tmp_path, _tampered(gg, drop=[(u, v)]))
+    with pytest.raises(ValueError,
+                       match=rf"triangles: missing \({u}, {v}\)"):
         load_gadget(path)
 
 
 @pytest.mark.parametrize("key", ["m", "r"])
 def test_load_fails_closed_on_a_huge_sidecar_size(tmp_path, key):
-    # the audit must refuse m or r by arithmetic before anything sized by
-    # them is built; the child caps its own address space at 1 GiB, so a
-    # regression fails with MemoryError instead of exhausting the host
-    gg, obj = _sidecar_obj()
-    path = str(tmp_path / "gadget.txt")
-    save_gadget(gg, path)
+    # the reader must refuse m or r by arithmetic before anything sized
+    # by them is built; the child caps its own address space at 1 GiB,
+    # so a regression fails with MemoryError instead of exhausting the
+    # host. d is set to what the huge m or r give, so it is the header's
+    # n that the check refuses.
+    _, path, obj = _sidecar_obj(tmp_path)
     obj[key] = 1_000_000
-    with open(path + ".json", "w", encoding="ascii") as fh:
-        fh.write(json.dumps(obj))
+    obj["d"] = 6 * obj["m"] * obj["r"] + 3 * obj["m"]
+    _write(path + ".json", json.dumps(obj))
     child = textwrap.dedent("""
         import resource, sys
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -587,7 +633,9 @@ def test_load_fails_closed_on_a_huge_sidecar_size(tmp_path, key):
     done = subprocess.run([sys.executable, "-c", child, path], env=env,
                           capture_output=True, text=True, timeout=30)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("gadget audit failed: shape: n=75, aux=36")
+    assert done.stdout.startswith(
+        f"line 1: header claims 75 vertices, m={obj['m']} and r={obj['r']} "
+        f"give {2 * obj['d'] + 3}")
 
 
 # ---------------------------------------------------------------------------
@@ -677,6 +725,18 @@ def test_verify_names_the_tampered_encoding(name):
     assert bad[check] == detail
     other = {"encoding-signature", "cross-pairs"} - {check}
     assert other.isdisjoint(bad)
+
+
+@pytest.mark.parametrize("name", sorted(TAMPER_CASES))
+def test_load_names_the_tampered_encoding(name, tmp_path):
+    # the same tampering in a file: the reader pads the tampered
+    # structural edges and the audit fails the check the in-memory case
+    # fails, with the same detail
+    drop, add, check, detail = TAMPER_CASES[name]
+    path = _saved(tmp_path, _tampered(_TAMPER_GG, drop, add))
+    with pytest.raises(ValueError) as err:
+        load_gadget(path)
+    assert str(err.value) == f"gadget audit failed: {check}: {detail}"
 
 
 # ---------------------------------------------------------------------------
