@@ -16,11 +16,11 @@ whatever the run wrote there (the ``--emit-gadget`` files). The
   ones, so its degeneracy is 7 and the decision flips between k = 6 and
   k = 7;
 * ``graph-dense.txt``: G(40, 1/2) with 406 edges, at least eight per
-  vertex, so the reader takes it run by run; its degeneracy is 16;
+  vertex; its degeneracy is 16;
 * ``graph-loose.txt`` and ``graph-dense-loose.txt``: the same two graphs
   laid out by hand (the first row moved to the end, one blank line, one
-  CRLF line end, one leading zero), which the reader must take line by
-  line. Their runs must print what the runs of the canonical files do;
+  CRLF line end, one leading zero). Their runs must print what the runs
+  of the canonical files do;
 * ``graph-empty.txt`` and ``graph-sparse.txt``: 5 000 vertices with no
   edges, and G(5 000, 5 000), whose 2-core is nonempty and whose
   degeneracy is 2. Far below the density cut, these are peeled by the

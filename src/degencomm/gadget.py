@@ -697,8 +697,16 @@ def save_gadget(gg: GadgetGraph, path: str) -> None:
 
     The graph file is the usual line format on all n vertices, holding
     only the edges with both ends below the aux ids; the padding and the
-    labels are left to the reader, which rebuilds them.
+    labels are left to the reader, which rebuilds them as build_gadget
+    does. So gg must be on the canonical layout of _layout(m, r), or
+    ValueError is raised before anything is written, and its padding
+    must be aux_padding's, as in every gadget that build_gadget and
+    load_gadget return.
     """
+    if gg.labels != _layout(gg.m, gg.r)[1]:
+        raise ValueError("a saved gadget holds no labels, so only one on "
+                         f"the canonical layout of m={gg.m}, r={gg.r} "
+                         "can be saved")
     save_graph(_structural(gg.graph, gg.graph.n - gg.d), path)
     with open(path + ".json", "w", encoding="ascii") as fh:
         fh.write(sidecar_json(gg) + "\n")

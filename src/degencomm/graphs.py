@@ -15,11 +15,8 @@ and the gadget audit give it) stops after at least that many removals
 once the degeneracy is settled: when no live vertex's residual degree
 exceeds the largest removal degree so far, no later removal can, since
 residual degrees only go down. Its order is then a prefix of the full
-order and its degeneracy exact. Files are written one row at a time,
-and a file in that layout with at least eight edges per vertex is read
-in bounded chunks, one row's run of lines per step, into one id array
-per row that is copied into the packed graph as it stands; any
-other file is read line by line, and errors still name their line.
+order and its degeneracy exact. Files are written one row at a time
+and read line by line, and errors name their line.
 
 Vertices are integers 0..n-1 throughout. Graphs are simple: no loops,
 no parallel edges.
@@ -31,11 +28,9 @@ import io
 import random
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from itertools import repeat
-from operator import lt
 from typing import IO, Collection, Iterable, NamedTuple
 
 
@@ -441,90 +436,12 @@ def _parse_edge(parts: list[str], lineno: int, n: int) -> tuple[int, int]:
     return u, v
 
 
-# characters per read of the run reader. A read briefly holds a few
-# copies of its chunk; at 64 KiB the reader's peak memory is the line
-# scan's, and larger chunks read no faster.
-_READ_CHUNK = 1 << 16
-
-
-def _read_runs(fh: IO[str], n: int, rows: list[array]) -> int | None:
-    """Read the lines after the header as _write_graph lays them out.
-
-    That layout is one "u v" line per edge with u < v, sorted, each
-    name canonical decimal and each line ending in a newline. rows holds
-    one empty array of id_typecode(n) per vertex. A run is a maximal
-    block of lines with the same head u; each is split and looked up in
-    one step, u is appended to the row of each v in it, and rows[u] is
-    extended by it. Since the edges come strictly ascending, every row
-    comes out strictly ascending. The body is read in chunks of
-    _READ_CHUNK characters; a run cut by a chunk's end or by the search
-    bound goes on in the next step, starting above where it stopped.
-    Returns the edge count, or None at the first departure from the
-    layout, leaving rows partly filled.
-    """
-    get = {str(v): v for v in range(n)}.__getitem__
-    width = len(str(n))  # no name is longer
-    count = 0
-    prev_u = prev_v = -1
-    ahead = 16
-    data = ""
-    try:
-        while chunk := fh.read(_READ_CHUNK):
-            data += chunk
-            stop = data.rfind("\n") + 1
-            if len(data) - stop > 2 * width + 1:
-                return None  # longer than any line of the layout
-            pos = 0
-            while pos < stop:
-                sp = data.find(" ", pos, pos + width + 1)
-                if sp < 0:
-                    return None
-                head = data[pos:sp]
-                u = get(head)
-                key = "\n" + head + " "
-                # the run has at most n-1-u lines, none longer than
-                # len(key) + width; search no more than ahead of them,
-                # twice the last step's lines, so a short run costs no
-                # search to the chunk's end
-                ahead = min(n - 1 - u, ahead)
-                last = data.rfind(key, sp, min(
-                    stop, sp + ahead * (len(key) + width)))
-                eol = data.find("\n", sp if last < 0 else last + len(key))
-                vals = list(map(get, data[sp + 1:eol].split(key)))
-                if u < prev_u or vals[0] <= (prev_v if u == prev_u else u):
-                    return None
-                if not all(map(lt, vals, vals[1:])):
-                    return None
-                rows[u].fromlist(vals)
-                deque(map(array.append, map(rows.__getitem__, vals),
-                          repeat(u)), 0)
-                count += len(vals)
-                prev_u, prev_v = u, vals[-1]
-                ahead = 2 * len(vals) + 16
-                pos = eol + 1
-            data = data[stop:]
-    except KeyError:
-        return None  # a token that is not a canonical name below n
-    return None if data else count
-
-
-def _rewind(fh: IO[str]) -> None:
-    """Seek back to the first line after the header."""
-    fh.seek(0)
-    fh.readline()
-
-
 def _read_graph(fh: IO[str]) -> Graph:
     """Parse the line format from a seekable text stream.
 
-    A file with at least eight edges per vertex is first read run by
-    run (_read_runs) into one array of id_typecode(n) per row, and the
-    rows are copied into the graph as they stand; any other, and any
-    text that strays from the layout _write_graph writes, is read from
-    the top line by line into lists that are packed once. Either way
-    the rows are filled as the text streams past, so no edge list or
-    per-line integer is held. Raises ValueError naming the first
-    offending line.
+    The lines are read into one list per row, filled as the text
+    streams past and packed once, so no edge list is held. Raises
+    ValueError naming the first offending line.
     """
     head = fh.readline().split()
     if len(head) != 2:
@@ -532,21 +449,10 @@ def _read_graph(fh: IO[str]) -> Graph:
     if not all(f.isascii() and f.isdigit() for f in head):
         raise ValueError("line 1: header fields must be integers")
     n, m = int(head[0]), int(head[1])
-    # with shorter runs, a run's fixed steps cost more than the line
-    # scan spends on its lines
-    by_runs = m >= 8 * n
-    code = id_typecode(n)
-    rows: list = [array(code) if by_runs else [] for _ in range(n)]
+    rows: list = [[] for _ in range(n)]
     try:
-        count = _read_runs(fh, n, rows) if by_runs else None
-        if count is None:
-            if by_runs:
-                rows = [[] for _ in range(n)]
-                _rewind(fh)
-            count = _scan_edges(fh, n, rows)
-            g = Graph.from_rows(rows)
-        else:
-            g = _concat(rows)
+        count = _scan_edges(fh, n, rows)
+        g = Graph.from_rows(rows)
     except ValueError as exc:
         # exc names the first malformed line, but packing only sees that
         # some pair repeats. The rows still in hand tell which pairs
@@ -561,25 +467,13 @@ def _read_graph(fh: IO[str]) -> Graph:
                  for a, times in Counter(row).items() if times > 1 and a < b}
         del rows
         if watch:
-            _rewind(fh)
+            fh.seek(0)
+            fh.readline()
             _scan_edges(fh, n, watch=watch)
         raise exc
     if count != m:
         raise ValueError(f"header claims {m} edges but file has {count}")
     return g
-
-
-def _concat(rows: list[array]) -> Graph:
-    """Pack strictly ascending rows as they stand, without sorting or
-    checking them again, dropping each once it is copied. Each row is an
-    array of id_typecode(len(rows)), the typecode of the packed nbrs."""
-    offsets = array("i", [0])
-    nbrs = array(id_typecode(len(rows)))
-    for v, row in enumerate(rows):
-        rows[v] = None
-        nbrs += row
-        offsets.append(len(nbrs))
-    return Graph.from_csr(offsets, nbrs)
 
 
 def dumps_graph(g: Graph) -> str:

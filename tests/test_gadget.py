@@ -399,12 +399,9 @@ def test_a_reload_equals_the_build(m, r, tmp_path):
         assert (back.m, back.r, back.d) == (gg.m, gg.r, gg.d)
 
 
-@pytest.mark.parametrize("m,r,seed", [(4, 1, 21), (8, 2, 22)])
-def test_a_shuffled_layout_audits_the_same(m, r, seed):
-    # the non-aux ids shuffled, graph and labels together, aux kept last;
-    # a file holds no labels, so this is an in-memory audit
-    inst = sample_bmhpc(m, r, random.Random(seed))
-    gg = build_gadget(inst)
+def _shuffled(gg, seed):
+    """gg with its non-aux ids shuffled, graph and labels together, aux
+    kept last, and the map from old ids to new."""
     n, d = gg.graph.n, gg.d
     new = list(range(n - d))
     random.Random(seed).shuffle(new)
@@ -413,7 +410,15 @@ def test_a_shuffled_layout_audits_the_same(m, r, seed):
     for v, label in enumerate(gg.labels):
         labels[new[v]] = label
     graph = Graph(n, ((new[u], new[v]) for u, v in gg.graph.edges()))
-    back = GadgetGraph(graph=graph, m=m, r=r, d=d, labels=labels)
+    return GadgetGraph(graph=graph, m=gg.m, r=gg.r, d=d, labels=labels), new
+
+
+@pytest.mark.parametrize("m,r,seed", [(4, 1, 21), (8, 2, 22)])
+def test_a_shuffled_layout_audits_the_same(m, r, seed):
+    # a file holds no labels, so this is an in-memory audit
+    inst = sample_bmhpc(m, r, random.Random(seed))
+    gg = build_gadget(inst)
+    back, new = _shuffled(gg, seed)
     assert verify_gadget(back).ok
     assert back.triple_index == {
         key: tuple(new[v] for v in t) for key, t in gg.triple_index.items()}
@@ -422,6 +427,17 @@ def test_a_shuffled_layout_audits_the_same(m, r, seed):
     want, got = trace_invariants(gg, inst), trace_invariants(back, inst)
     assert (got.bit_true, got.kappa, got.split_ok, got.trace) == (
         want.bit_true, want.kappa, want.split_ok, want.trace)
+
+
+def test_saving_a_shuffled_layout_is_refused(tmp_path):
+    # the file would drop the labels, and the reader would put the
+    # canonical ones back on other vertices
+    gg, _ = _shuffled(build_gadget(sample_bmhpc(4, 1, random.Random(21))), 21)
+    assert verify_gadget(gg).ok
+    path = tmp_path / "g.txt"
+    with pytest.raises(ValueError, match="canonical layout of m=4, r=1"):
+        save_gadget(gg, str(path))
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_names_a_stray_edge_and_an_aux_clique():

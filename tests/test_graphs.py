@@ -647,12 +647,13 @@ def test_writer_matches_the_per_id_writer():
 
 
 # ---------------------------------------------------------------------------
-# the run reader against the line reader
+# the reader against a plain line reader
 
 
 def _reference_scan_edges(fh, n, rows=None):
-    """The line scan as it was: fill rows, or without them keep a set of
-    every edge and raise naming the first line that repeats one."""
+    """A plain line scan, parsing every id: fill rows, or without them
+    keep a set of every edge and raise naming the first line that
+    repeats one."""
     seen = set()
     count = 0
     for lineno, raw in enumerate(fh, start=2):
@@ -672,7 +673,7 @@ def _reference_scan_edges(fh, n, rows=None):
 
 
 def _reference_read_graph(fh):
-    """The graph reader as it was, line by line whatever the layout."""
+    """A plain graph reader over _reference_scan_edges."""
     head = fh.readline().split()
     if len(head) != 2:
         raise ValueError("line 1: expected header 'n m'")
@@ -723,7 +724,17 @@ def _read_both(text, tmp_path):
     return g
 
 
-def _run_graphs():
+def _load(source, text, tmp_path):
+    """What one entry point makes of text: loads_graph of the text, or
+    load_graph of a file holding its UTF-8 bytes."""
+    if source == "text":
+        return G.loads_graph(text)
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return G.load_graph(str(path))
+
+
+def _sample_graphs():
     from degencomm.gadget import build_gadget
     from degencomm.hpc import sample_bmhpc
 
@@ -732,7 +743,7 @@ def _run_graphs():
                 for m in (4, 8, 16))
     yield G.gnm_random_graph(30, 400, rng)
     yield G.gnm_random_graph(120, 1000, rng)
-    yield G.gnm_random_graph(60, 100, rng)  # too sparse to read by runs
+    yield G.gnm_random_graph(60, 100, rng)
     yield G.Graph(0)
     yield G.Graph(1)
     yield G.complete_graph(2)
@@ -744,25 +755,10 @@ def _run_graphs():
                          for v in range(u + 1, 1001)])
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 64, G._READ_CHUNK])
-def test_run_reader_matches_the_line_reader(chunk, monkeypatch, tmp_path,
-                                            line_scans):
-    monkeypatch.setattr(G, "_READ_CHUNK", chunk)
-    for g in _run_graphs():
+def test_the_reader_matches_the_plain_line_reader(tmp_path):
+    for g in _sample_graphs():
         text = G.dumps_graph(g)
-        ref = _reference_loads(text)
-        del line_scans[:]
-        assert _read_both(text, tmp_path) == ref == g
-        assert bool(line_scans) == (g.m < 8 * g.n), g
-
-
-@pytest.mark.parametrize("chunk", [7, G._READ_CHUNK])
-def test_run_reader_round_trips_random_graphs(chunk, monkeypatch):
-    monkeypatch.setattr(G, "_READ_CHUNK", chunk)
-    rng = random.Random(300)
-    for n in range(0, 301, 13):
-        g = G.gnm_random_graph(n, min(n * (n - 1) // 2, 9 * n), rng)
-        assert G.loads_graph(G.dumps_graph(g)) == g
+        assert _read_both(text, tmp_path) == _reference_loads(text) == g
 
 
 def _dense_body():
@@ -798,54 +794,18 @@ def _loosen(body, how):
     return body[:at] + edit + body[at + 1:]
 
 
-@pytest.mark.parametrize("chunk", [7, 64, G._READ_CHUNK])
+@pytest.mark.parametrize("source", ["file", "text"])
 @pytest.mark.parametrize("how", [
     "rows out of order", "v descending in a row", "blank line", "CRLF",
     "tab", "double space", "trailing space", "leading zero",
     "no newline at the end"])
-def test_loose_layouts_fall_back_to_the_line_reader(how, chunk, monkeypatch,
-                                                    tmp_path, line_scans):
-    monkeypatch.setattr(G, "_READ_CHUNK", chunk)
+def test_loose_layouts_read_like_the_canonical_one(how, source, tmp_path):
     g, header, body = _dense_body()
     if how == "no newline at the end":
         text = "\n".join([header, *body])
     else:
         text = "\n".join([header, *_loosen(body, how)]) + "\n"
-    ref = _reference_loads(text)
-    del line_scans[:]
-    assert _read_both(text, tmp_path) == ref == g
-    # both readers see a CRLF line end as a newline, so only it stays
-    # on the run reader
-    assert bool(line_scans) == (how != "CRLF")
-
-
-def test_a_row_resumed_below_its_last_v_falls_back(monkeypatch, tmp_path,
-                                                  line_scans):
-    # the lines of one row in two ascending halves, the later half
-    # first, with a chunk ending where the earlier half begins
-    g, header, body = _dense_body()
-    head = body[2 * len(body) // 3].split()[0] + " "
-    row = [i for i, b in enumerate(body) if b.startswith(head)]
-    half = len(row) // 2
-    body[row[0]:row[-1] + 1] = body[row[half]:row[-1] + 1] + body[
-        row[0]:row[half]]
-    cut = sum(len(b) + 1 for b in body[:row[0] + len(row) - half])
-    monkeypatch.setattr(G, "_READ_CHUNK", cut)
-    text = "\n".join([header, *body]) + "\n"
-    ref = _reference_loads(text)
-    del line_scans[:]
-    assert _read_both(text, tmp_path) == ref == g
-    assert line_scans
-
-
-def test_only_files_with_eight_edges_per_vertex_are_read_by_runs(tmp_path,
-                                                                 line_scans):
-    rng = random.Random(8)
-    for n, m in ((40, 319), (40, 320), (60, 59), (60, 60)):
-        g = G.gnm_random_graph(n, m, rng)
-        del line_scans[:]
-        assert _read_both(G.dumps_graph(g), tmp_path) == g
-        assert bool(line_scans) == (m < 8 * n)
+    assert _load(source, text, tmp_path) == _reference_loads(text) == g
 
 
 def _malformed(body, where, bad):
@@ -856,7 +816,7 @@ def _malformed(body, where, bad):
     return body[:at] + [bad] + body[at:], at + 2
 
 
-@pytest.mark.parametrize("chunk", [7, 64])
+@pytest.mark.parametrize("source", ["file", "text"])
 @pytest.mark.parametrize("where", ["middle", "end"])
 @pytest.mark.parametrize("bad,message", [
     ("{first}", "duplicate edge"),
@@ -873,35 +833,26 @@ def _malformed(body, where, bad):
     ("0 1", "expected 'u v'"),
 ])
 def test_a_fault_after_canonical_rows_fails_like_the_line_reader(
-        bad, message, where, chunk, monkeypatch, tmp_path):
-    monkeypatch.setattr(G, "_READ_CHUNK", chunk)
+        bad, message, where, source, tmp_path):
     g, header, body = _dense_body()
     lines, lineno = _malformed(body, where, bad)
     text = "\n".join([f"{g.n} {g.m + 1}", *lines]) + "\n"
-    assert len(text) > 4 * chunk and lineno > 100
+    assert lineno > 100
     with pytest.raises(ValueError) as ref:
         _reference_loads(text)
     assert str(ref.value).startswith(f"line {lineno}: {message}")
-    path = tmp_path / "bad.txt"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError) as from_file:
-        G.load_graph(str(path))
-    with pytest.raises(ValueError) as from_text:
-        G.loads_graph(text)
-    assert str(from_file.value) == str(from_text.value) == str(ref.value)
+    with pytest.raises(ValueError) as err:
+        _load(source, text, tmp_path)
+    assert str(err.value) == str(ref.value)
 
 
-@pytest.mark.parametrize("chunk", [7, G._READ_CHUNK])
+@pytest.mark.parametrize("source", ["file", "text"])
 @pytest.mark.parametrize("claimed", [-1, 1])
-def test_a_wrong_edge_count_after_canonical_rows(claimed, chunk, monkeypatch,
-                                                 tmp_path):
-    monkeypatch.setattr(G, "_READ_CHUNK", chunk)
+def test_a_wrong_edge_count_after_canonical_rows(claimed, source, tmp_path):
     g, _, body = _dense_body()
     text = "\n".join([f"{g.n} {g.m + claimed}", *body]) + "\n"
-    path = tmp_path / "bad.txt"
-    path.write_text(text, encoding="ascii")
     message = f"header claims {g.m + claimed} edges but file has {g.m}"
-    for read in (lambda: G.load_graph(str(path)), lambda: G.loads_graph(text),
+    for read in (lambda: _load(source, text, tmp_path),
                  lambda: _reference_loads(text)):
         with pytest.raises(ValueError) as err:
             read()
@@ -927,15 +878,10 @@ def _hubs(n, hubs):
 
 
 @pytest.mark.parametrize("n", [65536, 65537])
-@pytest.mark.parametrize("path", ["lines", "runs"])
-def test_the_top_id_round_trips_at_the_width_edge(n, path, line_scans):
-    # nine hubs give the run reader its eight edges per vertex
-    g = (G.Graph(n, [(0, n - 1), (n - 2, n - 1)]) if path == "lines"
-         else G.Graph.from_rows(_hubs(n, 9)))
+def test_the_top_id_round_trips_at_the_width_edge(n):
+    g = G.Graph(n, [(0, n - 1), (n - 2, n - 1)])
     assert g.nbrs.typecode == G.id_typecode(n)
-    del line_scans[:]
     back = G.loads_graph(G.dumps_graph(g))
-    assert bool(line_scans) == (path == "lines")
     assert back == g and back.nbrs.typecode == G.id_typecode(n)
     assert back.has_edge(0, n - 1) and back.neighbors(n - 1)[0] == 0
 
