@@ -12,14 +12,17 @@ the padding is that min-degree peeling then discharges the triples along
 the pointer path first, and whether the peel runs to completion below
 threshold d-3 depends only on the parity bit of the final pointer.
 
-Five facts about the gadget are decided once, here: _layout gives the
-canonical id layout, _index_labels reads the triples, specials and aux
-ids off any labels, _excluded names the triples kept off the specials,
-_target_degree gives each vertex its degree target and edge_family
-names the family of each edge. The builder, the audit, the file
-reader and the reduction share these and nothing else. A saved gadget
-holds only its structural edges and (m, r, d); the reader rebuilds the
-padding and the labels from them as the builder makes them.
+A gadget has one id layout, arithmetic on (m, r) (DECISIONS.md, D3):
+with d = 6mr+3m, triple (ell, i) is ids 3(ell*m+i) + 0..2, so the d
+layer ids come first by (ell, i, c), the specials 1..3 are d + 0..2
+and the d auxiliary ids are the last ones, d+3 .. 2d+2. _layout names
+each id's label, _triples gives the triple ids, _excluded names the
+triples kept off the specials, _target_degree gives each vertex its
+degree target and edge_family names the family of each edge. The
+builder, the audit, the file reader and the reduction share these and
+nothing else. A saved gadget holds only its structural edges and
+(m, r, d); the reader rebuilds the padding from them as the builder
+makes it.
 
 All element indexes here are 0-based, matching the instance model; copy
 numbers are 1..3 and special names 1..3 because those are names, not
@@ -31,18 +34,14 @@ from __future__ import annotations
 
 import json
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate, chain, repeat
 from typing import Iterator
 
 from .graphs import Graph, _read_graph, _sort_row, id_typecode, save_graph
 from .hpc import (MHPCInstance, PointerPath, chase, check_universe,
                   mask_members, validate_instance)
-
-Label = tuple
-
 
 FAMILY_NAMES = ("E1", "E2", "ES", "EA", "EB", "EC", "ED")
 
@@ -55,40 +54,22 @@ def _width(m: int, r: int) -> int:
     return 6 * m * r + 3 * m
 
 
-def _layout(m: int, r: int) -> tuple[int, list[Label]]:
-    """The padding width d and the canonical labels in id order.
-
-    The layer triples come first by (ell, i, c), then the specials 1..3,
-    then the d auxiliary vertices.
-    """
-    d = _width(m, r)
-    labels: list[Label] = [("layer", ell, i, c) for ell in range(2 * r + 1)
+def _layout(m: int, r: int) -> list[tuple]:
+    """The label of each id, in id order: ("layer", ell, i, c) by
+    (ell, i, c), then ("special", j) for j = 1..3, then ("aux", t) for
+    the d auxiliary vertices."""
+    labels: list[tuple] = [("layer", ell, i, c) for ell in range(2 * r + 1)
                            for i in range(m) for c in (1, 2, 3)]
     labels += [("special", j) for j in (1, 2, 3)]
-    labels += [("aux", t) for t in range(d)]
-    return d, labels
+    labels += [("aux", t) for t in range(_width(m, r))]
+    return labels
 
 
-def _index_labels(labels: list[Label]) -> tuple[
-        dict[tuple[int, int], dict[int, int]], dict[int, int], list[int]]:
-    """Index labels in one pass, whatever the order of their ids.
-
-    Returns the layer triples as {(ell, i): {copy: id}} in order of first
-    id, the specials as {j: id} and the auxiliary ids in id order. A
-    repeated label keeps its last id; unknown kinds are left out.
-    """
-    triples: dict[tuple[int, int], dict[int, int]] = {}
-    specials: dict[int, int] = {}
-    aux: list[int] = []
-    for v, label in enumerate(labels):
-        kind = label[0] if label else "?"
-        if kind == "layer":
-            triples.setdefault((label[1], label[2]), {})[label[3]] = v
-        elif kind == "special":
-            specials[label[1]] = v
-        elif kind == "aux":
-            aux.append(v)
-    return triples, specials, aux
+def _triples(m: int, r: int) -> dict[tuple[int, int], tuple[int, int, int]]:
+    """The ids of copies 1..3 of each layer triple (ell, i), in (ell, i)
+    order: triple t = ell*m + i is ids 3t, 3t+1 and 3t+2."""
+    return {divmod(t, m): (3 * t, 3 * t + 1, 3 * t + 2)
+            for t in range((2 * r + 1) * m)}
 
 
 def _round_robin_matching(d: int, k: int) -> list[tuple[int, int]]:
@@ -107,39 +88,42 @@ def _round_robin_matching(d: int, k: int) -> list[tuple[int, int]]:
 class GadgetGraph:
     """A built gadget plus the bookkeeping needed to audit and export it.
 
-    labels[v] is one of ("layer", ell, i, c), ("special", j), ("aux", t).
-    triple_index, special_ids and aux_ids are derived from the labels,
-    so they always name the ids the labels give. deficiencies and
-    matchings_added are padding diagnostics (pre-padding degree gaps and
-    the number of auxiliary matchings used). They are not saved: the
-    builder and the file reader each compute them with the padding.
+    Its ids are laid out by (m, r) alone, so d, labels, triple_index,
+    special_ids and aux_ids are computed from m and r on each read and
+    cannot disagree with them. labels[v] is one of ("layer", ell, i, c),
+    ("special", j), ("aux", t). deficiencies and matchings_added are
+    padding diagnostics (pre-padding degree gaps and the number of
+    auxiliary matchings used). They are not saved: the builder and the
+    file reader each compute them with the padding.
     """
 
     graph: Graph
     m: int
     r: int
-    d: int
-    labels: list[Label]
     deficiencies: dict[int, int] | None = None
     matchings_added: int | None = None
 
-    @cached_property
-    def _index(self):
-        return _index_labels(self.labels)
+    @property
+    def d(self) -> int:
+        return _width(self.m, self.r)
 
-    @cached_property
+    @property
+    def labels(self) -> list[tuple]:
+        return _layout(self.m, self.r)
+
+    @property
     def triple_index(self) -> dict[tuple[int, int], tuple[int, int, int]]:
-        return {key: (t[1], t[2], t[3])
-                for key, t in sorted(self._index[0].items())}
+        return _triples(self.m, self.r)
 
-    @cached_property
+    @property
     def special_ids(self) -> tuple[int, int, int]:
-        specials = self._index[1]
-        return specials[1], specials[2], specials[3]
+        d = self.d
+        return d, d + 1, d + 2
 
-    @cached_property
-    def aux_ids(self) -> tuple[int, ...]:
-        return tuple(self._index[2])
+    @property
+    def aux_ids(self) -> range:
+        d = self.d
+        return range(d + 3, 2 * d + 3)
 
     def check_fits(self, inst: MHPCInstance) -> None:
         """Raise ValueError unless inst has this gadget's (m, r)."""
@@ -174,7 +158,7 @@ def _excluded(ell: int, i: int, r: int) -> bool:
     return ell == 2 * r and (i + 1) % 2 == 0
 
 
-def _target_degree(label: Label, d: int, r: int) -> int:
+def _target_degree(label: tuple, d: int, r: int) -> int:
     """The degree target of a vertex: exact, except a floor for aux."""
     kind = label[0]
     if kind == "special":
@@ -296,7 +280,7 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
     which is what lets the last player of the streaming simulation add
     the padding after seeing only a degree table.
     """
-    d, labels = _layout(m, r)
+    d, labels = _width(m, r), _layout(m, r)
     n = len(labels)
     if len(degrees) != n:
         raise ValueError(f"expected {n} degrees, got {len(degrees)}")
@@ -331,14 +315,13 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     validate_instance(inst)
     m, r = inst.m, inst.r
     check_universe(m)
-    d, labels = _layout(m, r)
-    triples, special_of, _ = _index_labels(labels)
-    trip = {key: (t[1], t[2], t[3]) for key, t in triples.items()}
-    specials = special_of[1], special_of[2], special_of[3]
+    d = _width(m, r)
+    trip = _triples(m, r)
+    specials = d, d + 1, d + 2
 
     # structural edges go straight into the rows of the layer and special
     # vertices, unchecked: verify_gadget audits the packed graph
-    rows: list[list[int]] = [[] for _ in range(len(labels) - d)]
+    rows: list[list[int]] = [[] for _ in range(d + 3)]
 
     def join(u: int, v: int) -> None:
         rows[u].append(v)
@@ -388,22 +371,20 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
 
 
 def _padded(m: int, r: int, rows: list[list[int]]) -> GadgetGraph:
-    """The gadget on the canonical layout whose layer and special vertices
-    have the given structural rows, padded as the builder pads them.
+    """The gadget whose layer and special vertices have the given
+    structural rows, padded as the builder pads them.
 
     Every layer/special vertex is padded up to its target with auxiliary
     edges handed out round-robin, then the auxiliary floor is lifted
     with disjoint matchings; the plan depends only on the row lengths.
     The rows are consumed.
     """
-    d, labels = _layout(m, r)
-    padding = aux_padding(m, r, [len(row) for row in rows] + [0] * d)
+    degrees = [len(row) for row in rows] + [0] * _width(m, r)
+    padding = aux_padding(m, r, degrees)
     return GadgetGraph(
         graph=padding.pack(rows),
         m=m,
         r=r,
-        d=d,
-        labels=labels,
         deficiencies=padding.deficiencies,
         matchings_added=padding.matchings,
     )
@@ -419,11 +400,11 @@ def _audited(gg: GadgetGraph, error: type[Exception]) -> GadgetGraph:
 
 
 def verify_gadget(gg: GadgetGraph) -> GadgetReport:
-    """Re-check every structural invariant from the graph and labels alone.
+    """Re-check every structural invariant from the graph, m and r alone.
 
-    Independent of the builder: everything is recomputed from gg.graph,
-    gg.labels, and the (m, r, d) parameters. Each check lands in the
-    report with an offending vertex or pair in the detail on failure.
+    Independent of the builder: everything is recomputed from gg.graph
+    and the id layout that (m, r) give. Each check lands in the report
+    with an offending vertex or pair in the detail on failure.
     """
     g, m, r, d = gg.graph, gg.m, gg.r, gg.d
     report = GadgetReport()
@@ -432,34 +413,17 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         report.checks.append(GadgetCheck(name, ok, detail))
         return ok
 
-    # m and r may come from a file: nothing here is sized by them, so a
-    # huge value fails the checks instead of exhausting memory
-    canon_d = _width(m, r)
-    triples, special_of, aux = _index_labels(gg.labels)
-    # the auxiliary ids must be the last d, as the builder numbers them,
-    # so that the checks below can cut them off each sorted row; every
-    # label must be counted once, so no label repeats or is unknown
-    aux_lo = g.n - len(aux)
-    shape_ok = (
-        len(gg.labels) == g.n
-        and 3 * len(triples) + len(special_of) + len(aux) == g.n
-        and len(special_of) == 3
-        and len(aux) == d
-        and min(aux, default=aux_lo) == aux_lo
-        and len(triples) == (2 * r + 1) * m
-        and all(0 <= ell <= 2 * r and 0 <= i < m for ell, i in triples)
-        and all(sorted(t) == [1, 2, 3] for t in triples.values())
-        and d == canon_d
-    )
-    check("shape", shape_ok, f"n={g.n}, aux={len(aux)}, d={d}")
-    # the layout's canon_d layer and 3 special vertices, and d auxiliary
-    n_want = canon_d + 3 + d
-    check("vertex-count", g.n == n_want, f"n={g.n}, expected {n_want}")
-    if not shape_ok:
+    # m and r may come from a file: n is checked against them by
+    # arithmetic before anything sized by them is built, so a huge value
+    # fails the check instead of exhausting memory. The layout has d
+    # layer, 3 special and d auxiliary vertices.
+    n_want = 2 * d + 3
+    if not check("vertex-count", g.n == n_want, f"n={g.n}, expected {n_want}"):
         return report
 
-    trip = {key: (t[1], t[2], t[3]) for key, t in triples.items()}
-    specials = sorted(special_of.values())
+    labels, trip, specials = gg.labels, gg.triple_index, gg.special_ids
+    aux = gg.aux_ids
+    aux_lo = aux.start  # the checks below cut the aux ids off sorted rows
     q_nodes = {v for (ell, i), t in trip.items() if _excluded(ell, i, r)
                for v in t}
 
@@ -492,12 +456,10 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     # copy-3 contact on the same pair, else the first miscounted triple.
     offender = miscount = ""
     for src in range(0, 2 * r, 2):
-        place = {v: (j, c) for j in range(m)
-                 for c, v in enumerate(trip[(src + 1, j)])}
-        span = min(place), max(place)
+        base = 3 * m * (src + 1)  # the target layer's first id
         for i in range(m):
             (a1, a2, a3), (b1, b2, b3), (c1, c2, c3) = (
-                _copies_hit(g, s, place, *span) for s in trip[(src, i)])
+                _copies_hit(g, s, base, base + 3 * m) for s in trip[(src, i)])
             contact = a3 | b3 | c1 | c2 | c3
             unpaired = (a1 ^ a2) | (b1 ^ b2)
             if contact or unpaired:
@@ -517,7 +479,7 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
         seen = set(g.neighbors(s))
         if not others <= seen:
             bad_wire = f"special {s} misses a special neighbor"
-        layer_seen = {v for v in seen if gg.labels[v][0] == "layer"}
+        layer_seen = {v for v in seen if v < d}
         if layer_seen != expected_layer_side:
             off = (layer_seen ^ expected_layer_side).pop()
             bad_wire = f"special {s} wiring wrong at vertex {off}"
@@ -532,14 +494,14 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     # anything, so only the edges between non-aux vertices are walked
     stray = ""
     for u, v in _edges_below(g, aux_lo):
-        family = edge_family(gg.labels[u], gg.labels[v], r)
+        family = edge_family(labels[u], labels[v], r)
         if family not in FAMILY_NAMES:
             stray = f"{family}: ({u},{v})"
             break
     check("edge-families", not stray, stray)
 
     bad_deg = ""
-    for v, label in enumerate(gg.labels):
+    for v, label in enumerate(labels):
         want = _target_degree(label, d, r)
         have = g.degree(v)
         if label[0] == "aux":
@@ -562,7 +524,7 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     return report
 
 
-def edge_family(lu: Label, lv: Label, r: int) -> str:
+def edge_family(lu: tuple, lv: tuple, r: int) -> str:
     """The family of an edge between two non-aux vertices, from their labels.
 
     One of FAMILY_NAMES for an edge the construction makes: E1 inside a
@@ -592,22 +554,20 @@ def edge_family(lu: Label, lv: Label, r: int) -> str:
     return _ENCODING_FAMILY[(eu % 4, cu)]
 
 
-def _copies_hit(g: Graph, s: int, place: dict[int, tuple[int, int]],
-                least: int, most: int) -> tuple[set[int], set[int], set[int]]:
+def _copies_hit(g: Graph, s: int, base: int,
+                top: int) -> tuple[set[int], set[int], set[int]]:
     """The elements j whose copy 1, 2 and 3 (in turn) s is joined to.
 
-    place maps each vertex of the target layer to its (j, copy index),
-    and least and most are its smallest and largest keys. Only the part
-    of the sorted row between those two is read, which is the layer's
-    block when its ids are contiguous, as the builder numbers them.
+    The target layer is the id block [base, top), with copy c + 1 of
+    element j at base + 3j + c, so only that part of the sorted row is
+    read.
     """
     hit: tuple[set[int], set[int], set[int]] = (set(), set(), set())
     lo, hi = g.offsets[s], g.offsets[s + 1]
-    lo = bisect_left(g.nbrs, least, lo, hi)
-    for v in g.nbrs[lo:bisect_right(g.nbrs, most, lo, hi)]:
-        if v in place:
-            j, c = place[v]
-            hit[c].add(j)
+    lo = bisect_left(g.nbrs, base, lo, hi)
+    for v in g.nbrs[lo:bisect_left(g.nbrs, top, lo, hi)]:
+        j, c = divmod(v - base, 3)
+        hit[c].add(j)
     return hit
 
 
@@ -632,10 +592,11 @@ def pointer_path_triples(
     gg.check_fits(inst)
     if walk is None:
         walk = chase(inst)
-    seq = [gg.triple_index[(0, 0)]]
+    trip = gg.triple_index
+    seq = [trip[(0, 0)]]
     for step, (_, idx) in enumerate(walk.z[1:], start=1):
-        seq.append(gg.triple_index[(2 * step - 1, idx)])
-        seq.append(gg.triple_index[(2 * step, idx)])
+        seq.append(trip[(2 * step - 1, idx)])
+        seq.append(trip[(2 * step, idx)])
     return seq
 
 
@@ -645,8 +606,8 @@ def pointer_path_triples(
 
 
 def sidecar_json(gg: GadgetGraph) -> str:
-    """The sidecar text: m, r and d, from which the labels and, with the
-    structural degrees, the padding follow."""
+    """The sidecar text: m, r and d, from which the id layout and, with
+    the structural degrees, the padding follow."""
     return json.dumps({"m": gg.m, "r": gg.r, "d": gg.d}, sort_keys=True,
                       separators=(",", ":"))
 
@@ -696,17 +657,11 @@ def save_gadget(gg: GadgetGraph, path: str) -> None:
     """Write the structural edges at path and the sidecar at path.json.
 
     The graph file is the usual line format on all n vertices, holding
-    only the edges with both ends below the aux ids; the padding and the
-    labels are left to the reader, which rebuilds them as build_gadget
-    does. So gg must be on the canonical layout of _layout(m, r), or
-    ValueError is raised before anything is written, and its padding
-    must be aux_padding's, as in every gadget that build_gadget and
-    load_gadget return.
+    only the edges with both ends below the aux ids; the padding is left
+    to the reader, which rebuilds it as build_gadget does. So gg's
+    padding must be aux_padding's, as in every gadget that build_gadget
+    and load_gadget return.
     """
-    if gg.labels != _layout(gg.m, gg.r)[1]:
-        raise ValueError("a saved gadget holds no labels, so only one on "
-                         f"the canonical layout of m={gg.m}, r={gg.r} "
-                         "can be saved")
     save_graph(_structural(gg.graph, gg.graph.n - gg.d), path)
     with open(path + ".json", "w", encoding="ascii") as fh:
         fh.write(sidecar_json(gg) + "\n")
@@ -717,11 +672,11 @@ def _read_gadget(path: str) -> GadgetGraph:
 
     The sidecar is read first, and the header's n is checked against
     the 2d+3 that m and r give before anything sized by them is built.
-    The structural rows are then padded and labelled as build_gadget
-    does it. Raises ValueError naming the malformed field or line, an
-    edge on an aux id (as in a file that lists the padding too) or a
-    vertex above its target degree. For a caller that compares the
-    result with a gadget it has already audited.
+    The structural rows are then padded as build_gadget pads them.
+    Raises ValueError naming the malformed field or line, an edge on an
+    aux id (as in a file that lists the padding too) or a vertex above
+    its target degree. For a caller that compares the result with a
+    gadget it has already audited.
     """
     with open(path + ".json", "r", encoding="ascii") as fh:
         m, r, d = _sidecar_params(fh.read())

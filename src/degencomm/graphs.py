@@ -298,24 +298,19 @@ def degeneracy(g: Graph) -> int:
     return peel(g, prefix=0).degeneracy
 
 
-def outdegree_profile(g: Graph, order: list[int]) -> list[int]:
-    """Number of neighbors of each vertex that appear after it in order.
+def is_k_ordering(g: Graph, order: list[int], k: int) -> bool:
+    """True iff every vertex has at most k neighbors later in the order.
 
-    Returned indexed by vertex id, not by position.
+    Raises ValueError if order is not a permutation of the vertices.
     """
     if sorted(order) != list(range(g.n)):
         raise ValueError("ordering is not a permutation of the vertices")
     pos = [0] * g.n
     for idx, v in enumerate(order):
         pos[v] = idx
-    return [sum(1 for u in g.neighbors(v) if pos[u] > pos[v])
-            for v in range(g.n)]
-
-
-def is_k_ordering(g: Graph, order: list[int], k: int) -> bool:
-    """True iff every vertex has at most k neighbors later in the order."""
-    profile = outdegree_profile(g, order)
-    return max(profile, default=0) <= k
+    later = (sum(1 for u in g.neighbors(v) if pos[u] > pos[v])
+             for v in range(g.n))
+    return max(later, default=0) <= k
 
 
 def peel_decision(g: Graph, k: int) -> Accept | Reject:

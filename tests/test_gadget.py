@@ -12,7 +12,6 @@ import pytest
 import degencomm
 from degencomm.gadget import (
     AuxPadding,
-    GadgetGraph,
     _read_gadget,
     aux_padding,
     build_gadget,
@@ -24,7 +23,6 @@ from degencomm.gadget import (
 )
 from degencomm.graphs import Graph, degeneracy, dumps_graph, peel
 from degencomm.hpc import chase, sample_bmhpc
-from degencomm.reduction import trace_invariants
 
 from test_hpc import pad_instance, worked_example
 
@@ -399,47 +397,6 @@ def test_a_reload_equals_the_build(m, r, tmp_path):
         assert (back.m, back.r, back.d) == (gg.m, gg.r, gg.d)
 
 
-def _shuffled(gg, seed):
-    """gg with its non-aux ids shuffled, graph and labels together, aux
-    kept last, and the map from old ids to new."""
-    n, d = gg.graph.n, gg.d
-    new = list(range(n - d))
-    random.Random(seed).shuffle(new)
-    new += range(n - d, n)
-    labels = [()] * n
-    for v, label in enumerate(gg.labels):
-        labels[new[v]] = label
-    graph = Graph(n, ((new[u], new[v]) for u, v in gg.graph.edges()))
-    return GadgetGraph(graph=graph, m=gg.m, r=gg.r, d=d, labels=labels), new
-
-
-@pytest.mark.parametrize("m,r,seed", [(4, 1, 21), (8, 2, 22)])
-def test_a_shuffled_layout_audits_the_same(m, r, seed):
-    # a file holds no labels, so this is an in-memory audit
-    inst = sample_bmhpc(m, r, random.Random(seed))
-    gg = build_gadget(inst)
-    back, new = _shuffled(gg, seed)
-    assert verify_gadget(back).ok
-    assert back.triple_index == {
-        key: tuple(new[v] for v in t) for key, t in gg.triple_index.items()}
-    assert back.special_ids == tuple(new[s] for s in gg.special_ids)
-    assert back.aux_ids == gg.aux_ids
-    want, got = trace_invariants(gg, inst), trace_invariants(back, inst)
-    assert (got.bit_true, got.kappa, got.split_ok, got.trace) == (
-        want.bit_true, want.kappa, want.split_ok, want.trace)
-
-
-def test_saving_a_shuffled_layout_is_refused(tmp_path):
-    # the file would drop the labels, and the reader would put the
-    # canonical ones back on other vertices
-    gg, _ = _shuffled(build_gadget(sample_bmhpc(4, 1, random.Random(21))), 21)
-    assert verify_gadget(gg).ok
-    path = tmp_path / "g.txt"
-    with pytest.raises(ValueError, match="canonical layout of m=4, r=1"):
-        save_gadget(gg, str(path))
-    assert not list(tmp_path.iterdir())
-
-
 def test_verify_names_a_stray_edge_and_an_aux_clique():
     gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
     u, v = gg.triple_index[(0, 1)][0], gg.triple_index[(2, 3)][0]
@@ -477,34 +434,6 @@ def test_verify_names_a_stray_edge_and_an_aux_clique():
     assert set(bad) == {"aux-induced-degree"}
     assert bad["aux-induced-degree"] == (
         f"aux vertex {hub} has {gg.d - 1} aux neighbors > {gg.d - 3}")
-
-
-def test_verify_rejects_scattered_aux_ids():
-    gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
-    labels = list(gg.labels)
-    a, b = gg.aux_ids[0], gg.special_ids[0]
-    labels[a], labels[b] = labels[b], labels[a]
-    report = verify_gadget(dataclasses.replace(gg, labels=labels))
-    assert "shape" in {c.name for c in report.failed()}
-
-
-@pytest.mark.parametrize("extra", [("special", 1), ("foo",)])
-def test_verify_rejects_a_label_counted_twice_or_not_at_all(extra):
-    # one more vertex before the aux ids, labeled as a second special 1
-    # or with an unknown kind: the audit reports it, never raises
-    gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
-    n, d = gg.graph.n, gg.d
-    labels = [*gg.labels[:n - d], extra, *gg.labels[n - d:]]
-
-    def shift(v):
-        return v if v < n - d else v + 1
-
-    graph = Graph(n + 1, ((shift(u), shift(v)) for u, v in gg.graph.edges()))
-    report = verify_gadget(dataclasses.replace(gg, graph=graph, labels=labels))
-    assert [(c.name, c.detail) for c in report.failed()] == [
-        ("shape", f"n={n + 1}, aux={d}, d={d}"),
-        ("vertex-count", f"n={n + 1}, expected {n}"),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -623,35 +552,59 @@ def test_load_audits_the_structure(tmp_path):
         load_gadget(path)
 
 
+def _in_capped_child(code, *argv):
+    """Run code in a child Python that caps its own address space at
+    1 GiB, so that a regression fails with MemoryError instead of
+    exhausting the host; returns the child's stdout."""
+    child = textwrap.dedent("""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    """) + textwrap.dedent(code)
+    src = os.path.dirname(os.path.dirname(degencomm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child, *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 @pytest.mark.parametrize("key", ["m", "r"])
 def test_load_fails_closed_on_a_huge_sidecar_size(tmp_path, key):
     # the reader must refuse m or r by arithmetic before anything sized
-    # by them is built; the child caps its own address space at 1 GiB,
-    # so a regression fails with MemoryError instead of exhausting the
-    # host. d is set to what the huge m or r give, so it is the header's
-    # n that the check refuses.
+    # by them is built. d is set to what the huge m or r give, so it is
+    # the header's n that the check refuses.
     _, path, obj = _sidecar_obj(tmp_path)
     obj[key] = 1_000_000
     obj["d"] = 6 * obj["m"] * obj["r"] + 3 * obj["m"]
     _write(path + ".json", json.dumps(obj))
-    child = textwrap.dedent("""
-        import resource, sys
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    out = _in_capped_child("""
         from degencomm.gadget import load_gadget
         try:
             load_gadget(sys.argv[1])
         except ValueError as exc:
             print(exc)
-    """)
-    src = os.path.dirname(os.path.dirname(degencomm.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", child, path], env=env,
-                          capture_output=True, text=True, timeout=30)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith(
+    """, path)
+    assert out.startswith(
         f"line 1: header claims 75 vertices, m={obj['m']} and r={obj['r']} "
         f"give {2 * obj['d'] + 3}")
+
+
+@pytest.mark.parametrize("key", ["m", "r"])
+def test_verify_fails_closed_on_a_huge_m_or_r(key):
+    # the ids are derived from m and r, so the audit must check n against
+    # them by arithmetic before it builds the labels or the triples
+    out = _in_capped_child("""
+        import dataclasses, random
+        from degencomm.gadget import build_gadget, verify_gadget
+        from degencomm.hpc import sample_bmhpc
+        gg = build_gadget(sample_bmhpc(4, 1, random.Random(15)))
+        bad = dataclasses.replace(gg, **{sys.argv[1]: 1_000_000})
+        for c in verify_gadget(bad).failed():
+            print(f"{c.name}: {c.detail}")
+    """, key)
+    m, r = {"m": (1_000_000, 1), "r": (4, 1_000_000)}[key]
+    assert out == f"vertex-count: n=75, expected {12 * m * r + 6 * m + 3}\n"
 
 
 # ---------------------------------------------------------------------------

@@ -191,23 +191,22 @@ def test_peel_alternate_tie_breaks_same_degeneracy():
 # orderings
 
 
-def test_outdegree_profile_path():
-    g = G.path_graph(3)  # edges 0-1, 1-2
-    prof = G.outdegree_profile(g, [1, 0, 2])
-    assert prof[1] == 2 and prof[0] == 0 and prof[2] == 0
+def test_is_k_ordering_path():
+    g = G.path_graph(3)  # edges 0-1, 1-2; vertex 1 first has both later
+    assert G.is_k_ordering(g, [1, 0, 2], 2)
+    assert not G.is_k_ordering(g, [1, 0, 2], 1)
+    assert G.is_k_ordering(g, [0, 1, 2], 1)
 
 
-def test_outdegree_profile_k3():
-    prof = G.outdegree_profile(G.complete_graph(3), [0, 1, 2])
-    assert prof == [2, 1, 0]
-
-
-def test_outdegree_rejects_non_permutation():
-    with pytest.raises(ValueError):
-        G.outdegree_profile(G.complete_graph(3), [0, 1, 1])
+def test_is_k_ordering_rejects_non_permutation():
+    with pytest.raises(ValueError, match="not a permutation"):
+        G.is_k_ordering(G.complete_graph(3), [0, 1, 1], 2)
 
 
 def test_is_k_ordering_examples():
+    k3 = G.complete_graph(3)
+    assert G.is_k_ordering(k3, [0, 1, 2], 2)
+    assert not G.is_k_ordering(k3, [0, 1, 2], 1)
     k4 = G.complete_graph(4)
     assert not G.is_k_ordering(k4, [0, 1, 2, 3], 2)
     assert G.is_k_ordering(k4, [0, 1, 2, 3], 3)
