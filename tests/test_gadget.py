@@ -397,6 +397,105 @@ def test_a_reload_equals_the_build(m, r, tmp_path):
         assert (back.m, back.r, back.d) == (gg.m, gg.r, gg.d)
 
 
+def test_a_gadget_stores_only_its_graph_m_r_and_diagnostics():
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
+    assert [f.name for f in dataclasses.fields(gg)] == [
+        "graph", "m", "r", "deficiencies", "matchings_added"]
+    # the layout follows m and r on each read, so it cannot go stale
+    other = dataclasses.replace(gg, m=8, r=2)
+    assert other.d == 6 * 8 * 2 + 3 * 8
+    assert len(other.labels) == 2 * other.d + 3
+    assert other.triple_index[(4, 7)] == (3 * 39, 3 * 39 + 1, 3 * 39 + 2)
+
+
+@pytest.mark.parametrize("m,r", [(4, 1), (8, 2), (12, 3)])
+def test_ids_follow_the_layout_arithmetic(m, r):
+    # triple (ell, i) is 3(ell*m+i)+0..2, the specials follow the layers
+    # and the aux ids are the last d, each under its own label
+    gg = build_gadget(sample_bmhpc(m, r, random.Random(m + r)))
+    n, d, labels = gg.graph.n, gg.d, gg.labels
+    assert d == 3 * m * (2 * r + 1) and n == len(labels) == 2 * d + 3
+    assert len(gg.triple_index) == (2 * r + 1) * m
+    for (ell, i), t in gg.triple_index.items():
+        assert t == tuple(3 * (ell * m + i) + c for c in range(3))
+        assert [labels[v] for v in t] == [
+            ("layer", ell, i, c) for c in (1, 2, 3)]
+    assert gg.special_ids == (d, d + 1, d + 2)
+    assert [labels[s] for s in gg.special_ids] == [
+        ("special", j) for j in (1, 2, 3)]
+    assert gg.aux_ids == range(n - d, n)
+    assert [labels[v] for v in gg.aux_ids] == [("aux", t) for t in range(d)]
+
+
+def _relabelled(gg, new):
+    """gg with its graph's ids mapped by new; m and r, and so the
+    layout the audit reads, are kept."""
+    graph = Graph(gg.graph.n, ((new[u], new[v]) for u, v in gg.graph.edges()))
+    return dataclasses.replace(gg, graph=graph)
+
+
+def _shuffled(gg, seed):
+    """gg with its non-aux ids shuffled and the aux ids kept last."""
+    n, d = gg.graph.n, gg.d
+    new = list(range(n - d))
+    random.Random(seed).shuffle(new)
+    return _relabelled(gg, new + list(range(n - d, n)))
+
+
+@pytest.mark.parametrize("m,r,seed", [(4, 1, 21), (8, 2, 22)])
+def test_a_shuffled_layout_fails_the_audit(m, r, seed):
+    # a gadget has one id layout: the same graph on other ids is a
+    # different graph to the audit, which reports it and never raises
+    gg = _shuffled(build_gadget(sample_bmhpc(m, r, random.Random(seed))), seed)
+    failed = {c.name for c in verify_gadget(gg).failed()}
+    assert {"triangles", "special-wiring", "degree-targets"} <= failed
+
+
+def test_a_shuffled_layout_does_not_survive_a_reload(tmp_path):
+    # the file carries no labels; the reader, which pads and audits on
+    # the layout of m and r, refuses it instead of relabelling it
+    gg = _shuffled(build_gadget(sample_bmhpc(4, 1, random.Random(21))), 21)
+    path = _saved(tmp_path, gg)
+    with pytest.raises(ValueError):
+        load_gadget(path)
+
+
+def test_verify_rejects_scattered_aux_ids():
+    # the first aux id and the first special swapped in the graph
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
+    a, b = gg.aux_ids[0], gg.special_ids[0]
+    new = list(range(gg.graph.n))
+    new[a], new[b] = b, a
+    failed = {c.name for c in verify_gadget(_relabelled(gg, new)).failed()}
+    assert {"special-wiring", "degree-targets"} <= failed
+
+
+@pytest.mark.parametrize("delta", [1, -1], ids=["one-more", "one-fewer"])
+def test_verify_rejects_a_vertex_too_many_or_too_few(delta):
+    # vertex-count is the only check run on a wrong n: the rest would
+    # read ids that m and r put outside the graph
+    gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
+    n = gg.graph.n
+    graph = Graph(n + delta, ((u, v) for u, v in gg.graph.edges()
+                              if v < n + delta))
+    report = verify_gadget(dataclasses.replace(gg, graph=graph))
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == [
+        ("vertex-count", False, f"n={n + delta}, expected {n}")]
+
+
+@pytest.mark.parametrize("built,claimed", [((4, 4), (12, 1)),
+                                           ((12, 1), (4, 4))])
+def test_verify_rejects_the_right_n_under_another_m_and_r(built, claimed):
+    # (4, 4) and (12, 1) both give d = 108: n alone does not tell them
+    # apart, so the structural checks must
+    gg = build_gadget(sample_bmhpc(*built, random.Random(5)))
+    report = verify_gadget(dataclasses.replace(gg, m=claimed[0], r=claimed[1]))
+    assert report.checks[0].name == "vertex-count" and report.checks[0].ok
+    failed = {c.name for c in report.failed()}
+    assert {"cross-pairs", "encoding-signature", "special-wiring",
+            "edge-families", "degree-targets"} <= failed
+
+
 def test_verify_names_a_stray_edge_and_an_aux_clique():
     gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
     u, v = gg.triple_index[(0, 1)][0], gg.triple_index[(2, 3)][0]
