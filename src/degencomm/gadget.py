@@ -20,9 +20,12 @@ each id's label, _triples gives the triple ids, _excluded names the
 triples kept off the specials, _target_degree gives each vertex its
 degree target and edge_family names the family of each edge. The
 builder, the audit, the file reader and the reduction share these and
-nothing else. A saved gadget holds only its structural edges and
-(m, r, d); the reader rebuilds the padding from them as the builder
-makes it.
+nothing else. The padding is a plan that aux_padding computes from the
+structural degrees and (m, r) alone: each layer/special vertex's gap,
+and how many factors of one 1-factorization of K_d (_partners) join
+the aux ids. So a GadgetGraph is its graph, m and r, and a saved
+gadget holds only its structural edges and (m, r, d); the reader
+rebuilds the padding from them as the builder makes it.
 
 All element indexes here are 0-based, matching the instance model; copy
 numbers are 1..3 and special names 1..3 because those are names, not
@@ -72,36 +75,38 @@ def _triples(m: int, r: int) -> dict[tuple[int, int], tuple[int, int, int]]:
             for t in range((2 * r + 1) * m)}
 
 
-def _round_robin_matching(d: int, k: int) -> list[tuple[int, int]]:
-    """Factor k of the classic 1-factorization of the complete graph K_d.
+def _partners(t: int, x: int, d: int) -> list[int]:
+    """Aux t's partners in factors 0..x-1 of the 1-factorization of K_d,
+    sorted.
 
-    Vertex d-1 sits in the center; the others rotate. Factors for
-    k = 0..d-2 are pairwise disjoint perfect matchings (d must be even).
+    Aux d-1 sits in the centre and meets aux k in factor k; aux t < d-1
+    meets (2k - t) mod (d-1) in factor k, and the centre in factor t.
+    For even d the d-1 factors are pairwise disjoint perfect matchings.
     """
-    pairs = [(d - 1, k)]
-    for t in range(1, d // 2):
-        pairs.append(((k + t) % (d - 1), (k - t) % (d - 1)))
-    return pairs
+    e = d - 1
+    if t == e:
+        return list(range(x))
+    row = [v % e for v in range(-t, 2 * x - t, 2)]  # entry k is 2k - t
+    if t < x:
+        row[t] = e
+    row.sort()
+    return row
 
 
 @dataclass
 class GadgetGraph:
-    """A built gadget plus the bookkeeping needed to audit and export it.
+    """A built gadget: its packed graph, m and r.
 
     Its ids are laid out by (m, r) alone, so d, labels, triple_index,
     special_ids and aux_ids are computed from m and r on each read and
     cannot disagree with them. labels[v] is one of ("layer", ell, i, c),
-    ("special", j), ("aux", t). deficiencies and matchings_added are
-    padding diagnostics (pre-padding degree gaps and the number of
-    auxiliary matchings used). They are not saved: the builder and the
-    file reader each compute them with the padding.
+    ("special", j), ("aux", t). The padding plan is not kept: it follows
+    from the structural degrees, as aux_padding computes it.
     """
 
     graph: Graph
     m: int
     r: int
-    deficiencies: dict[int, int] | None = None
-    matchings_added: int | None = None
 
     @property
     def d(self) -> int:
@@ -175,39 +180,42 @@ def _target_degree(label: tuple, d: int, r: int) -> int:
 class AuxPadding:
     """The padding determined by the pre-padding vertex degrees.
 
-    deficiencies maps each layer/special vertex, in id order, to its
-    degree gap; matchings is the number of disjoint auxiliary matchings
-    appended; aux lists the auxiliary ids. The edges themselves are not
-    stored: edges() regenerates them one by one from these three, for
-    the streaming simulation, and pack() writes them, with the builder's
-    structural rows, straight into a packed graph.
+    needs[v] is the degree gap of layer/special vertex v, for v in id
+    order; the aux ids are the d ids right after len(needs); matchings
+    is the number of factors of the 1-factorization of K_d on the aux
+    ids (see _partners) that lift the aux floor. The edges themselves
+    are not stored: edges() regenerates them one by one from these
+    three, for the streaming simulation, and pack() writes them, with
+    the builder's structural rows, straight into a packed graph.
     """
 
-    deficiencies: dict[int, int]
+    needs: tuple[int, ...]
     matchings: int
-    aux: tuple[int, ...]
+    d: int
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield the auxiliary edges one at a time.
 
         Each deficient vertex takes its edges from the auxiliary vertices
-        handed out round-robin; then come the matchings.
+        handed out round-robin; then come the matching edges, aux row by
+        aux row, each once.
         """
-        aux, d = self.aux, len(self.aux)
+        d, low = self.d, len(self.needs)
         cursor = 0
-        for v, need in self.deficiencies.items():
+        for v, need in enumerate(self.needs):
             for t in range(cursor, cursor + need):
-                yield v, aux[t % d]
+                yield v, low + t % d
             cursor = (cursor + need) % d
-        for k in range(self.matchings):
-            for a, b in _round_robin_matching(d, k):
-                yield aux[a], aux[b]
+        for t in range(d):
+            for p in _partners(t, self.matchings, d):
+                if t < p:
+                    yield low + t, low + p
 
     def pack(self, rows: list[list[int]]) -> Graph:
         """Pack the structural rows and this padding into a Graph.
 
         rows[v] lists the structural neighbours of the deficient vertex
-        v, for v = 0..len(rows)-1; the aux ids are the d ids after them
+        v, for v = 0..len(needs)-1; the aux ids are the d ids after them
         and have none. The rows are consumed. The result equals joining
         edges() into the rows one by one, but its two arrays are sized
         from the degrees and written in place, with no row staged, and
@@ -219,22 +227,17 @@ class AuxPadding:
         of aux t = j % d; the aux rows before and after aux rest (the
         total mod d) have one length each, so one vertex's padding
         within one sweep of the aux ids lands in the aux rows as one
-        strided slice. The matching partners end each aux row.
+        strided slice. Aux t's partners, _partners(t, x, d), end its row.
 
         Raises ValueError naming a repeated edge: a vertex that needs
         more than d padding edges, or a repeated structural entry.
         """
-        aux, d = self.aux, len(self.aux)
-        low = len(rows)
-        if (list(self.deficiencies) != list(range(low))
-                or aux != tuple(range(low, low + d))):
-            raise ValueError("the plan must pad ids 0..len(rows)-1 in "
-                             "order, with the aux ids right after them")
+        needs, x, d = self.needs, self.matchings, self.d
+        low = len(needs)
         code = id_typecode(low + d)
-        ids = array(code, aux)
-        needs = list(self.deficiencies.values())
+        ids = array(code, range(low, low + d))
         sweeps, rest = divmod(sum(needs), d)
-        width = sweeps + self.matchings  # an aux row's length from rest on
+        width = sweeps + x  # an aux row's length from rest on
         offsets = array("i", accumulate(chain(
             (len(row) + need for row, need in zip(rows, needs)),
             (width + (t < rest) for t in range(d))), initial=0))
@@ -243,7 +246,7 @@ class AuxPadding:
         for v, need in enumerate(needs):
             cursor = start % d
             if need > d:
-                raise ValueError(f"duplicate edge ({v},{aux[cursor]})")
+                raise ValueError(f"duplicate edge ({v},{low + cursor})")
             row = rows[v]
             rows[v] = None
             _sort_row(v, row)
@@ -261,13 +264,10 @@ class AuxPadding:
                 nbrs[lo:lo + count * step:step] = array(code, [v]) * count
                 j += count
             start = stop
-        mates: list[list[int]] = [[] for _ in aux]
-        for k in range(self.matchings):
-            for a, b in _round_robin_matching(d, k):
-                mates[a].append(aux[b])
-                mates[b].append(aux[a])
-        for t, row in enumerate(mates, start=low + 1):
-            nbrs[offsets[t] - len(row):offsets[t]] = array(code, sorted(row))
+        for t in range(d):
+            end = offsets[low + t + 1]
+            tail = [low + p for p in _partners(t, x, d)]
+            nbrs[end - x:end] = array(code, tail)
         return Graph.from_csr(offsets, nbrs)
 
 
@@ -284,23 +284,22 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
     n = len(labels)
     if len(degrees) != n:
         raise ValueError(f"expected {n} degrees, got {len(degrees)}")
-    aux = tuple(range(n - d, n))
-    deficiencies: dict[int, int] = {}
+    needs: list[int] = []
     for v, label in enumerate(labels[:-d]):
         need = _target_degree(label, d, r) - degrees[v]
         if need < 0:
             raise ValueError(
                 f"vertex {v} already exceeds its target degree by {-need}"
             )
-        deficiencies[v] = need
+        needs.append(need)
     # the round-robin hands every auxiliary vertex one edge per full
     # sweep, and one more to the first (total mod d) of them
-    sweeps, rest = divmod(sum(deficiencies.values()), d)
-    floor = min(degrees[u] + sweeps + (t < rest) for t, u in enumerate(aux))
+    sweeps, rest = divmod(sum(needs), d)
+    floor = min(a + sweeps + (t < rest) for t, a in enumerate(degrees[-d:]))
     x = max(0, _target_degree(labels[-1], d, r) - floor)
     if x > d - 1:
         raise ValueError(f"padding needs {x} matchings, only {d - 1} exist")
-    return AuxPadding(deficiencies, x, aux)
+    return AuxPadding(tuple(needs), x, d)
 
 
 def build_gadget(inst: MHPCInstance) -> GadgetGraph:
@@ -380,14 +379,7 @@ def _padded(m: int, r: int, rows: list[list[int]]) -> GadgetGraph:
     The rows are consumed.
     """
     degrees = [len(row) for row in rows] + [0] * _width(m, r)
-    padding = aux_padding(m, r, degrees)
-    return GadgetGraph(
-        graph=padding.pack(rows),
-        m=m,
-        r=r,
-        deficiencies=padding.deficiencies,
-        matchings_added=padding.matchings,
-    )
+    return GadgetGraph(aux_padding(m, r, degrees).pack(rows), m, r)
 
 
 def _audited(gg: GadgetGraph, error: type[Exception]) -> GadgetGraph:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -12,6 +13,7 @@ import pytest
 import degencomm
 from degencomm.gadget import (
     AuxPadding,
+    _partners,
     _read_gadget,
     aux_padding,
     build_gadget,
@@ -29,6 +31,15 @@ from test_hpc import pad_instance, worked_example
 ALL_COMBOS = [(4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (8, 3)]
 
 
+def padding_plan(gg):
+    """aux_padding(m, r, structural degrees) for gg: the plan its padding
+    follows, rederived from the edges below the aux ids."""
+    low = gg.graph.n - gg.d
+    degrees = [sum(1 for w in gg.graph.neighbors(v) if w < low)
+               for v in range(low)]
+    return aux_padding(gg.m, gg.r, degrees + [0] * gg.d)
+
+
 def test_small_build_counts():
     inst = sample_bmhpc(4, 1, random.Random(1))
     gg = build_gadget(inst)
@@ -39,14 +50,14 @@ def test_small_build_counts():
     assert kinds.count("special") == 3
     assert kinds.count("aux") == 36
     assert verify_gadget(gg).ok
-    assert 0 <= gg.matchings_added <= gg.d - 3
+    assert 0 <= padding_plan(gg).matchings <= gg.d - 3
 
 
 def _per_edge_build(inst):
     """The builder joining every edge, padding included, one call each.
 
-    The reference for AuxPadding.fill: returns the graph, deficiencies
-    and matching count that build_gadget must reproduce.
+    The reference for AuxPadding.pack: returns the graph and the
+    padding plan that build_gadget must reproduce.
     """
     m, r = inst.m, inst.r
     d, layers = 6 * m * r + 3 * m, 2 * r + 1
@@ -92,7 +103,7 @@ def _per_edge_build(inst):
     padding = aux_padding(m, r, [len(row) for row in rows])
     for u, v in padding.edges():
         join(u, v)
-    return Graph.from_rows(rows), padding.deficiencies, padding.matchings
+    return Graph.from_rows(rows), padding
 
 
 @pytest.mark.parametrize("m,r", [(4, 1), (4, 3), (8, 2), (16, 2), (32, 1)])
@@ -101,39 +112,49 @@ def test_padding_fill_matches_the_per_edge_builder(m, r):
     for _ in range(3):
         inst = sample_bmhpc(m, r, rng)
         gg = build_gadget(inst)
-        graph, deficiencies, matchings = _per_edge_build(inst)
+        graph, padding = _per_edge_build(inst)
         assert gg.graph == graph
-        assert gg.deficiencies == deficiencies
-        assert gg.matchings_added == matchings
+        assert padding_plan(gg) == padding
 
 
 def test_padding_pack_matches_what_edges_joins():
     gg = build_gadget(sample_bmhpc(16, 2, random.Random(41)))
-    degrees = [len(gg.graph.neighbors(v)) for v in range(gg.graph.n)]
-    for v in gg.aux_ids:
-        degrees[v] = 0
-    for v, need in gg.deficiencies.items():
-        degrees[v] -= need
-    plan = aux_padding(gg.m, gg.r, degrees)
-    # a plan with a vertex that takes every aux id once, a slice that
-    # wraps mid-sweep, and aux rows of two lengths (total mod d = 1)
-    small = AuxPadding({0: 4, 1: 3, 2: 2}, 1, (3, 4, 5, 6))
-    for p in (small, plan):
-        n = max(p.aux) + 1
+    # plans with a vertex that takes every aux id once, a slice that
+    # wraps mid-sweep, and aux rows of two lengths (total mod d = 1),
+    # under an empty, a one-factor and a full matching tail
+    small = [AuxPadding((4, 3, 2), x, 4) for x in (0, 1, 3)]
+    for p in (*small, padding_plan(gg)):
+        n = len(p.needs) + p.d
         joined = [[] for _ in range(n)]
         for u, v in p.edges():
             joined[u].append(v)
             joined[v].append(u)
-        assert p.pack([[] for _ in range(n - len(p.aux))]) == (
-            Graph.from_rows(joined))
+        assert p.pack([[] for _ in p.needs]) == Graph.from_rows(joined)
     # a vertex that needs more than one sweep of the aux ids would be
     # joined twice to the first aux id of its slice
-    over = AuxPadding({0: 9, 1: 3, 2: 4}, 2, (3, 4, 5, 6))
+    over = AuxPadding((9, 3, 4), 2, 4)
     with pytest.raises(ValueError, match=r"duplicate edge \(0,3\)"):
         over.pack([[], [], []])
-    # pack writes ids by position, so it refuses a plan laid out otherwise
-    with pytest.raises(ValueError, match="aux ids right after"):
-        AuxPadding({0: 1, 1: 1}, 0, (3, 4)).pack([[], []])
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 36])
+def test_partners_are_a_one_factorization_of_k_d(d):
+    # each row over x factors is sorted and has length x
+    for t in range(d):
+        for x in range(d):
+            row = _partners(t, x, d)
+            assert row == sorted(row) and len(row) == x
+    # factor k is what row t gains from x = k to x = k + 1
+    factors = []
+    for k in range(d - 1):
+        mate = [(set(_partners(t, k + 1, d)) - set(_partners(t, k, d))).pop()
+                for t in range(d)]
+        # every aux index is paired exactly once
+        assert all(mate[t] != t and mate[mate[t]] == t for t in range(d))
+        factors.append({(t, p) for t, p in enumerate(mate) if t < p})
+    # pairwise disjoint, and together K_d
+    assert sum(len(f) for f in factors) == d * (d - 1) // 2
+    assert set().union(*factors) == set(itertools.combinations(range(d), 2))
 
 
 def test_start_triple_sits_three_below_everyone():
@@ -177,13 +198,13 @@ def test_deficiency_ranges():
     for m, r in ALL_COMBOS:
         inst = sample_bmhpc(m, r, rng)
         gg = build_gadget(inst)
-        d = gg.d
-        assert all(need > 0 for need in gg.deficiencies.values())
+        d, needs = gg.d, padding_plan(gg).needs
+        assert all(need > 0 for need in needs)
         for s in gg.special_ids:
-            assert gg.deficiencies[s] == 6 * r + 3 * m // 2 - 2
+            assert needs[s] == 6 * r + 3 * m // 2 - 2
         for (ell, i), triple in gg.triple_index.items():
             for v in triple:
-                need = gg.deficiencies[v]
+                need = needs[v]
                 if ell == 0 and i == 0:
                     assert d - 2 * m - 8 <= need <= d - 8
                 elif ell == 0:
@@ -338,7 +359,7 @@ def test_aux_floor_and_induced_degree():
     for u in aux:
         assert gg.graph.degree(u) >= floor
         induced = sum(1 for w in gg.graph.neighbors(u) if w in aux)
-        assert induced == gg.matchings_added <= gg.d - 3
+        assert induced == padding_plan(gg).matchings <= gg.d - 3
 
 
 def _saved(tmp_path, gg):
@@ -361,9 +382,8 @@ def test_export_roundtrip(tmp_path):
     assert back.triple_index == gg.triple_index
     assert back.special_ids == gg.special_ids
     assert back.aux_ids == gg.aux_ids
-    # the reader pads as the builder does, diagnostics included
-    assert back.deficiencies == gg.deficiencies
-    assert back.matchings_added == gg.matchings_added
+    # the reader pads as the builder does, by the same plan
+    assert padding_plan(back) == padding_plan(gg)
     assert verify_gadget(back).ok
     assert sidecar_json(back) == sidecar_json(gg)
 
@@ -397,10 +417,9 @@ def test_a_reload_equals_the_build(m, r, tmp_path):
         assert (back.m, back.r, back.d) == (gg.m, gg.r, gg.d)
 
 
-def test_a_gadget_stores_only_its_graph_m_r_and_diagnostics():
+def test_a_gadget_stores_only_its_graph_m_and_r():
     gg = build_gadget(sample_bmhpc(4, 1, random.Random(13)))
-    assert [f.name for f in dataclasses.fields(gg)] == [
-        "graph", "m", "r", "deficiencies", "matchings_added"]
+    assert [f.name for f in dataclasses.fields(gg)] == ["graph", "m", "r"]
     # the layout follows m and r on each read, so it cannot go stale
     other = dataclasses.replace(gg, m=8, r=2)
     assert other.d == 6 * 8 * 2 + 3 * 8

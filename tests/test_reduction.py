@@ -20,6 +20,7 @@ from degencomm.reduction import (
     trace_invariants,
 )
 
+from test_gadget import padding_plan
 from test_hpc import pad_instance, worked_example
 
 
@@ -123,8 +124,7 @@ def test_padding_rederives_from_degrees_alone():
     aux_set = set(gg.aux_ids)
     padding = [e for e in gg.graph.edges() if aux_set & set(e)]
     assert _norm(plan.edges()) == _norm(padding)
-    assert plan.deficiencies == gg.deficiencies
-    assert plan.matchings == gg.matchings_added
+    assert plan == padding_plan(gg)
 
 
 def test_padding_rejects_overweight_degrees():
@@ -148,7 +148,7 @@ def test_padding_at_the_edge_of_its_matching_budget():
 
     plan = aux_padding(gg.m, gg.r, with_aux(6 * gg.r + 4))
     assert plan.matchings == gg.d - 1
-    assert not any(plan.deficiencies.values())
+    assert not any(plan.needs)
     edges = _norm(plan.edges())
     assert len(set(edges)) == len(edges) == gg.d * (gg.d - 1) // 2
     with pytest.raises(ValueError,
