@@ -27,6 +27,7 @@ from random import Random
 from typing import Iterable, Iterator
 
 from .comm import (
+    _PARTNER,
     CommLedger,
     RoundSchedule,
     charvec,
@@ -286,7 +287,8 @@ def chase(inst: MHPCInstance) -> PointerPath:
 
 
 # ---------------------------------------------------------------------------
-# aligned protocol: the pair holding the pending step always speaks
+# the four-party walk: the aligned protocol, and the misaligned one with its
+# pre-solve round
 
 
 def aligned_protocol(inst: MHPCInstance,
@@ -295,6 +297,8 @@ def aligned_protocol(inst: MHPCInstance,
 
     Per round: the holding pair exchanges an m-bit set vector and the
     answer index, then announces the new pointer and its parity bit.
+    This is ``_walk`` with no pre-solve round; the parity bit on the
+    broadcast is the only other difference from the misaligned protocol.
     """
     if schedule.starter != "AB":
         raise ValueError(
@@ -303,39 +307,8 @@ def aligned_protocol(inst: MHPCInstance,
         )
     if schedule.r != inst.r:
         raise ValueError(f"schedule has {schedule.r} rounds, instance needs {inst.r}")
-    parties = {
-        name: _aligned_party(name, inst) for name in ("A", "B", "C", "D")
-    }
-    return run_four_party(schedule, parties)
-
-
-def _aligned_party(name, inst):
-    fam = {"A": inst.A, "B": inst.B, "C": inst.C, "D": inst.D}[name]
-    partner = {"A": "B", "B": "A", "C": "D", "D": "C"}[name]
-    m = inst.m
-    idx = 0
-    for j in range(inst.r):
-        x_step = j % 2 == 0
-        my_round = (name in "AB") == x_step
-        if my_round and name in "AC":
-            yield ("send", partner, charvec(fam[j][idx], m))
-            t = yield ("recv",)
-            yield ("broadcast", vec(uint(t, m), flag((t + 1) % 2 == 1)))
-            idx = t
-        elif my_round:
-            theirs = yield ("recv",)
-            t = _meet(fam[j][idx], theirs, f"layer {j} pair")
-            yield ("send", partner, uint(t, m))
-            got = yield ("recv",)
-            idx = got[0]
-        else:
-            got = yield ("recv",)
-            idx = got[0]
-    yield ("output", (idx + 1) % 2)
-
-
-# ---------------------------------------------------------------------------
-# misaligned protocol: wrong pair speaks first, rescued by pre-solving
+    return run_four_party(
+        schedule, {name: _walk(name, inst, schedule, None) for name in "ABCD"})
 
 
 def misaligned_bhpc_protocol(inst: MHPCInstance, N: int,
@@ -344,79 +317,87 @@ def misaligned_bhpc_protocol(inst: MHPCInstance, N: int,
 
     Round 1: the y-side pair solves N uniformly chosen y-coordinates, C
     sending its N queries to D as one batch, and announces the answer
-    table. Later rounds advance the walk when the speaking pair holds
-    the pending step and stall otherwise; a pending y-step whose pointer
-    appears in the table is skipped for free. The final step is always
-    a y-step short of a round, so the run finishes exactly when the
-    table covers the last pointer (only even round budgets can finish).
-    Returns ABSTAIN when the walk falls short.
+    table. Later rounds run the aligned protocol's walk (``_walk``),
+    broadcasting the bare pointer without its parity bit: they advance
+    the walk when the speaking pair holds the pending step and stall
+    otherwise; a pending y-step whose pointer appears in the table is
+    skipped for free. The final step is always a y-step short of a
+    round, so the run finishes exactly when the table covers the last
+    pointer (only even round budgets can finish). Returns ABSTAIN when
+    the walk falls short.
     """
     if not inst.is_bhpc():
         raise ValueError("misaligned pre-solving needs identical layers")
     if not 0 <= N <= inst.m:
         raise ValueError(f"N must be in [0, {inst.m}]")
     sel = sorted(rng.sample(range(inst.m), N))
-    parties = {
-        name: _misaligned_party(name, inst, sel) for name in ("A", "B", "C", "D")
-    }
-    return run_four_party(RoundSchedule(inst.r, "CD"), parties)
+    schedule = RoundSchedule(inst.r, "CD")
+    return run_four_party(
+        schedule, {name: _walk(name, inst, schedule, sel) for name in "ABCD"})
 
 
-def _misaligned_party(name, inst, sel):
-    fam = {"A": inst.A, "B": inst.B, "C": inst.C, "D": inst.D}[name]
+def _walk(name, inst, schedule, sel):
+    """Party ``name`` of the pointer walk under ``schedule``.
+
+    With ``sel`` None this is the aligned protocol: the walk runs from
+    round 1 and each answer goes out as the pointer and its parity bit.
+    With a list ``sel`` round 1 pre-solves those y-coordinates of layer 0
+    into a table and the walk runs from round 2, broadcasting the bare
+    pointer. Each round, the pending step (x when ``frontier`` is even)
+    advances if it belongs to the speaking pair, whose first party sends
+    its set to its partner and broadcasts the answer; otherwise that
+    party broadcasts nothing. A y-step whose pointer is in the table is
+    taken for free. The output is the final pointer's parity bit, or
+    ABSTAIN if the walk falls short.
+    """
+    fam = getattr(inst, name)
+    partner = _PARTNER[name]
     m, r = inst.m, inst.r
-
-    # round 1: pre-solve the selected y-coordinates, C's queries going as
-    # one batch, and announce the table as one field of (y, t) pairs
-    if name == "C":
-        yield ("sends", "D", charvecs([fam[0][y] for y in sel], m))
-        got = yield ("recv",)
-    elif name == "D":
-        queries = yield ("recv",)
-        got = tuple((y, _meet(fam[0][y], theirs, "layer 0 pair"))
-                    for y, theirs in zip(sel, queries))
-        yield ("broadcast", uint_pairs(got, m))
-    else:
-        got = yield ("recv",)
-    table = dict(got)
-
-    frontier, idx = 0, 0
-
-    def skip():
-        nonlocal frontier, idx
-        while frontier < r and frontier % 2 == 1 and idx in table:
-            idx = table[idx]
-            frontier += 1
-
-    skip()
-    for round_no in range(2, r + 1):
-        ab_round = round_no % 2 == 0
-        my_round = (name in "AB") == ab_round
-        pending_is_x = frontier % 2 == 0  # x-side pointer, pair AB's step
-        active = frontier < r and pending_is_x == ab_round
-        if my_round and name in "AC":
-            if active:
-                yield ("send", partner := ("B" if name == "A" else "D"),
-                       charvec(fam[frontier][idx], m))
-                t = yield ("recv",)
-                yield ("broadcast", uint(t, m))
-                idx, frontier = t, frontier + 1
-            else:
-                yield ("broadcast", nothing())
-        elif my_round:
-            if active:
-                theirs = yield ("recv",)
-                t = _meet(fam[frontier][idx], theirs, f"layer {frontier} pair")
-                yield ("send", "A" if name == "B" else "C", uint(t, m))
-                yield ("recv",)
-                idx, frontier = t, frontier + 1
-            else:
-                yield ("recv",)
+    table = {}
+    if sel is not None:
+        # round 1: pre-solve the selected y-coordinates, C's queries going
+        # as one batch, and announce the table as one field of (y, t) pairs
+        if name == "C":
+            yield ("sends", "D", charvecs([fam[0][y] for y in sel], m))
+            got = yield ("recv",)
+        elif name == "D":
+            queries = yield ("recv",)
+            got = tuple((y, _meet(fam[0][y], theirs, "layer 0 pair"))
+                        for y, theirs in zip(sel, queries))
+            yield ("broadcast", uint_pairs(got, m))
         else:
             got = yield ("recv",)
-            if active:
-                idx, frontier = got, frontier + 1
-        skip()
+        table = dict(got)
+
+    in_ab, asks = name in "AB", name in "AC"
+    ab_odd = schedule.starter == "AB"  # pair AB speaks in odd rounds
+    frontier = idx = 0
+    for round_no in range(1 if sel is None else 2, schedule.r + 1):
+        ab_round = (round_no % 2 == 1) == ab_odd
+        active = frontier < r and (frontier % 2 == 0) == ab_round
+        if in_ab != ab_round:
+            t = yield ("recv",)
+            if sel is None:  # the pointer and its parity bit
+                t = t[0]
+        elif asks and active:
+            yield ("send", partner, charvec(fam[frontier][idx], m))
+            t = yield ("recv",)
+            yield ("broadcast", uint(t, m) if sel is not None
+                   else vec(uint(t, m), flag(t % 2 == 0)))
+        elif asks:
+            yield ("broadcast", nothing())
+        elif active:
+            theirs = yield ("recv",)
+            t = _meet(fam[frontier][idx], theirs, f"layer {frontier} pair")
+            yield ("send", partner, uint(t, m))
+            yield ("recv",)
+        else:
+            yield ("recv",)
+        if active:
+            idx, frontier = t, frontier + 1
+            # a table hit takes a y-step for free; the next step is an x-step
+            if frontier % 2 and frontier < r and idx in table:
+                idx, frontier = table[idx], frontier + 1
 
     yield ("output", (idx + 1) % 2 if frontier == r else ABSTAIN)
 

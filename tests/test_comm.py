@@ -40,8 +40,7 @@ from degencomm.graphs import (
 )
 from degencomm.hpc import (
     ABSTAIN,
-    _aligned_party,
-    _misaligned_party,
+    _walk,
     chase,
     sample_bhpc,
     sample_bmhpc,
@@ -1147,7 +1146,7 @@ def test_four_party_runner_matches_reference():
         for r in range(1, 6):
             inst = sample_bmhpc(m, r, rng)
             sched = RoundSchedule(r, "AB")
-            make = lambda: {p: _aligned_party(p, inst) for p in "ABCD"}
+            make = lambda: {p: _walk(p, inst, sched, None) for p in "ABCD"}
             out = _same_run(run_four_party(sched, make()),
                             reference_run_four_party(sched, make()))
             assert out == chase(inst).bit
@@ -1158,7 +1157,7 @@ def test_four_party_runner_matches_reference():
             for n_presolve in range(m + 1):
                 sel = sorted(rng.sample(range(m), n_presolve))
                 out = _same_run(
-                    run_four_party(sched, {p: _misaligned_party(p, inst, sel)
+                    run_four_party(sched, {p: _walk(p, inst, sched, sel)
                                            for p in "ABCD"}),
                     reference_run_four_party(
                         sched, {p: reference_misaligned_party(p, ref, sel)

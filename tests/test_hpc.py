@@ -308,6 +308,24 @@ def test_aligned_refuses_flipped_or_mismatched_schedule():
         aligned_protocol(inst, RoundSchedule(3, "AB"))
 
 
+def _break_pair(inst, j, side, i):
+    """Give the pair at (side, i) of layer j one set twice, so it meets in m/4."""
+    first, second = (inst.A, inst.B) if side == "x" else (inst.C, inst.D)
+    second[j][i] = first[j][i]
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_aligned_walk_rejects_a_broken_pair_on_the_path(j):
+    # m >= 8: at m = 4 a size-1 set meets itself in one element
+    m, r = 8, 4
+    inst = sample_bmhpc(m, r, random.Random(51))
+    side, i = chase(inst).z[j]
+    _break_pair(inst, j, side, i)
+    with pytest.raises(ValueError,
+                       match=rf"layer {j} pair intersects in {m // 4} elements"):
+        aligned_protocol(inst, RoundSchedule(r, "AB"))
+
+
 # ---------------------------------------------------------------------------
 # misaligned protocol
 
@@ -354,6 +372,19 @@ def test_misaligned_odd_budget_cannot_finish():
     inst = sample_bhpc(8, 3, rng)
     out, _ = misaligned_bhpc_protocol(inst, 8, rng)
     assert out is ABSTAIN
+
+
+def test_misaligned_presolve_rejects_a_broken_pair():
+    # sample_bhpc shares one list per family, so this breaks every layer;
+    # the round-1 pre-solve meets it first
+    m = 8
+    inst = sample_bhpc(m, 4, random.Random(52))
+    side, y = chase(inst).z[1]
+    assert side == "y"
+    _break_pair(inst, 0, side, y)
+    with pytest.raises(ValueError,
+                       match=rf"layer 0 pair intersects in {m // 4} elements"):
+        misaligned_bhpc_protocol(inst, m, random.Random(0))
 
 
 # ---------------------------------------------------------------------------
