@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from typing import Iterator
 
-from .graphs import Graph, _read_graph, _sort_row, id_typecode, save_graph
+from .graphs import Graph, _read_graph, save_graph
 from .hpc import (MHPCInstance, PointerPath, chase, check_universe,
                   mask_members, validate_instance)
 
@@ -186,7 +186,7 @@ class AuxPadding:
     ids (see _partners) that lift the aux floor. The edges themselves
     are not stored: edges() regenerates them one by one from these
     three, for the streaming simulation, and pack() writes them, with
-    the builder's structural rows, straight into a packed graph.
+    the rows of the structural graph, straight into a packed graph.
     """
 
     needs: tuple[int, ...]
@@ -211,35 +211,34 @@ class AuxPadding:
                 if t < p:
                     yield low + t, low + p
 
-    def pack(self, rows: list[list[int]]) -> Graph:
-        """Pack the structural rows and this padding into a Graph.
+    def pack(self, s: Graph) -> Graph:
+        """Pack the structural graph s and this padding into a Graph.
 
-        rows[v] lists the structural neighbours of the deficient vertex
-        v, for v = 0..len(needs)-1; the aux ids are the d ids after them
-        and have none. The rows are consumed. The result equals joining
-        edges() into the rows one by one, but its two arrays are sized
-        from the degrees and written in place, with no row staged, and
-        the ids take the width id_typecode gives any packed graph. A
-        deficient vertex's row is its sorted structural row, then its
-        slice of the aux ids from its round-robin cursor; a slice that
-        wraps goes in as the ids below the wrap, then those from the
-        cursor, so the row stays sorted. Padding edge j is owner j // d
-        of aux t = j % d; the aux rows before and after aux rest (the
-        total mod d) have one length each, so one vertex's padding
-        within one sweep of the aux ids lands in the aux rows as one
-        strided slice. Aux t's partners, _partners(t, x, d), end its row.
+        s has all len(needs) + d vertices, the aux ids being the last d,
+        and no edge on an aux id. The result equals joining edges() into
+        s one by one, but its two arrays are sized from the degrees and
+        written in place, with no row staged, and they take s's id
+        typecode. A deficient vertex's row is its structural row, copied
+        from s as one slice, then its slice of the aux ids from its
+        round-robin cursor; a slice that wraps goes in as the ids below
+        the wrap, then those from the cursor, so the row stays sorted.
+        Padding edge j is owner j // d of aux t = j % d; the aux rows
+        before and after aux rest (the total mod d) have one length
+        each, so one vertex's padding within one sweep of the aux ids
+        lands in the aux rows as one strided slice. Aux t's partners,
+        _partners(t, x, d), end its row.
 
-        Raises ValueError naming a repeated edge: a vertex that needs
-        more than d padding edges, or a repeated structural entry.
+        Raises ValueError naming a repeated edge when a vertex needs
+        more than d padding edges.
         """
         needs, x, d = self.needs, self.matchings, self.d
         low = len(needs)
-        code = id_typecode(low + d)
+        code = s.nbrs.typecode
         ids = array(code, range(low, low + d))
         sweeps, rest = divmod(sum(needs), d)
         width = sweeps + x  # an aux row's length from rest on
         offsets = array("i", accumulate(chain(
-            (len(row) + need for row, need in zip(rows, needs)),
+            (s.degree(v) + need for v, need in enumerate(needs)),
             (width + (t < rest) for t in range(d))), initial=0))
         nbrs = array(code, [0]) * offsets[-1]
         start = 0  # v's first padding edge
@@ -247,12 +246,9 @@ class AuxPadding:
             cursor = start % d
             if need > d:
                 raise ValueError(f"duplicate edge ({v},{low + cursor})")
-            row = rows[v]
-            rows[v] = None
-            _sort_row(v, row)
             lo = offsets[v]
-            mid = lo + len(row)
-            nbrs[lo:mid] = array(code, row)
+            mid = lo + s.degree(v)
+            nbrs[lo:mid] = s.neighbors(v)
             end = cursor + need
             nbrs[mid:offsets[v + 1]] = ids[:max(end - d, 0)] + ids[cursor:end]
             j, stop = start, start + need
@@ -305,8 +301,8 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
 def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     """Construct the gadget for a valid instance with m divisible by 4.
 
-    The structural edges are joined one by one into the neighbour rows of
-    the layer and special vertices; AuxPadding.pack adds the padding,
+    The structural edges are joined one by one into neighbour rows and
+    packed as the structural graph; AuxPadding.pack adds the padding,
     which is nearly all of the edges, as slices of the aux ids while it
     packs the graph. Raises ValueError on bad inputs and RuntimeError if
     the finished graph fails its own audit (which would be a builder bug).
@@ -318,9 +314,9 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
     trip = _triples(m, r)
     specials = d, d + 1, d + 2
 
-    # structural edges go straight into the rows of the layer and special
-    # vertices, unchecked: verify_gadget audits the packed graph
-    rows: list[list[int]] = [[] for _ in range(d + 3)]
+    # structural edges go straight into the rows, unchecked beyond what
+    # Graph.from_rows refuses: verify_gadget audits the packed graph
+    rows: list[list[int]] = [[] for _ in range(2 * d + 3)]
 
     def join(u: int, v: int) -> None:
         rows[u].append(v)
@@ -366,20 +362,24 @@ def build_gadget(inst: MHPCInstance) -> GadgetGraph:
             for s in specials:
                 join(s, v)
 
-    return _audited(_padded(m, r, rows), RuntimeError)
+    return _audited(_padded(m, r, Graph.from_rows(rows)), RuntimeError)
 
 
-def _padded(m: int, r: int, rows: list[list[int]]) -> GadgetGraph:
-    """The gadget whose layer and special vertices have the given
-    structural rows, padded as the builder pads them.
+def _padded(m: int, r: int, s: Graph) -> GadgetGraph:
+    """The gadget whose structural graph is s, padded as the builder
+    pads it.
 
     Every layer/special vertex is padded up to its target with auxiliary
     edges handed out round-robin, then the auxiliary floor is lifted
-    with disjoint matchings; the plan depends only on the row lengths.
-    The rows are consumed.
+    with disjoint matchings; the plan depends only on the degrees in s.
+    Raises ValueError naming an edge of s on an aux id.
     """
-    degrees = [len(row) for row in rows] + [0] * _width(m, r)
-    return GadgetGraph(aux_padding(m, r, degrees).pack(rows), m, r)
+    n, low = s.n, s.n - _width(m, r)
+    if s.offsets[low] < s.offsets[n]:
+        u, v = next((u, v) for u in range(n) for v in s.upper(u) if v >= low)
+        raise ValueError(f"edge ({u},{v}) touches an aux id")
+    degrees = [s.degree(v) for v in range(n)]
+    return GadgetGraph(aux_padding(m, r, degrees).pack(s), m, r)
 
 
 def _audited(gg: GadgetGraph, error: type[Exception]) -> GadgetGraph:
@@ -615,7 +615,8 @@ def _positive_int(obj: dict, key: str) -> int:
 
 def _sidecar_params(text: str) -> tuple[int, int, int]:
     """m, r and d from sidecar text, which must hold exactly those three,
-    with d = 6mr+3m. Raises ValueError naming the faulty field."""
+    with m a multiple of 4 as build_gadget requires and d = 6mr+3m.
+    Raises ValueError naming the faulty field."""
     obj = json.loads(text)
     if not isinstance(obj, dict):
         raise ValueError("sidecar must be a JSON object")
@@ -623,6 +624,7 @@ def _sidecar_params(text: str) -> tuple[int, int, int]:
     if extra:
         raise ValueError(f"sidecar field {extra[0]!r} is not one of m, r, d")
     m, r, d = (_positive_int(obj, key) for key in ("m", "r", "d"))
+    check_universe(m)
     if d != _width(m, r):
         raise ValueError(
             f"sidecar field 'd' must be 6mr+3m = {_width(m, r)}, got {d}")
@@ -664,7 +666,7 @@ def _read_gadget(path: str) -> GadgetGraph:
 
     The sidecar is read first, and the header's n is checked against
     the 2d+3 that m and r give before anything sized by them is built.
-    The structural rows are then padded as build_gadget pads them.
+    The structural graph is then padded as build_gadget pads it.
     Raises ValueError naming the malformed field or line, an edge on an
     aux id (as in a file that lists the padding too) or a vertex above
     its target degree. For a caller that compares the result with a
@@ -680,12 +682,8 @@ def _read_gadget(path: str) -> GadgetGraph:
             raise ValueError(f"line 1: header claims {head[0]} vertices, "
                              f"m={m} and r={r} give {n}")
         fh.seek(0)
-        g = _read_graph(fh)
-    low = n - d
-    if g.offsets[low] < g.offsets[n]:
-        u, v = next((u, v) for u in range(n) for v in g.upper(u) if v >= low)
-        raise ValueError(f"edge ({u},{v}) touches an aux id")
-    return _padded(m, r, [g.neighbors(v).tolist() for v in range(low)])
+        s = _read_graph(fh)
+    return _padded(m, r, s)
 
 
 def load_gadget(path: str) -> GadgetGraph:

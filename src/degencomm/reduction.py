@@ -10,14 +10,15 @@ below the threshold, while the special and auxiliary degrees march down
 in lockstep.
 
 simulate_streaming_reduction then drives an arbitrary multi-pass
-streaming algorithm through the four-player protocol. The edge set
-splits, by gadget.edge_family, into input-independent families
-(triangles, cross-pair joins, special wiring) plus one encoding family
-per player, and the padding edges are derived by the last player from a
-degree table alone, so the only bits on the wire are state snapshots at
-every handoff and the degree tables of pass one. Each pass costs two
-cross-pair handoffs except the last, which ends with the answer read
-where the state sits: p passes, 2p-1 phases.
+streaming algorithm through the four-player protocol. One walk of the
+non-padding edges files each under the player who holds its
+gadget.edge_family: C the input-independent families (triangles,
+cross-pair joins, special wiring) and EC, D ED, A EA and B EB; the same
+walk tallies the degree table. The padding edges are derived by the
+last player from that table alone, so the only bits on the wire are
+state snapshots at every handoff and the degree tables of pass one.
+Each pass costs two cross-pair handoffs except the last, which ends
+with the answer read where the state sits: p passes, 2p-1 phases.
 
 The reference algorithms declare their state as fixed-width fields
 (BitState.state_layout), and one shared codec turns those fields into
@@ -32,8 +33,8 @@ from itertools import combinations, compress, count
 from typing import NamedTuple, Protocol
 
 from .comm import CommLedger, ProtocolError, uint_width
-from .gadget import (FAMILY_NAMES, GadgetGraph, _edges_below, _target_degree,
-                     aux_padding, edge_family, pointer_path_triples)
+from .gadget import (GadgetGraph, _edges_below, _target_degree, aux_padding,
+                     edge_family, pointer_path_triples)
 from .graphs import Graph, degeneracy, peel
 from .hpc import MHPCInstance, chase
 
@@ -90,27 +91,6 @@ class ReductionReport:
 
 
 # ---------------------------------------------------------------------------
-# edge families
-
-
-def partition_edges(gg: GadgetGraph) -> dict[str, list[tuple[int, int]]]:
-    """Split the gadget's non-padding edges into the construction's families.
-
-    Each edge goes to its gadget.edge_family, so gg must be an audited
-    gadget. The rows are walked in id order, so each family comes back
-    sorted and the feed order is fixed. The padding edges are not
-    listed: the auxiliary ids are the last ones, so only the rows below
-    them are walked, and the player who feeds the padding derives it
-    from degrees (``aux_padding``).
-    """
-    parts: dict[str, list[tuple[int, int]]] = {f: [] for f in FAMILY_NAMES}
-    labels, r = gg.labels, gg.r
-    for u, v in _edges_below(gg.graph, gg.graph.n - len(gg.aux_ids)):
-        parts[edge_family(labels[u], labels[v], r)].append((u, v))
-    return parts
-
-
-# ---------------------------------------------------------------------------
 # split and invariant checks
 
 
@@ -161,6 +141,10 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
 _RING = (("C", "D", False), ("D", "AB", True), ("A", "B", False),
          ("B", "CD", True))
 
+# The player who streams each edge family.
+_HOLDER = {"E1": "C", "E2": "C", "ES": "C", "EC": "C", "ED": "D", "EA": "A",
+           "EB": "B"}
+
 
 def simulate_streaming_reduction(gg: GadgetGraph, alg: StreamingAlgorithm,
                                  p: int) -> SimulationResult:
@@ -175,21 +159,15 @@ def simulate_streaming_reduction(gg: GadgetGraph, alg: StreamingAlgorithm,
     """
     if p < 1:
         raise ValueError(f"pass budget must be >= 1, got {p}")
-    parts = partition_edges(gg)
-    n = gg.graph.n
+    n, labels, r = gg.graph.n, gg.labels, gg.r
     table_bits = n * uint_width(n)
-    feeds = {
-        "C": parts["E1"] + parts["E2"] + parts["ES"] + parts["EC"],
-        "D": parts["ED"],
-        "A": parts["EA"],
-        "B": parts["EB"],
-    }
+    feeds: dict[str, list[tuple[int, int]]] = {name: [] for name in "CDAB"}
     degrees = [0] * n
-    for feed in feeds.values():
-        for u, v in feed:
-            degrees[u] += 1
-            degrees[v] += 1
-    padding = aux_padding(gg.m, gg.r, degrees)
+    for u, v in _edges_below(gg.graph, n - gg.d):
+        feeds[_HOLDER[edge_family(labels[u], labels[v], r)]].append((u, v))
+        degrees[u] += 1
+        degrees[v] += 1
+    padding = aux_padding(gg.m, r, degrees)
     alg.init(n)
     minds = {name: copy.deepcopy(alg) for name in "CDAB"}
     ledger = CommLedger()

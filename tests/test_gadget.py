@@ -129,12 +129,12 @@ def test_padding_pack_matches_what_edges_joins():
         for u, v in p.edges():
             joined[u].append(v)
             joined[v].append(u)
-        assert p.pack([[] for _ in p.needs]) == Graph.from_rows(joined)
+        assert p.pack(Graph(n)) == Graph.from_rows(joined)
     # a vertex that needs more than one sweep of the aux ids would be
     # joined twice to the first aux id of its slice
     over = AuxPadding((9, 3, 4), 2, 4)
     with pytest.raises(ValueError, match=r"duplicate edge \(0,3\)"):
-        over.pack([[], [], []])
+        over.pack(Graph(7))
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 36])
@@ -610,6 +610,25 @@ def test_sidecar_rejects_a_d_that_m_and_r_do_not_give(tmp_path):
     _write(path + ".json", json.dumps(obj))
     with pytest.raises(ValueError,
                        match=r"field 'd' must be 6mr\+3m = 36, got 37"):
+        load_gadget(path)
+
+
+def test_sidecar_rejects_an_m_that_build_gadget_refuses(tmp_path, monkeypatch):
+    # d = 54 is what m = 6 and r = 1 give, so the m check must come first
+    _, path, obj = _sidecar_obj(tmp_path)
+    obj.update(m=6, d=54)
+    _write(path + ".json", json.dumps(obj))
+    with pytest.raises(ValueError, match="multiple of 4"):
+        load_gadget(path)
+    # a whole m = 6 gadget, built with the builder's rule bypassed, passes
+    # the audit, so only that rule keeps its files from loading
+    for module in (degencomm.hpc, degencomm.gadget):
+        monkeypatch.setattr(module, "check_universe", lambda m: None)
+    gg = build_gadget(sample_bmhpc(6, 1, random.Random(1)))
+    assert verify_gadget(gg).ok
+    monkeypatch.undo()
+    save_gadget(gg, path)
+    with pytest.raises(ValueError, match="multiple of 4"):
         load_gadget(path)
 
 

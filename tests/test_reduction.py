@@ -6,7 +6,8 @@ import pytest
 
 from degencomm import hpc, reduction
 from degencomm.comm import CommLedger, ProtocolError, uint_width
-from degencomm.gadget import _edges_below, aux_padding, build_gadget, pointer_path_triples
+from degencomm.gadget import (FAMILY_NAMES, _edges_below, aux_padding,
+                              build_gadget, edge_family, pointer_path_triples)
 from degencomm.graphs import Graph, degeneracy, peel
 from degencomm.hpc import MHPCInstance, chase, sample_bmhpc
 from degencomm.reduction import (
@@ -15,7 +16,6 @@ from degencomm.reduction import (
     StoreAllDecider,
     TraceRecord,
     full_report,
-    partition_edges,
     simulate_streaming_reduction,
     trace_invariants,
 )
@@ -45,7 +45,7 @@ def _padding(gg, parts):
 def test_partition_covers_the_gadget_exactly():
     inst = sample_bmhpc(4, 2, random.Random(3))
     gg = build_gadget(inst)
-    parts = partition_edges(gg)
+    parts = _reference_partition_edges(gg)
     m, r = gg.m, gg.r
     assert all(fam == sorted(fam) for fam in parts.values())
     padding = _norm(_padding(gg, parts).edges())
@@ -63,7 +63,7 @@ def test_partition_covers_the_gadget_exactly():
 
 
 # the edge partition as it was before the gadget's edge_family, kept as the
-# reference the current one must match list for list
+# reference that edge_family must match edge for edge
 
 _REFERENCE_FAMILY_NAMES = ("E1", "E2", "ES", "EA", "EB", "EC", "ED")
 
@@ -98,13 +98,17 @@ def test_partition_matches_the_reference(m, r):
     for seed in (1, 2):
         rng = random.Random(100 * m + 10 * r + seed)
         gg = build_gadget(sample_bmhpc(m, r, rng))
-        assert partition_edges(gg) == _reference_partition_edges(gg)
+        labels = gg.labels
+        parts = {f: [] for f in FAMILY_NAMES}
+        for u, v in _edges_below(gg.graph, gg.graph.n - gg.d):
+            parts[edge_family(labels[u], labels[v], r)].append((u, v))
+        assert parts == _reference_partition_edges(gg)
 
 
 def test_encoding_families_count_the_instance_sets():
     inst = sample_bmhpc(8, 3, random.Random(4))
     gg = build_gadget(inst)
-    parts = partition_edges(gg)
+    parts = _reference_partition_edges(gg)
     even_steps = range(0, inst.r, 2)
     odd_steps = range(1, inst.r, 2)
     assert len(parts["EA"]) == 2 * sum(
@@ -120,7 +124,7 @@ def test_encoding_families_count_the_instance_sets():
 def test_padding_rederives_from_degrees_alone():
     inst = sample_bmhpc(4, 2, random.Random(5))
     gg = build_gadget(inst)
-    plan = _padding(gg, partition_edges(gg))
+    plan = _padding(gg, _reference_partition_edges(gg))
     aux_set = set(gg.aux_ids)
     padding = [e for e in gg.graph.edges() if aux_set & set(e)]
     assert _norm(plan.edges()) == _norm(padding)
@@ -397,6 +401,65 @@ def test_every_pass_feeds_the_same_stream():
     assert all(chunk == chunks[0] for chunk in chunks)
 
 
+class _HandoffRecorder:
+    """Streams three passes, logging every edge and a "handoff" marker at
+    every snapshot; the log is pooled across the players' deep copies."""
+
+    log: list = []
+
+    def init(self, n):
+        self.passes = 0
+
+    def begin_pass(self):
+        pass
+
+    def process_edge(self, u, v):
+        _HandoffRecorder.log.append((u, v))
+
+    def end_pass(self):
+        self.passes += 1
+        return self.passes < 3
+
+    def finalize(self, k):
+        return True
+
+    def snapshot_state(self):
+        _HandoffRecorder.log.append("handoff")
+        return format(self.passes, "02b")
+
+    def restore_state(self, bits):
+        self.passes = int(bits, 2)
+
+
+@pytest.mark.parametrize("m,r", [(4, 1), (4, 2), (8, 2)])
+def test_each_player_streams_its_own_families(m, r):
+    gg = build_gadget(sample_bmhpc(m, r, random.Random(30 + m + r)))
+    parts = _reference_partition_edges(gg)
+    padding = _norm(_padding(gg, parts).edges())
+    _HandoffRecorder.log = []
+    simulate_streaming_reduction(gg, _HandoffRecorder(), 3)
+    # C, D, A and B feed in turn, and B's last feed ends with no handoff
+    feeds = [[]]
+    for entry in _HandoffRecorder.log:
+        if entry == "handoff":
+            feeds.append([])
+        else:
+            feeds[-1].append(entry)
+    assert len(feeds) == 4 * 3
+    owned = {"C": ("E1", "E2", "ES", "EC"), "D": ("ED",), "A": ("EA",)}
+    for at in range(0, len(feeds), 4):
+        for feed, player in zip(feeds[at:at + 3], "CDA"):
+            want = [e for f in owned[player] for e in parts[f]]
+            assert len(feed) == len(set(feed)) == len(want)
+            assert set(feed) == set(want)
+        b_feed = feeds[at + 3]
+        eb = len(parts["EB"])
+        assert set(b_feed[:eb]) == set(parts["EB"])
+        assert _norm(b_feed[eb:]) == padding
+    if r > 1:
+        assert parts["EC"] and parts["ED"]
+
+
 def test_simulation_is_reproducible():
     gg = build_gadget(sample_bmhpc(4, 1, random.Random(17)))
     runs = [
@@ -483,7 +546,7 @@ def test_report_trace_shape():
 def _reference_simulate(gg, alg, p):
     if p < 1:
         raise ValueError(f"pass budget must be >= 1, got {p}")
-    parts = partition_edges(gg)
+    parts = _reference_partition_edges(gg)
     n = gg.graph.n
     table_bits = n * uint_width(n)
     feeds = {
