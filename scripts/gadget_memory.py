@@ -6,9 +6,11 @@ Usage::
 
 For each size m x r, a new Python process imports the package from the
 ``src/`` of the checkout this script sits in, samples one instance with
-``sample_bmhpc(m, r, Random(seed))`` and runs three stages in turn:
-``build_gadget`` (which includes its audit), ``trace_invariants`` (one
-peel and its checks) and ``save_gadget`` into a temporary directory.
+``sample_bmhpc(m, r, Random(seed))`` and runs four stages in turn:
+``build_gadget`` (which includes its audit), ``verify_gadget`` on the
+built gadget (that audit again, timed on its own), ``trace_invariants``
+(one peel and its checks) and ``save_gadget`` into a temporary
+directory.
 After each stage it prints the stage's wall time and the process's peak
 resident set so far (``ru_maxrss``), so a stage's line shows the peak
 up to and including that stage. After the build it also prints the
@@ -51,9 +53,10 @@ def _stage(name: str, stage):
 
 
 def measure(m: int, r: int, seed: int, path: str) -> None:
-    """Build, trace and save one m x r gadget at path; print each stage."""
+    """Build, audit, trace and save one m x r gadget at path; print each
+    stage."""
     sys.path.insert(0, SRC)
-    from degencomm.gadget import build_gadget, save_gadget
+    from degencomm.gadget import build_gadget, save_gadget, verify_gadget
     from degencomm.hpc import sample_bmhpc
     from degencomm.reduction import trace_invariants
 
@@ -64,6 +67,8 @@ def measure(m: int, r: int, seed: int, path: str) -> None:
     packed = len(nbrs) * nbrs.itemsize / 2**20
     print(f"  n={gg.graph.n}, edges={gg.graph.m}, "
           f"packed nbrs {packed:.1f} MB ({nbrs.itemsize} B per id)")
+    if not _stage("audit", lambda: verify_gadget(gg)).ok:
+        raise SystemExit("the built gadget fails its audit")
     _stage("trace", lambda: trace_invariants(gg, inst))
     _stage("save", lambda: save_gadget(gg, path))
     size = os.path.getsize(path) / 2**20

@@ -82,6 +82,8 @@ def _partners(t: int, x: int, d: int) -> list[int]:
     Aux d-1 sits in the centre and meets aux k in factor k; aux t < d-1
     meets (2k - t) mod (d-1) in factor k, and the centre in factor t.
     For even d the d-1 factors are pairwise disjoint perfect matchings.
+    For 2x-1 <= t < d-1 the row is range(d-1-t, d-1-t+2x, 2): every
+    2k - t is negative and above -(d-1), and the centre is not met yet.
     """
     e = d - 1
     if t == e:
@@ -226,7 +228,8 @@ class AuxPadding:
         before and after aux rest (the total mod d) have one length
         each, so one vertex's padding within one sweep of the aux ids
         lands in the aux rows as one strided slice. Aux t's partners,
-        _partners(t, x, d), end its row.
+        _partners(t, x, d), end its row; for 2x-1 <= t < d-1 they are
+        the stride-2 slice of the aux ids that _partners names.
 
         Raises ValueError naming a repeated edge when a vertex needs
         more than d padding edges.
@@ -260,10 +263,14 @@ class AuxPadding:
                 nbrs[lo:lo + count * step:step] = array(code, [v]) * count
                 j += count
             start = stop
+        e = d - 1
         for t in range(d):
             end = offsets[low + t + 1]
-            tail = [low + p for p in _partners(t, x, d)]
-            nbrs[end - x:end] = array(code, tail)
+            if 2 * x - 1 <= t < e:
+                nbrs[end - x:end] = ids[e - t:e - t + 2 * x:2]
+            else:
+                tail = [low + p for p in _partners(t, x, d)]
+                nbrs[end - x:end] = array(code, tail)
         return Graph.from_csr(offsets, nbrs)
 
 
@@ -483,13 +490,16 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     )
 
     # no edge may fall outside the allowed families; aux may touch
-    # anything, so only the edges between non-aux vertices are walked
+    # anything, so only the rows below the aux ids are read, one range
+    # test per row; only a failing graph is walked edge by edge, to name
+    # its first stray edge
     stray = ""
-    for u, v in _edges_below(g, aux_lo):
-        family = edge_family(labels[u], labels[v], r)
-        if family not in FAMILY_NAMES:
-            stray = f"{family}: ({u},{v})"
-            break
+    if not _rows_in_families(g, m, r):
+        for u, v in _edges_below(g, aux_lo):
+            family = edge_family(labels[u], labels[v], r)
+            if family not in FAMILY_NAMES:
+                stray = f"{family}: ({u},{v})"
+                break
     check("edge-families", not stray, stray)
 
     bad_deg = ""
@@ -505,9 +515,9 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
             break
     check("degree-targets", not bad_deg, bad_deg)
 
-    worst = max(
-        (g.degree(u) - bisect_left(g.neighbors(u), aux_lo), u) for u in aux
-    )
+    offsets, nbrs = g.offsets, g.nbrs
+    worst = max((offsets[u + 1] - bisect_left(nbrs, aux_lo, offsets[u],
+                                              offsets[u + 1]), u) for u in aux)
     check(
         "aux-induced-degree",
         worst[0] <= d - 3,
@@ -544,6 +554,42 @@ def edge_family(lu: tuple, lv: tuple, r: int) -> str:
     if eu == 2 * r or cu == 3 or cv == 3:
         return "illegal encoding edge"
     return _ENCODING_FAMILY[(eu % 4, cu)]
+
+
+def _rows_in_families(g: Graph, m: int, r: int) -> bool:
+    """Whether every edge among the non-aux ids is in FAMILY_NAMES.
+
+    edge_family's rules, read as ranges of the sorted upper rows: the
+    upper row of layer id u = (ell, i, c) below the aux ids holds the
+    rest of u's triple; then, for odd ell, only triple (ell+1, i), and
+    for even ell < 2r with c != 3, only copy-1/2 ids of layer ell+1;
+    then only specials, none if (ell, i) is _excluded. A special's upper
+    row there holds only specials, which is ES.
+    """
+    d = _width(m, r)
+    offsets, nbrs = g.offsets, g.nbrs
+    copy3 = frozenset(range(2, d, 3))
+    for u in range(d):
+        t, c = divmod(u, 3)  # c is the copy number less one
+        ell, i = divmod(t, m)
+        hi = offsets[u + 1]
+        lo = bisect_left(nbrs, 3 * t + 3, offsets[u], hi)  # past u's triple
+        mid = bisect_left(nbrs, d, lo, hi)  # the specials, then aux ids
+        if mid < hi and nbrs[mid] < d + 3 and _excluded(ell, i, r):
+            return False
+        if lo == mid:
+            continue
+        if ell % 2:
+            first, top = 3 * (t + m), 3 * (t + m) + 3
+        elif ell < 2 * r and c != 2:
+            first, top = 3 * m * (ell + 1), 3 * m * (ell + 2)
+            if not copy3.isdisjoint(nbrs[lo:mid]):
+                return False
+        else:
+            return False
+        if nbrs[lo] < first or nbrs[mid - 1] >= top:
+            return False
+    return True
 
 
 def _copies_hit(g: Graph, s: int, base: int,

@@ -507,42 +507,7 @@ def save_graph(g: Graph, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# constructors used by the test bench and the CLI
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph(n)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
-    return Graph(n, [(v, (v + 1) % n) for v in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(v, v + 1) for v in range(n - 1)])
-
-
-def star_graph(n: int) -> Graph:
-    """One hub (vertex 0) joined to n-1 leaves."""
-    return Graph(n, [(0, v) for v in range(1, n)])
-
-
-def petersen_graph() -> Graph:
-    outer = [(v, (v + 1) % 5) for v in range(5)]
-    inner = [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
-    spokes = [(v, 5 + v) for v in range(5)]
-    return Graph(10, outer + inner + spokes)
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    shifted = [(a.n + u, a.n + v) for u, v in b.edges()]
-    return Graph(a.n + b.n, a.edges() + shifted)
+# random graphs for the CLI
 
 
 def gnm_random_graph(n: int, m: int, rng: random.Random) -> Graph:

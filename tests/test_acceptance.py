@@ -26,16 +26,9 @@ from degencomm.comm import RoundSchedule, random_partition, uint_width
 from degencomm.graphs import (
     Accept,
     brute_force_degeneracy,
-    complete_graph,
-    cycle_graph,
     degeneracy,
-    disjoint_union,
-    empty_graph,
     gnm_random_graph,
     is_k_ordering,
-    path_graph,
-    petersen_graph,
-    star_graph,
 )
 from degencomm.hpc import (
     ABSTAIN,
@@ -68,7 +61,16 @@ from degencomm.sisolver import (
     scored_round,
     solver_experiment,
 )
-from test_graphs import gnp_random_graph
+from test_graphs import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    gnp_random_graph,
+    path_graph,
+    petersen_graph,
+    star_graph,
+)
 
 
 @contextlib.contextmanager

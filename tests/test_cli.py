@@ -9,7 +9,9 @@ import pytest
 
 from degencomm import cli, gadget, protocols, sisolver
 from degencomm.cli import main, spawn_seed
-from degencomm.graphs import Graph, cycle_graph, save_graph
+from degencomm.graphs import Graph, save_graph
+
+from test_graphs import cycle_graph
 
 
 def run(args, capsys):

@@ -33,9 +33,6 @@ from degencomm.graphs import (
     Accept,
     Graph,
     Reject,
-    complete_graph,
-    cycle_graph,
-    empty_graph,
     gnm_random_graph,
 )
 from degencomm.hpc import (
@@ -54,6 +51,7 @@ from degencomm.protocols import (
     _swap,
     degen_search,
 )
+from test_graphs import complete_graph, cycle_graph, empty_graph
 from test_hpc import frozenset_instance, reference_misaligned_party
 
 

@@ -12,11 +12,13 @@ import pytest
 
 import degencomm
 from degencomm.gadget import (
+    FAMILY_NAMES,
     AuxPadding,
     _partners,
     _read_gadget,
     aux_padding,
     build_gadget,
+    edge_family,
     load_gadget,
     pointer_path_triples,
     save_gadget,
@@ -120,9 +122,12 @@ def test_padding_fill_matches_the_per_edge_builder(m, r):
 def test_padding_pack_matches_what_edges_joins():
     gg = build_gadget(sample_bmhpc(16, 2, random.Random(41)))
     # plans with a vertex that takes every aux id once, a slice that
-    # wraps mid-sweep, and aux rows of two lengths (total mod d = 1),
-    # under an empty, a one-factor and a full matching tail
-    small = [AuxPadding((4, 3, 2), x, 4) for x in (0, 1, 3)]
+    # wraps mid-sweep, and aux rows of two lengths (total mod d = 1, 2
+    # and 17), under every matching tail x < d: so the aux rows t on
+    # both sides of t = 2x-1, where pack's closed-form stride-2 slice
+    # takes over from _partners, the centre row and x > d/2 all occur
+    small = [AuxPadding((d, d - 1, d // 2), x, d)
+             for d in (4, 6, 36) for x in range(d)]
     for p in (*small, padding_plan(gg)):
         n = len(p.needs) + p.d
         joined = [[] for _ in range(n)]
@@ -552,6 +557,56 @@ def test_verify_names_a_stray_edge_and_an_aux_clique():
     assert set(bad) == {"aux-induced-degree"}
     assert bad["aux-induced-degree"] == (
         f"aux vertex {hub} has {gg.d - 1} aux neighbors > {gg.d - 3}")
+
+
+def reference_stray(gg):
+    """The first edge among the non-aux ids whose edge_family is not one
+    of FAMILY_NAMES, in edges() order, as verify_gadget's detail names
+    it; "" when there is none. The per-edge oracle for the row test."""
+    low, labels = gg.d + 3, gg.labels
+    for u, v in gg.graph.edges():
+        if v < low:
+            family = edge_family(labels[u], labels[v], gg.r)
+            if family not in FAMILY_NAMES:
+                return f"{family}: ({u},{v})"
+    return ""
+
+
+def _absent_edge(gg, rng):
+    """A random non-edge among the ids below the aux ids. Three draws in
+    four aim a layer id u at the layer right above its own (the specials,
+    for the last layer), where the legal and the copy-3 encoding edges
+    lie."""
+    d, block = gg.d, 3 * gg.m
+    while True:
+        u = rng.randrange(d + 3)
+        if u < d and rng.random() < 0.75:
+            base = block * (u // block + 1)
+            v = rng.randrange(base, min(base + block, d + 3))
+        else:
+            v = rng.randrange(d + 3)
+        if u != v and not gg.graph.has_edge(u, v):
+            return u, v
+
+
+@pytest.mark.parametrize("m,r", [(4, 1), (4, 2), (8, 1), (8, 3), (12, 2)])
+def test_edge_families_row_test_matches_the_per_edge_walk(m, r):
+    rng = random.Random(60 + 10 * m + r)
+    verdicts = set()
+    for _ in range(20):
+        gg = build_gadget(sample_bmhpc(m, r, rng))
+        add = set()
+        for _ in range(rng.randrange(3)):
+            u, v = _absent_edge(gg, rng)
+            add.add((min(u, v), max(u, v)))
+        tampered = _tampered(gg, add=sorted(add))
+        want = reference_stray(tampered)
+        got = next(c for c in verify_gadget(tampered).checks
+                   if c.name == "edge-families")
+        assert (got.ok, got.detail) == (not want, want)
+        verdicts.add((bool(add), got.ok))
+    # both a clean gadget and a failing tampered one occur
+    assert verdicts >= {(False, True), (True, False)}
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,41 @@ def gnp_random_graph(n, p, rng):
                        if rng.random() < p])
 
 
+def empty_graph(n):
+    return G.Graph(n)
+
+
+def complete_graph(n):
+    return G.Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def cycle_graph(n):
+    if n < 3:
+        raise ValueError("cycle needs at least 3 vertices")
+    return G.Graph(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def path_graph(n):
+    return G.Graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def star_graph(n):
+    """One hub (vertex 0) joined to n-1 leaves."""
+    return G.Graph(n, [(0, v) for v in range(1, n)])
+
+
+def petersen_graph():
+    outer = [(v, (v + 1) % 5) for v in range(5)]
+    inner = [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
+    spokes = [(v, 5 + v) for v in range(5)]
+    return G.Graph(10, outer + inner + spokes)
+
+
+def disjoint_union(a, b):
+    shifted = [(a.n + u, a.n + v) for u, v in b.edges()]
+    return G.Graph(a.n + b.n, a.edges() + shifted)
+
+
 @st.composite
 def small_graphs(draw, max_n=12):
     n = draw(st.integers(min_value=0, max_value=max_n))
@@ -53,20 +88,20 @@ def reference_k_core(g, k):
 
 
 def test_complete_graph_peel():
-    trace = G.peel(G.complete_graph(4))
+    trace = G.peel(complete_graph(4))
     assert trace.degree_at_removal == [3, 2, 1, 0]
     assert trace.degeneracy == 3
-    assert G.brute_force_degeneracy(G.complete_graph(4)) == 3
+    assert G.brute_force_degeneracy(complete_graph(4)) == 3
 
 
 def test_five_cycle():
-    g = G.cycle_graph(5)
+    g = cycle_graph(5)
     assert G.degeneracy(g) == 2
     assert G.brute_force_degeneracy(g) == 2
 
 
 def test_petersen():
-    g = G.petersen_graph()
+    g = petersen_graph()
     assert g.n == 10 and g.m == 15
     assert all(g.degree(v) == 3 for v in range(10))
     assert G.brute_force_degeneracy(g) == 3
@@ -74,8 +109,8 @@ def test_petersen():
 
 
 def test_star_and_empty():
-    assert G.degeneracy(G.star_graph(6)) == 1
-    assert G.degeneracy(G.empty_graph(5)) == 0
+    assert G.degeneracy(star_graph(6)) == 1
+    assert G.degeneracy(empty_graph(5)) == 0
     assert G.degeneracy(G.Graph(0)) == 0
     assert G.degeneracy(G.Graph(1)) == 0
 
@@ -89,7 +124,7 @@ def test_seeded_gnp_matches_oracle():
 
 def test_peel_tie_break_is_smallest_id():
     # all degrees equal, so removal starts at vertex 0 and cascades
-    trace = G.peel(G.cycle_graph(4))
+    trace = G.peel(cycle_graph(4))
     assert trace.order[0] == 0
 
 
@@ -140,8 +175,8 @@ def test_settled_peel_is_a_prefix_of_the_full_peel():
 
 def test_settled_peel_stops_early_on_low_degrees():
     # no vertex starts above degree 0, so the first removal settles it
-    assert G.peel(G.empty_graph(100_000), prefix=0).order == [0]
-    assert G.degeneracy(G.empty_graph(100_000)) == 0
+    assert G.peel(empty_graph(100_000), prefix=0).order == [0]
+    assert G.degeneracy(empty_graph(100_000)) == 0
     # K5 plus a pendant path: once the path is gone, live - 1 <= 4
     g = G.Graph(8, [(u, v) for u in range(5) for v in range(u + 1, 5)]
                 + [(4, 5), (5, 6), (6, 7)])
@@ -192,7 +227,7 @@ def test_peel_alternate_tie_breaks_same_degeneracy():
 
 
 def test_is_k_ordering_path():
-    g = G.path_graph(3)  # edges 0-1, 1-2; vertex 1 first has both later
+    g = path_graph(3)  # edges 0-1, 1-2; vertex 1 first has both later
     assert G.is_k_ordering(g, [1, 0, 2], 2)
     assert not G.is_k_ordering(g, [1, 0, 2], 1)
     assert G.is_k_ordering(g, [0, 1, 2], 1)
@@ -200,17 +235,17 @@ def test_is_k_ordering_path():
 
 def test_is_k_ordering_rejects_non_permutation():
     with pytest.raises(ValueError, match="not a permutation"):
-        G.is_k_ordering(G.complete_graph(3), [0, 1, 1], 2)
+        G.is_k_ordering(complete_graph(3), [0, 1, 1], 2)
 
 
 def test_is_k_ordering_examples():
-    k3 = G.complete_graph(3)
+    k3 = complete_graph(3)
     assert G.is_k_ordering(k3, [0, 1, 2], 2)
     assert not G.is_k_ordering(k3, [0, 1, 2], 1)
-    k4 = G.complete_graph(4)
+    k4 = complete_graph(4)
     assert not G.is_k_ordering(k4, [0, 1, 2, 3], 2)
     assert G.is_k_ordering(k4, [0, 1, 2, 3], 3)
-    c5 = G.cycle_graph(5)
+    c5 = cycle_graph(5)
     assert G.is_k_ordering(c5, [0, 1, 2, 3, 4], 2)
 
 
@@ -219,18 +254,18 @@ def test_is_k_ordering_examples():
 
 
 def test_k_core_examples():
-    k4 = G.complete_graph(4)
+    k4 = complete_graph(4)
     assert G.k_core(k4, 3) == frozenset(range(4))
-    tree = G.star_graph(5)
+    tree = star_graph(5)
     assert G.k_core(tree, 2) == frozenset()
-    two_triangles = G.disjoint_union(G.complete_graph(3), G.complete_graph(3))
+    two_triangles = disjoint_union(complete_graph(3), complete_graph(3))
     g = G.Graph(7, two_triangles.edges() + [(0, 6)])
     assert G.k_core(g, 2) == frozenset(range(6))
 
 
 def test_peel_decision_k4():
-    assert isinstance(G.peel_decision(G.complete_graph(4), 3), G.Accept)
-    res = G.peel_decision(G.complete_graph(4), 2)
+    assert isinstance(G.peel_decision(complete_graph(4), 3), G.Accept)
+    res = G.peel_decision(complete_graph(4), 2)
     assert isinstance(res, G.Reject)
     assert res.core == frozenset(range(4))
 
@@ -240,7 +275,7 @@ def test_peel_decision_k4():
 
 
 def test_roundtrip_text():
-    g = G.petersen_graph()
+    g = petersen_graph()
     assert G.loads_graph(G.dumps_graph(g)).edges() == g.edges()
 
 
@@ -560,7 +595,7 @@ def test_graph_names_the_first_bad_edge(edges, message):
 
 def test_save_and_load_graph_match_the_text_form(tmp_path):
     path = tmp_path / "g.txt"
-    for g in (G.Graph(0), G.Graph(4), G.petersen_graph(),
+    for g in (G.Graph(0), G.Graph(4), petersen_graph(),
               G.gnm_random_graph(60, 200, random.Random(5))):
         G.save_graph(g, str(path))
         assert path.read_bytes() == G.dumps_graph(g).encode("ascii")
@@ -639,7 +674,7 @@ def test_writer_matches_the_per_id_writer():
     gadget = build_gadget(sample_bmhpc(8, 2, random.Random(13))).graph
     big = G.gnm_random_graph(700, 2800, random.Random(8))
     assert big.n > 256
-    for g in (G.Graph(0), G.Graph(5), G.complete_graph(6), big, gadget):
+    for g in (G.Graph(0), G.Graph(5), complete_graph(6), big, gadget):
         ref = io.StringIO()
         _write_graph_per_id(g, ref)
         assert G.dumps_graph(g) == ref.getvalue()
@@ -745,11 +780,11 @@ def _sample_graphs():
     yield G.gnm_random_graph(60, 100, rng)
     yield G.Graph(0)
     yield G.Graph(1)
-    yield G.complete_graph(2)
+    yield complete_graph(2)
     # isolated top vertices
-    yield G.disjoint_union(G.complete_graph(30), G.empty_graph(5))
+    yield disjoint_union(complete_graph(30), empty_graph(5))
     # heads and rows that cross the 9/10, 99/100 and 999/1000 widths
-    yield G.complete_graph(20)
+    yield complete_graph(20)
     yield G.Graph(1001, [(u, v) for u in (*range(10), 99, 999)
                          for v in range(u + 1, 1001)])
 
@@ -903,7 +938,7 @@ def test_every_builder_takes_the_width_rule(n, tmp_path):
 
 def test_a_narrow_graph_equals_the_same_rows_held_wide():
     rng = random.Random(12)
-    for g in (G.Graph(0), G.petersen_graph(),
+    for g in (G.Graph(0), petersen_graph(),
               G.gnm_random_graph(50, 300, rng)):
         assert g.nbrs.typecode == "H"
         wide = G.Graph.from_csr(array("i", g.offsets), array("i", g.nbrs))

@@ -18,16 +18,11 @@ from degencomm.graphs import (
     Accept,
     Graph,
     Reject,
-    complete_graph,
-    cycle_graph,
     degeneracy,
-    disjoint_union,
-    empty_graph,
     gnm_random_graph,
     is_k_ordering,
     k_core,
     peel_decision,
-    star_graph,
 )
 from degencomm.protocols import (
     _bucket_count,
@@ -38,6 +33,15 @@ from degencomm.protocols import (
     degen_decide_fast,
     degen_decide_sqrt,
     degen_search,
+)
+
+from test_graphs import (
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    empty_graph,
+    path_graph,
+    star_graph,
 )
 
 PROTOCOLS = [degen_decide_sqrt, degen_decide_fast]
@@ -103,8 +107,6 @@ def test_disjoint_triangles_zero_updates():
 
 @pytest.mark.parametrize("decide", PROTOCOLS)
 def test_edgeless_and_k_zero(decide):
-    from degencomm.graphs import empty_graph
-
     out, _ = decide(_split(empty_graph(5), 4), 0)
     assert isinstance(out, Accept)
     assert sorted(out.ordering) == list(range(5))
@@ -230,8 +232,6 @@ def test_search_k5():
 
 
 def test_search_forest_and_edgeless():
-    from degencomm.graphs import empty_graph, path_graph
-
     kappa, _, core, _ = degen_search(_split(path_graph(9), 0))
     assert kappa == 1
     assert core == k_core(path_graph(9), 1)
@@ -242,8 +242,6 @@ def test_search_forest_and_edgeless():
 
 
 def test_search_empty_graph():
-    from degencomm.graphs import empty_graph
-
     kappa, ordering, core, ledger = degen_search(_split(empty_graph(0), 0))
     assert (kappa, ordering, core) == (0, [], frozenset())
     assert ledger.bits_total == 0
