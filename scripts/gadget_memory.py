@@ -6,11 +6,13 @@ Usage::
 
 For each size m x r, a new Python process imports the package from the
 ``src/`` of the checkout this script sits in, samples one instance with
-``sample_bmhpc(m, r, Random(seed))`` and runs four stages in turn:
+``sample_bmhpc(m, r, Random(seed))`` and runs five stages in turn:
 ``build_gadget`` (which includes its audit), ``verify_gadget`` on the
 built gadget (that audit again, timed on its own), ``trace_invariants``
-(one peel and its checks) and ``save_gadget`` into a temporary
-directory.
+(one peel and its checks), ``simulate_streaming_reduction`` with a
+one-pass algorithm that ignores its edges (so the stage is the
+harness's own edge filing, padding plan and replay) and ``save_gadget``
+into a temporary directory.
 After each stage it prints the stage's wall time and the process's peak
 resident set so far (``ru_maxrss``), so a stage's line shows the peak
 up to and including that stage. After the build it also prints the
@@ -47,18 +49,44 @@ def _stage(name: str, stage):
     t0 = time.perf_counter()
     out = stage()
     wall = time.perf_counter() - t0
-    print(f"  {name:<5} {wall:7.2f} s   peak RSS {peak_mb():8.1f} MB",
+    print(f"  {name:<6} {wall:7.2f} s   peak RSS {peak_mb():8.1f} MB",
           flush=True)
     return out
 
 
+class NoOp:
+    """A one-pass streaming algorithm that does nothing with its edges."""
+
+    def init(self, n: int) -> None:
+        pass
+
+    def begin_pass(self) -> None:
+        pass
+
+    def process_edge(self, u: int, v: int) -> None:
+        pass
+
+    def end_pass(self) -> bool:
+        return False
+
+    def finalize(self, k: int) -> bool:
+        return False
+
+    def snapshot_state(self) -> str:
+        return ""
+
+    def restore_state(self, bits: str) -> None:
+        pass
+
+
 def measure(m: int, r: int, seed: int, path: str) -> None:
-    """Build, audit, trace and save one m x r gadget at path; print each
-    stage."""
+    """Build, audit, trace, stream and save one m x r gadget at path;
+    print each stage."""
     sys.path.insert(0, SRC)
     from degencomm.gadget import build_gadget, save_gadget, verify_gadget
     from degencomm.hpc import sample_bmhpc
-    from degencomm.reduction import trace_invariants
+    from degencomm.reduction import (simulate_streaming_reduction,
+                                     trace_invariants)
 
     inst = sample_bmhpc(m, r, random.Random(seed))
     print(f"m={m} r={r}:", flush=True)
@@ -70,6 +98,7 @@ def measure(m: int, r: int, seed: int, path: str) -> None:
     if not _stage("audit", lambda: verify_gadget(gg)).ok:
         raise SystemExit("the built gadget fails its audit")
     _stage("trace", lambda: trace_invariants(gg, inst))
+    _stage("stream", lambda: simulate_streaming_reduction(gg, NoOp(), 1))
     _stage("save", lambda: save_gadget(gg, path))
     size = os.path.getsize(path) / 2**20
     side = os.path.getsize(path + ".json")

@@ -15,9 +15,11 @@ threshold d-3 depends only on the parity bit of the final pointer.
 A gadget has one id layout, arithmetic on (m, r) (DECISIONS.md, D3):
 with d = 6mr+3m, triple (ell, i) is ids 3(ell*m+i) + 0..2, so the d
 layer ids come first by (ell, i, c), the specials 1..3 are d + 0..2
-and the d auxiliary ids are the last ones, d+3 .. 2d+2. _layout names
-each id's label, _triples gives the triple ids, _excluded names the
-triples kept off the specials, _target_degree gives each vertex its
+and the d auxiliary ids are the last ones, d+3 .. 2d+2. Ids are the
+gadget's only names: id v decodes as t, c = divmod(v, 3) and
+ell, i = divmod(t, m), which puts the specials at triple (2r+1, 0) and
+the aux ids at v >= d+3. _triples gives the triple ids, _excluded names
+the triples kept off the specials, _target_degree gives each id its
 degree target and edge_family names the family of each edge. The
 builder, the audit, the file reader and the reduction share these and
 nothing else. The padding is a plan that aux_padding computes from the
@@ -48,24 +50,14 @@ from .hpc import (MHPCInstance, PointerPath, chase, check_universe,
 
 FAMILY_NAMES = ("E1", "E2", "ES", "EA", "EB", "EC", "ED")
 
-_ENCODING_FAMILY = {(0, 1): "EA", (0, 2): "EB", (2, 1): "EC", (2, 2): "ED"}
+# by (source layer mod 4, copy number less one)
+_ENCODING_FAMILY = {(0, 0): "EA", (0, 1): "EB", (2, 0): "EC", (2, 1): "ED"}
 
 
 def _width(m: int, r: int) -> int:
     """The padding width d: the number of auxiliary vertices, which is
     also the number of layer vertices."""
     return 6 * m * r + 3 * m
-
-
-def _layout(m: int, r: int) -> list[tuple]:
-    """The label of each id, in id order: ("layer", ell, i, c) by
-    (ell, i, c), then ("special", j) for j = 1..3, then ("aux", t) for
-    the d auxiliary vertices."""
-    labels: list[tuple] = [("layer", ell, i, c) for ell in range(2 * r + 1)
-                           for i in range(m) for c in (1, 2, 3)]
-    labels += [("special", j) for j in (1, 2, 3)]
-    labels += [("aux", t) for t in range(_width(m, r))]
-    return labels
 
 
 def _triples(m: int, r: int) -> dict[tuple[int, int], tuple[int, int, int]]:
@@ -99,10 +91,9 @@ def _partners(t: int, x: int, d: int) -> list[int]:
 class GadgetGraph:
     """A built gadget: its packed graph, m and r.
 
-    Its ids are laid out by (m, r) alone, so d, labels, triple_index,
+    Its ids are laid out by (m, r) alone, so d, triple_index,
     special_ids and aux_ids are computed from m and r on each read and
-    cannot disagree with them. labels[v] is one of ("layer", ell, i, c),
-    ("special", j), ("aux", t). The padding plan is not kept: it follows
+    cannot disagree with them. The padding plan is not kept: it follows
     from the structural degrees, as aux_padding computes it.
     """
 
@@ -113,10 +104,6 @@ class GadgetGraph:
     @property
     def d(self) -> int:
         return _width(self.m, self.r)
-
-    @property
-    def labels(self) -> list[tuple]:
-        return _layout(self.m, self.r)
 
     @property
     def triple_index(self) -> dict[tuple[int, int], tuple[int, int, int]]:
@@ -165,14 +152,14 @@ def _excluded(ell: int, i: int, r: int) -> bool:
     return ell == 2 * r and (i + 1) % 2 == 0
 
 
-def _target_degree(label: tuple, d: int, r: int) -> int:
-    """The degree target of a vertex: exact, except a floor for aux."""
-    kind = label[0]
-    if kind == "special":
-        return d + 6 * r
-    if kind == "aux":
+def _target_degree(v: int, m: int, r: int) -> int:
+    """The degree target of id v: exact, except a floor for aux."""
+    d = _width(m, r)
+    if v >= d + 3:
         return d + 6 * r + 3
-    _, ell, i, _ = label
+    ell, i = divmod(v // 3, m)
+    if ell > 2 * r:  # a special
+        return d + 6 * r
     if ell == 0:
         return d - 3 if i == 0 else d
     return d - 1 if ell % 2 == 1 else d
@@ -283,13 +270,13 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
     which is what lets the last player of the streaming simulation add
     the padding after seeing only a degree table.
     """
-    d, labels = _width(m, r), _layout(m, r)
-    n = len(labels)
+    d = _width(m, r)
+    n = 2 * d + 3
     if len(degrees) != n:
         raise ValueError(f"expected {n} degrees, got {len(degrees)}")
     needs: list[int] = []
-    for v, label in enumerate(labels[:-d]):
-        need = _target_degree(label, d, r) - degrees[v]
+    for v in range(d + 3):
+        need = _target_degree(v, m, r) - degrees[v]
         if need < 0:
             raise ValueError(
                 f"vertex {v} already exceeds its target degree by {-need}"
@@ -299,7 +286,7 @@ def aux_padding(m: int, r: int, degrees: list[int]) -> AuxPadding:
     # sweep, and one more to the first (total mod d) of them
     sweeps, rest = divmod(sum(needs), d)
     floor = min(a + sweeps + (t < rest) for t, a in enumerate(degrees[-d:]))
-    x = max(0, _target_degree(labels[-1], d, r) - floor)
+    x = max(0, _target_degree(n - 1, m, r) - floor)
     if x > d - 1:
         raise ValueError(f"padding needs {x} matchings, only {d - 1} exist")
     return AuxPadding(tuple(needs), x, d)
@@ -420,8 +407,7 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     if not check("vertex-count", g.n == n_want, f"n={g.n}, expected {n_want}"):
         return report
 
-    labels, trip, specials = gg.labels, gg.triple_index, gg.special_ids
-    aux = gg.aux_ids
+    trip, specials, aux = gg.triple_index, gg.special_ids, gg.aux_ids
     aux_lo = aux.start  # the checks below cut the aux ids off sorted rows
     q_nodes = {v for (ell, i), t in trip.items() if _excluded(ell, i, r)
                for v in t}
@@ -496,17 +482,17 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     stray = ""
     if not _rows_in_families(g, m, r):
         for u, v in _edges_below(g, aux_lo):
-            family = edge_family(labels[u], labels[v], r)
+            family = edge_family(u, v, m, r)
             if family not in FAMILY_NAMES:
                 stray = f"{family}: ({u},{v})"
                 break
     check("edge-families", not stray, stray)
 
     bad_deg = ""
-    for v, label in enumerate(labels):
-        want = _target_degree(label, d, r)
+    for v in range(n_want):
+        want = _target_degree(v, m, r)
         have = g.degree(v)
-        if label[0] == "aux":
+        if v >= aux_lo:
             if have < want:
                 bad_deg = f"aux vertex {v} has degree {have} < {want}"
                 break
@@ -526,24 +512,24 @@ def verify_gadget(gg: GadgetGraph) -> GadgetReport:
     return report
 
 
-def edge_family(lu: tuple, lv: tuple, r: int) -> str:
-    """The family of an edge between two non-aux vertices, from their labels.
+def edge_family(u: int, v: int, m: int, r: int) -> str:
+    """The family of an edge between two non-aux ids.
 
     One of FAMILY_NAMES for an edge the construction makes: E1 inside a
     triple, E2 between the layers that replay one step, ES on a special
     vertex, and EA..ED for the encoding edges by source layer (mod 4)
     and carrying copy. For any other edge, the reason it is stray.
     """
-    if lu[0] == "special":
-        lu, lv = lv, lu
-    if lv[0] == "special":
-        if lu[0] == "layer" and _excluded(lu[1], lu[2], r):
+    if u > v:
+        u, v = v, u
+    tu, cu = divmod(u, 3)  # c is the copy number less one
+    tv, cv = divmod(v, 3)
+    eu, iu = divmod(tu, m)
+    ev, iv = divmod(tv, m)
+    if ev > 2 * r:  # v is a special
+        if _excluded(eu, iu, r):
             return "special edge into the excluded last-layer set"
         return "ES"
-    _, eu, iu, cu = lu
-    _, ev, iv, cv = lv
-    if (eu, iu) > (ev, iv):
-        eu, iu, cu, ev, iv, cv = ev, iv, cv, eu, iu, cu
     if eu == ev:
         return "E1" if iu == iv else "edge inside one layer across triples"
     if ev != eu + 1:
@@ -551,7 +537,7 @@ def edge_family(lu: tuple, lv: tuple, r: int) -> str:
     if eu % 2 == 1:
         return ("E2" if iu == iv
                 else "cross-pair edge between different elements")
-    if eu == 2 * r or cu == 3 or cv == 3:
+    if eu == 2 * r or cu == 2 or cv == 2:
         return "illegal encoding edge"
     return _ENCODING_FAMILY[(eu % 4, cu)]
 
@@ -559,12 +545,13 @@ def edge_family(lu: tuple, lv: tuple, r: int) -> str:
 def _rows_in_families(g: Graph, m: int, r: int) -> bool:
     """Whether every edge among the non-aux ids is in FAMILY_NAMES.
 
-    edge_family's rules, read as ranges of the sorted upper rows: the
-    upper row of layer id u = (ell, i, c) below the aux ids holds the
-    rest of u's triple; then, for odd ell, only triple (ell+1, i), and
-    for even ell < 2r with c != 3, only copy-1/2 ids of layer ell+1;
-    then only specials, none if (ell, i) is _excluded. A special's upper
-    row there holds only specials, which is ES.
+    edge_family's rules, read as ranges of the sorted upper rows: with
+    layer id u decoded as copy c+1 of triple (ell, i), its upper row
+    below the aux ids holds the rest of u's triple; then, for odd ell,
+    only triple (ell+1, i), and for even ell < 2r with c != 2, only
+    copy-1/2 ids of layer ell+1; then only specials, none if (ell, i)
+    is _excluded. A special's upper row there holds only specials,
+    which is ES.
     """
     d = _width(m, r)
     offsets, nbrs = g.offsets, g.nbrs

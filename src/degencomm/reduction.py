@@ -109,9 +109,9 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
     walk = chase(inst)
     triples = pointer_path_triples(gg, inst, walk)
     tr = peel(gg.graph, prefix=3 * len(triples))
-    d, r, labels = gg.d, gg.r, gg.labels
-    top = _target_degree(labels[gg.special_ids[0]], d, r)
-    floor = _target_degree(labels[gg.aux_ids[0]], d, r)  # aux: a lower bound
+    d, m, r = gg.d, gg.m, gg.r
+    top = _target_degree(gg.special_ids[0], m, r)
+    floor = _target_degree(gg.aux_ids[0], m, r)  # aux: a lower bound
     resid = [gg.graph.degree(v) for v in range(gg.graph.n)]
     records = []
     for ell, z in enumerate(triples):
@@ -159,15 +159,15 @@ def simulate_streaming_reduction(gg: GadgetGraph, alg: StreamingAlgorithm,
     """
     if p < 1:
         raise ValueError(f"pass budget must be >= 1, got {p}")
-    n, labels, r = gg.graph.n, gg.labels, gg.r
+    n, m, r = gg.graph.n, gg.m, gg.r
     table_bits = n * uint_width(n)
     feeds: dict[str, list[tuple[int, int]]] = {name: [] for name in "CDAB"}
     degrees = [0] * n
     for u, v in _edges_below(gg.graph, n - gg.d):
-        feeds[_HOLDER[edge_family(labels[u], labels[v], r)]].append((u, v))
+        feeds[_HOLDER[edge_family(u, v, m, r)]].append((u, v))
         degrees[u] += 1
         degrees[v] += 1
-    padding = aux_padding(gg.m, r, degrees)
+    padding = aux_padding(m, r, degrees)
     alg.init(n)
     minds = {name: copy.deepcopy(alg) for name in "CDAB"}
     ledger = CommLedger()

@@ -16,6 +16,7 @@ from degencomm.gadget import (
     AuxPadding,
     _partners,
     _read_gadget,
+    _target_degree,
     aux_padding,
     build_gadget,
     edge_family,
@@ -42,15 +43,86 @@ def padding_plan(gg):
     return aux_padding(gg.m, gg.r, degrees + [0] * gg.d)
 
 
+# The label tuples of the gadget's ids, as the package named them before
+# its ids became its only vocabulary: the reference that the id rules
+# _target_degree and edge_family must match.
+
+
+def layout(m, r):
+    """The label of each id, in id order: ("layer", ell, i, c) by
+    (ell, i, c), then ("special", j) for j = 1..3, then ("aux", t) for
+    the d auxiliary vertices."""
+    labels = [("layer", ell, i, c) for ell in range(2 * r + 1)
+              for i in range(m) for c in (1, 2, 3)]
+    labels += [("special", j) for j in (1, 2, 3)]
+    labels += [("aux", t) for t in range(6 * m * r + 3 * m)]
+    return labels
+
+
+def reference_target_degree(label, d, r):
+    """The degree target of a labelled vertex: exact, except a floor
+    for aux."""
+    kind = label[0]
+    if kind == "special":
+        return d + 6 * r
+    if kind == "aux":
+        return d + 6 * r + 3
+    _, ell, i, _ = label
+    if ell == 0:
+        return d - 3 if i == 0 else d
+    return d - 1 if ell % 2 == 1 else d
+
+
+_REFERENCE_ENCODING = {(0, 1): "EA", (0, 2): "EB", (2, 1): "EC", (2, 2): "ED"}
+
+
+def reference_edge_family(lu, lv, r):
+    """The family of an edge between two non-aux labelled vertices, or
+    the reason it is stray."""
+    if lu[0] == "special":
+        lu, lv = lv, lu
+    if lv[0] == "special":
+        if lu[0] == "layer" and lu[1] == 2 * r and (lu[2] + 1) % 2 == 0:
+            return "special edge into the excluded last-layer set"
+        return "ES"
+    _, eu, iu, cu = lu
+    _, ev, iv, cv = lv
+    if (eu, iu) > (ev, iv):
+        eu, iu, cu, ev, iv, cv = ev, iv, cv, eu, iu, cu
+    if eu == ev:
+        return "E1" if iu == iv else "edge inside one layer across triples"
+    if ev != eu + 1:
+        return "edge skips layers"
+    if eu % 2 == 1:
+        return ("E2" if iu == iv
+                else "cross-pair edge between different elements")
+    if eu == 2 * r or cu == 3 or cv == 3:
+        return "illegal encoding edge"
+    return _REFERENCE_ENCODING[(eu % 4, cu)]
+
+
+@pytest.mark.parametrize("m,r", [(4, 1), (4, 2), (8, 1), (8, 3), (12, 2)])
+def test_the_id_rules_match_the_label_rules(m, r):
+    # every ordered pair of non-aux ids, and every id's target
+    labels, d = layout(m, r), 6 * m * r + 3 * m
+    for v, label in enumerate(labels):
+        assert _target_degree(v, m, r) == reference_target_degree(label, d, r)
+    for u, v in itertools.product(range(d + 3), repeat=2):
+        assert edge_family(u, v, m, r) == reference_edge_family(
+            labels[u], labels[v], r), (u, v)
+
+
 def test_small_build_counts():
     inst = sample_bmhpc(4, 1, random.Random(1))
     gg = build_gadget(inst)
     assert gg.d == 36
     assert gg.graph.n == 75
-    kinds = [label[0] for label in gg.labels]
-    assert kinds.count("layer") == 36
-    assert kinds.count("special") == 3
-    assert kinds.count("aux") == 36
+    # 36 layer ids, 3 specials and 36 aux ids, and no label list
+    assert sorted(v for t in gg.triple_index.values() for v in t) == list(
+        range(36))
+    assert gg.special_ids == (36, 37, 38)
+    assert gg.aux_ids == range(39, 75)
+    assert not hasattr(gg, "labels")
     assert verify_gadget(gg).ok
     assert 0 <= padding_plan(gg).matchings <= gg.d - 3
 
@@ -406,19 +478,20 @@ def test_saved_gadget_files_match_the_text_forms(tmp_path):
     assert sidecar.read_bytes() == (sidecar_json(gg) + "\n").encode("ascii")
     assert json.loads(sidecar.read_text()) == {"m": 8, "r": 2, "d": gg.d}
     back = load_gadget(str(path))
-    assert back.graph == gg.graph and back.labels == gg.labels
+    assert back.graph == gg.graph and (back.m, back.r) == (gg.m, gg.r)
 
 
 @pytest.mark.parametrize("m,r", [(4, 1), (4, 2), (4, 3), (8, 1), (8, 2),
                                  (12, 3), (16, 4)])
 def test_a_reload_equals_the_build(m, r, tmp_path):
-    # the padding and the labels rebuilt from the structural edges and
+    # the padding and the id layout rebuilt from the structural edges and
     # {m, r, d} equal what the builder made, for odd and even r
     for seed in (1, 2, 3):
         gg = build_gadget(sample_bmhpc(m, r, random.Random(100 * m + r + seed)))
         back = _read_gadget(_saved(tmp_path, gg))
         assert back.graph == gg.graph
-        assert back.labels == gg.labels
+        assert (back.triple_index, back.special_ids, back.aux_ids) == (
+            gg.triple_index, gg.special_ids, gg.aux_ids)
         assert (back.m, back.r, back.d) == (gg.m, gg.r, gg.d)
 
 
@@ -428,16 +501,16 @@ def test_a_gadget_stores_only_its_graph_m_and_r():
     # the layout follows m and r on each read, so it cannot go stale
     other = dataclasses.replace(gg, m=8, r=2)
     assert other.d == 6 * 8 * 2 + 3 * 8
-    assert len(other.labels) == 2 * other.d + 3
+    assert other.aux_ids == range(other.d + 3, 2 * other.d + 3)
     assert other.triple_index[(4, 7)] == (3 * 39, 3 * 39 + 1, 3 * 39 + 2)
 
 
 @pytest.mark.parametrize("m,r", [(4, 1), (8, 2), (12, 3)])
 def test_ids_follow_the_layout_arithmetic(m, r):
     # triple (ell, i) is 3(ell*m+i)+0..2, the specials follow the layers
-    # and the aux ids are the last d, each under its own label
+    # and the aux ids are the last d, each under its own reference label
     gg = build_gadget(sample_bmhpc(m, r, random.Random(m + r)))
-    n, d, labels = gg.graph.n, gg.d, gg.labels
+    n, d, labels = gg.graph.n, gg.d, layout(m, r)
     assert d == 3 * m * (2 * r + 1) and n == len(labels) == 2 * d + 3
     assert len(gg.triple_index) == (2 * r + 1) * m
     for (ell, i), t in gg.triple_index.items():
@@ -560,13 +633,13 @@ def test_verify_names_a_stray_edge_and_an_aux_clique():
 
 
 def reference_stray(gg):
-    """The first edge among the non-aux ids whose edge_family is not one
-    of FAMILY_NAMES, in edges() order, as verify_gadget's detail names
+    """The first edge among the non-aux ids whose reference_edge_family
+    is not one of FAMILY_NAMES, in edges() order, as verify_gadget's detail names
     it; "" when there is none. The per-edge oracle for the row test."""
-    low, labels = gg.d + 3, gg.labels
+    low, labels = gg.d + 3, layout(gg.m, gg.r)
     for u, v in gg.graph.edges():
         if v < low:
-            family = edge_family(labels[u], labels[v], gg.r)
+            family = reference_edge_family(labels[u], labels[v], gg.r)
             if family not in FAMILY_NAMES:
                 return f"{family}: ({u},{v})"
     return ""
@@ -642,7 +715,7 @@ def test_sidecar_rejects_a_top_level_list(tmp_path):
 def test_sidecar_rejects_a_field_beyond_m_r_d(key, tmp_path):
     # an old sidecar's label list is refused by name, like any other
     gg, path, obj = _sidecar_obj(tmp_path)
-    obj[key] = [list(label) for label in gg.labels]
+    obj[key] = [list(label) for label in layout(gg.m, gg.r)]
     _write(path + ".json", json.dumps(obj))
     with pytest.raises(ValueError,
                        match=f"sidecar field '{key}' is not one of m, r, d"):

@@ -20,7 +20,7 @@ from degencomm.reduction import (
     trace_invariants,
 )
 
-from test_gadget import padding_plan
+from test_gadget import _tampered, layout, padding_plan
 from test_hpc import pad_instance, worked_example
 
 
@@ -73,7 +73,7 @@ _REFERENCE_ENCODING_FAMILY = {(0, 1): "EA", (0, 2): "EB", (2, 1): "EC",
 
 def _reference_partition_edges(gg):
     parts = {f: [] for f in _REFERENCE_FAMILY_NAMES}
-    labels = gg.labels
+    labels = layout(gg.m, gg.r)
     for u, v in _edges_below(gg.graph, gg.graph.n - len(gg.aux_ids)):
         ku, kv = labels[u][0], labels[v][0]
         if "special" in (ku, kv):
@@ -98,10 +98,9 @@ def test_partition_matches_the_reference(m, r):
     for seed in (1, 2):
         rng = random.Random(100 * m + 10 * r + seed)
         gg = build_gadget(sample_bmhpc(m, r, rng))
-        labels = gg.labels
         parts = {f: [] for f in FAMILY_NAMES}
         for u, v in _edges_below(gg.graph, gg.graph.n - gg.d):
-            parts[edge_family(labels[u], labels[v], r)].append((u, v))
+            parts[edge_family(u, v, m, r)].append((u, v))
         assert parts == _reference_partition_edges(gg)
 
 
@@ -213,6 +212,32 @@ def test_trace_is_clean_on_samples():
         assert all(t.ok for t in rep.trace)
         assert all(t.max_degree_at_removal <= rep.d - 3 for t in rep.trace)
         assert rep.split_ok
+
+
+def test_trace_records_a_special_or_aux_degree_off_its_target():
+    # the special degrees are checked against the special target and the
+    # aux degrees against the aux floor; a gadget one special-aux edge
+    # short, or with aux d+3 stripped of its aux-aux edges, fails every
+    # record, and the trace still reports rather than raises
+    inst = sample_bmhpc(4, 1, random.Random(19))
+    gg = build_gadget(inst)
+    assert [t.ok for t in trace_invariants(gg, inst).trace] == [True] * 3
+    aux = set(gg.aux_ids)
+    s, a = gg.special_ids[0], gg.aux_ids[0]
+    one = _tampered(gg, drop=[(s, next(w for w in gg.graph.neighbors(s)
+                                       if w in aux))])
+    # the pointer triples still go first, below the threshold: only the
+    # special degrees are off
+    order = peel(one.graph, prefix=9).order
+    for ell, z in enumerate(pointer_path_triples(gg, inst)):
+        assert set(order[3 * ell:3 * ell + 3]) == set(z)
+    rep = trace_invariants(one, inst)
+    assert [t.ok for t in rep.trace] == [False] * 3
+    assert all(t.max_degree_at_removal <= gg.d - 3 for t in rep.trace)
+    bare = [(a, w) for w in gg.graph.neighbors(a) if w in aux]
+    assert len(bare) == 17
+    rep = trace_invariants(_tampered(gg, drop=bare), inst)
+    assert [t.ok for t in rep.trace] == [False] * 3
 
 
 @pytest.mark.parametrize("m,r", [(4, 1), (8, 2), (16, 2)])
