@@ -6,13 +6,17 @@ Usage::
 
 For each size m x r, a new Python process imports the package from the
 ``src/`` of the checkout this script sits in, samples one instance with
-``sample_bmhpc(m, r, Random(seed))`` and runs five stages in turn:
+``sample_bmhpc(m, r, Random(seed))`` and runs six stages in turn:
 ``build_gadget`` (which includes its audit), ``verify_gadget`` on the
 built gadget (that audit again, timed on its own), ``trace_invariants``
 (one peel and its checks), ``simulate_streaming_reduction`` with a
 one-pass algorithm that ignores its edges (so the stage is the
-harness's own edge filing, padding plan and replay) and ``save_gadget``
-into a temporary directory.
+harness's own edge filing, padding plan and replay), ``save_gadget``
+into a temporary directory, and ``pad``: ``gadget._padded`` on the
+built gadget's structural graph, which is the padding plan and
+``AuxPadding.pack`` alone, as the build and the reload run them (the
+structural graph is cut out before the stage, and the stage comes last
+so that its second gadget-sized graph is in no other stage's peak).
 After each stage it prints the stage's wall time and the process's peak
 resident set so far (``ru_maxrss``), so a stage's line shows the peak
 up to and including that stage. After the build it also prints the
@@ -49,7 +53,7 @@ def _stage(name: str, stage):
     t0 = time.perf_counter()
     out = stage()
     wall = time.perf_counter() - t0
-    print(f"  {name:<6} {wall:7.2f} s   peak RSS {peak_mb():8.1f} MB",
+    print(f"  {name:<6} {wall:7.3f} s   peak RSS {peak_mb():8.1f} MB",
           flush=True)
     return out
 
@@ -80,10 +84,11 @@ class NoOp:
 
 
 def measure(m: int, r: int, seed: int, path: str) -> None:
-    """Build, audit, trace, stream and save one m x r gadget at path;
-    print each stage."""
+    """Build, audit, trace, stream and save one m x r gadget at path,
+    then pad its structural graph again; print each stage."""
     sys.path.insert(0, SRC)
-    from degencomm.gadget import build_gadget, save_gadget, verify_gadget
+    from degencomm.gadget import (_padded, _structural, build_gadget,
+                                  save_gadget, verify_gadget)
     from degencomm.hpc import sample_bmhpc
     from degencomm.reduction import (simulate_streaming_reduction,
                                      trace_invariants)
@@ -103,6 +108,9 @@ def measure(m: int, r: int, seed: int, path: str) -> None:
     size = os.path.getsize(path) / 2**20
     side = os.path.getsize(path + ".json")
     print(f"  file  {size:7.2f} MB, sidecar {side} B", flush=True)
+    s = _structural(gg.graph, gg.graph.n - gg.d)
+    if _stage("pad", lambda: _padded(m, r, s)).graph != gg.graph:
+        raise SystemExit("the repadded gadget differs from the build")
 
 
 def reload(path: str) -> None:

@@ -42,6 +42,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
+from operator import add, sub
 from typing import Iterator
 
 from .graphs import Graph, _read_graph, save_graph
@@ -205,18 +206,23 @@ class AuxPadding:
 
         s has all len(needs) + d vertices, the aux ids being the last d,
         and no edge on an aux id. The result equals joining edges() into
-        s one by one, but its two arrays are sized from the degrees and
-        written in place, with no row staged, and they take s's id
-        typecode. A deficient vertex's row is its structural row, copied
-        from s as one slice, then its slice of the aux ids from its
-        round-robin cursor; a slice that wraps goes in as the ids below
-        the wrap, then those from the cursor, so the row stays sorted.
-        Padding edge j is owner j // d of aux t = j % d; the aux rows
-        before and after aux rest (the total mod d) have one length
-        each, so one vertex's padding within one sweep of the aux ids
-        lands in the aux rows as one strided slice. Aux t's partners,
-        _partners(t, x, d), end its row; for 2x-1 <= t < d-1 they are
-        the stride-2 slice of the aux ids that _partners names.
+        s one by one; its two arrays are sized from the degrees, take
+        s's id typecode and are written in place in three steps, with
+        no second array of padding size.
+
+        Stage: padding edge j joins its owner v to aux j % d, and v goes
+        to nbrs[j]. The needs sum to at most the layer rows' length, so
+        the stage lies where those rows will go.
+        Gather: aux t's padding owners are nbrs[t:total:d], ascending
+        and each once since no need exceeds d, and go into its row as
+        one strided slice. Its partners, _partners(t, x, d), end the
+        row; for 2x-1 <= t < d-1 they are the stride-2 slice of the aux
+        ids that _partners names.
+        Overwrite: each layer/special row goes over the stage as its
+        structural row, one slice of s, then its slice of the aux ids
+        from its round-robin cursor; a slice that wraps goes in as the
+        ids below the wrap, then those from the cursor, so the row
+        stays sorted.
 
         Raises ValueError naming a repeated edge when a vertex needs
         more than d padding edges.
@@ -225,39 +231,44 @@ class AuxPadding:
         low = len(needs)
         code = s.nbrs.typecode
         ids = array(code, range(low, low + d))
-        sweeps, rest = divmod(sum(needs), d)
+        total = sum(needs)
+        sweeps, rest = divmod(total, d)
         width = sweeps + x  # an aux row's length from rest on
+        so, sn = s.offsets, s.nbrs
         offsets = array("i", accumulate(chain(
-            (s.degree(v) + need for v, need in enumerate(needs)),
-            (width + (t < rest) for t in range(d))), initial=0))
+            map(add, map(sub, so[1:low + 1], so), needs),
+            repeat(width + 1, rest), repeat(width, d - rest)), initial=0))
         nbrs = array(code, [0]) * offsets[-1]
+        # stage: the owner of padding edge j at nbrs[j]
         start = 0  # v's first padding edge
         for v, need in enumerate(needs):
-            cursor = start % d
             if need > d:
-                raise ValueError(f"duplicate edge ({v},{low + cursor})")
-            lo = offsets[v]
-            mid = lo + s.degree(v)
-            nbrs[lo:mid] = s.neighbors(v)
-            end = cursor + need
-            nbrs[mid:offsets[v + 1]] = ids[:max(end - d, 0)] + ids[cursor:end]
-            j, stop = start, start + need
-            while j < stop:
-                sweep, t = divmod(j, d)
-                count = min(stop - j, (rest if t < rest else d) - t)
-                step = width + (t < rest)
-                lo = offsets[low + t] + sweep
-                nbrs[lo:lo + count * step:step] = array(code, [v]) * count
-                j += count
-            start = stop
+                raise ValueError(f"duplicate edge ({v},{low + start % d})")
+            nbrs[start:start + need] = array(code, [v]) * need
+            start += need
+        # gather: aux t's owners, then its partners
         e = d - 1
         for t in range(d):
-            end = offsets[low + t + 1]
+            lo, end = offsets[low + t], offsets[low + t + 1]
+            nbrs[lo:end - x] = nbrs[t:total:d]
             if 2 * x - 1 <= t < e:
                 nbrs[end - x:end] = ids[e - t:e - t + 2 * x:2]
             else:
                 tail = [low + p for p in _partners(t, x, d)]
                 nbrs[end - x:end] = array(code, tail)
+        # overwrite the stage with the layer/special rows
+        start = 0
+        for v, need in enumerate(needs):
+            mid = offsets[v] + so[v + 1] - so[v]
+            nbrs[offsets[v]:mid] = sn[so[v]:so[v + 1]]
+            cursor = start % d
+            end = cursor + need
+            if end > d:  # the ids below the wrap come first
+                wrap = mid + end - d
+                nbrs[mid:wrap] = ids[:end - d]
+                mid, end = wrap, d
+            nbrs[mid:offsets[v + 1]] = ids[cursor:end]
+            start += need
         return Graph.from_csr(offsets, nbrs)
 
 
@@ -372,7 +383,7 @@ def _padded(m: int, r: int, s: Graph) -> GadgetGraph:
     if s.offsets[low] < s.offsets[n]:
         u, v = next((u, v) for u in range(n) for v in s.upper(u) if v >= low)
         raise ValueError(f"edge ({u},{v}) touches an aux id")
-    degrees = [s.degree(v) for v in range(n)]
+    degrees = list(map(sub, s.offsets[1:], s.offsets))
     return GadgetGraph(aux_padding(m, r, degrees).pack(s), m, r)
 
 

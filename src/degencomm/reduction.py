@@ -30,6 +30,7 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 from itertools import combinations, compress, count
+from operator import sub
 from typing import NamedTuple, Protocol
 
 from .comm import CommLedger, ProtocolError, uint_width
@@ -110,9 +111,9 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
     triples = pointer_path_triples(gg, inst, walk)
     tr = peel(gg.graph, prefix=3 * len(triples))
     d, m, r = gg.d, gg.m, gg.r
-    top = _target_degree(gg.special_ids[0], m, r)
-    floor = _target_degree(gg.aux_ids[0], m, r)  # aux: a lower bound
-    resid = [gg.graph.degree(v) for v in range(gg.graph.n)]
+    top = _target_degree(d, m, r)  # the specials are ids d..d+2
+    floor = _target_degree(d + 3, m, r)  # aux ids from d+3: a lower bound
+    resid = list(map(sub, gg.graph.offsets[1:], gg.graph.offsets))
     records = []
     for ell, z in enumerate(triples):
         got = tr.order[3 * ell:3 * ell + 3]
@@ -120,8 +121,8 @@ def trace_invariants(gg: GadgetGraph, inst: MHPCInstance) -> ReductionReport:
         ok = (
             set(got) == set(z)
             and worst <= d - 3
-            and all(resid[s] == top - 3 * ell for s in gg.special_ids)
-            and all(resid[u] >= floor - 3 * ell for u in gg.aux_ids)
+            and resid[d:d + 3] == [top - 3 * ell] * 3
+            and min(resid[d + 3:]) >= floor - 3 * ell
         )
         records.append(TraceRecord(ell, ok, worst))
         for v in got:

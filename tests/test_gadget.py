@@ -191,6 +191,16 @@ def test_padding_fill_matches_the_per_edge_builder(m, r):
         assert padding_plan(gg) == padding
 
 
+def _joined(p, s):
+    """s with the edges of p.edges() joined one by one: the reference for
+    p.pack(s)."""
+    rows = [list(s.neighbors(v)) for v in range(s.n)]
+    for u, v in p.edges():
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph.from_rows(rows)
+
+
 def test_padding_pack_matches_what_edges_joins():
     gg = build_gadget(sample_bmhpc(16, 2, random.Random(41)))
     # plans with a vertex that takes every aux id once, a slice that
@@ -200,18 +210,35 @@ def test_padding_pack_matches_what_edges_joins():
     # takes over from _partners, the centre row and x > d/2 all occur
     small = [AuxPadding((d, d - 1, d // 2), x, d)
              for d in (4, 6, 36) for x in range(d)]
-    for p in (*small, padding_plan(gg)):
-        n = len(p.needs) + p.d
-        joined = [[] for _ in range(n)]
-        for u, v in p.edges():
-            joined[u].append(v)
-            joined[v].append(u)
-        assert p.pack(Graph(n)) == Graph.from_rows(joined)
+    # the total a multiple of d (rest = 0: every aux row one length),
+    # with need = d from the first aux id, last, and wrapping mid-sweep,
+    # and needs of 0
+    whole = [AuxPadding(needs, x, d)
+             for d, needs in ((4, (1, 4, 3)), (6, (1, 5, 6)),
+                              (6, (0, 6, 0, 6)), (36, (20, 36, 0, 16)))
+             for x in (0, d - 1)]
+    for p in (*small, *whole, padding_plan(gg)):
+        s = Graph(len(p.needs) + p.d)
+        assert p.pack(s) == _joined(p, s)
+    # seeded random small plans over random structural graphs on the
+    # layer/special ids: every need from 0 to d, every x < d
+    rng = random.Random(34)
+    for _ in range(300):
+        d = rng.choice((2, 4, 6, 8, 12))
+        low = rng.randint(1, 12)
+        needs = tuple(rng.randint(0, d) for _ in range(low))
+        p = AuxPadding(needs, rng.randrange(d), d)
+        pairs = list(itertools.combinations(range(low), 2))
+        s = Graph(low + d, rng.sample(pairs, rng.randint(0, len(pairs))))
+        assert p.pack(s) == _joined(p, s)
     # a vertex that needs more than one sweep of the aux ids would be
     # joined twice to the first aux id of its slice
     over = AuxPadding((9, 3, 4), 2, 4)
-    with pytest.raises(ValueError, match=r"duplicate edge \(0,3\)"):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0,3\)$"):
         over.pack(Graph(7))
+    late = AuxPadding((3, 5, 4), 2, 4)
+    with pytest.raises(ValueError, match=r"^duplicate edge \(1,6\)$"):
+        late.pack(Graph(7))
 
 
 @pytest.mark.parametrize("d", [2, 4, 6, 36])
@@ -1001,6 +1028,17 @@ def test_build_holds_little_beyond_the_packed_graph(traced_build):
     # copy of the padding
     gg, peak = traced_build
     assert peak < 2.2 * 4 * len(gg.graph.nbrs)
+
+
+def test_pack_holds_nothing_beyond_its_result():
+    # the padding owners are staged inside the result's own neighbour
+    # array: a second padding-sized array would add about half of it
+    gg = build_gadget(sample_bmhpc(16, 3, random.Random(1)))
+    g, peak = _traced_peak(padding_plan(gg).pack, _structural_graph(gg))
+    assert g == gg.graph
+    result = (len(g.nbrs) * g.nbrs.itemsize
+              + len(g.offsets) * g.offsets.itemsize)
+    assert peak <= 1.05 * result
 
 
 def test_peel_holds_linear_memory_on_a_dense_gadget(traced_build):

@@ -6,8 +6,9 @@ import pytest
 
 from degencomm import hpc, reduction
 from degencomm.comm import CommLedger, ProtocolError, uint_width
-from degencomm.gadget import (FAMILY_NAMES, _edges_below, aux_padding,
-                              build_gadget, edge_family, pointer_path_triples)
+from degencomm.gadget import (FAMILY_NAMES, _edges_below, _target_degree,
+                              aux_padding, build_gadget, edge_family,
+                              pointer_path_triples)
 from degencomm.graphs import Graph, degeneracy, peel
 from degencomm.hpc import MHPCInstance, chase, sample_bmhpc
 from degencomm.reduction import (
@@ -238,6 +239,35 @@ def test_trace_records_a_special_or_aux_degree_off_its_target():
     assert len(bare) == 17
     rep = trace_invariants(_tampered(gg, drop=bare), inst)
     assert [t.ok for t in rep.trace] == [False] * 3
+
+
+@pytest.mark.parametrize("v", [39, 74, 36, 37, 38], ids=[
+    "first-aux", "last-aux", "special-1", "special-2", "special-3"])
+def test_trace_checks_every_special_and_aux_id(v):
+    # one id at a time, the first aux id d+3, the last 2d+2 or one
+    # special (d = 36 here), loses edges to layer vertices off the
+    # pointer path until it sits one below its floor (aux) or its exact
+    # target (specials); the peel's prefix is untouched, so only the
+    # degree checks fail
+    inst = sample_bmhpc(4, 1, random.Random(19))
+    gg = build_gadget(inst)
+    d, g = gg.d, gg.graph
+    clean = trace_invariants(gg, inst).trace
+    assert [t.ok for t in clean] == [True] * 3
+    path = pointer_path_triples(gg, inst)
+    on_path = {u for z in path for u in z}
+    target = _target_degree(v, gg.m, gg.r)
+    off = [w for w in g.neighbors(v) if w < d and w not in on_path]
+    drop = off[len(off) - (g.degree(v) - target + 1):]
+    one = _tampered(gg, drop=[(v, w) for w in drop])
+    assert one.graph.degree(v) == target - 1
+    order = peel(one.graph, prefix=9).order
+    for ell, z in enumerate(path):
+        assert set(order[3 * ell:3 * ell + 3]) == set(z)
+    rep = trace_invariants(one, inst)
+    assert rep.trace[0].ok is False
+    assert ([t.max_degree_at_removal for t in rep.trace]
+            == [t.max_degree_at_removal for t in clean])
 
 
 @pytest.mark.parametrize("m,r", [(4, 1), (8, 2), (16, 2)])
