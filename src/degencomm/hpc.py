@@ -370,10 +370,9 @@ def _walk(name, inst, schedule, sel):
         table = dict(got)
 
     in_ab, asks = name in "AB", name in "AC"
-    ab_odd = schedule.starter == "AB"  # pair AB speaks in odd rounds
     frontier = idx = 0
     for round_no in range(1 if sel is None else 2, schedule.r + 1):
-        ab_round = (round_no % 2 == 1) == ab_odd
+        ab_round = schedule.speaking_pair(round_no) == "AB"
         active = frontier < r and (frontier % 2 == 0) == ab_round
         if in_ab != ab_round:
             t = yield ("recv",)

@@ -35,6 +35,7 @@ from typing import Callable
 from .comm import (
     CommLedger,
     EdgePartition,
+    ProtocolError,
     lp_pairs,
     lp_uints,
     run_two_party,
@@ -169,12 +170,7 @@ def _fast_party(role, adj, n, k, stats):
     ready = [u for u in range(n) if deg[u] <= k]  # ascending, so a heap
     bucket = {u: _bucket_index(deg[u] - k, imax) for u in range(n) if deg[u] > k}
 
-    while bucket:
-        if not ready:
-            yield ("output", Reject(frozenset(bucket)))
-            if stats is not None:
-                _fill_update_stats(stats, updates, n)
-            return
+    while bucket and ready:
         v = heapq.heappop(ready)
         order.append(v)
         # one pass over the sorted row decrements and detects, in id order
@@ -195,17 +191,17 @@ def _fast_party(role, adj, n, k, stats):
                    if their_extra else no_halves)
             if not (detected or their_extra):
                 continue
-            known = {u: (my_deg[u], half)
+            known = {u: my_deg[u] + half
                      for u, half in zip(detected, their_halves)}
             for u, half in their_extra:
-                known[u] = (my_deg[u], half)
+                known[u] = my_deg[u] + half
         else:
             their_pairs = yield ("recv",)
             if not (detected or their_pairs):
                 yield ("send", no_reply)
                 yield ("recv",)
                 continue
-            known = {u: (half, my_deg[u]) for u, half in their_pairs}
+            known = {u: my_deg[u] + half for u, half in their_pairs}
             extra = [u for u in detected if u not in known]
             yield ("send", vec(
                 uints([my_deg[u] for u, _ in their_pairs], n),
@@ -213,24 +209,26 @@ def _fast_party(role, adj, n, k, stats):
             ))
             their_halves = yield ("recv",)
             for u, half in zip(extra, their_halves):
-                known[u] = (half, my_deg[u])
+                known[u] = my_deg[u] + half
 
-        for u, (a_half, b_half) in known.items():
-            deg[u] = a_half + b_half
+        for u, degree in known.items():
             last_mine[u] = my_deg[u]
             updates[u] += 1
             del bucket[u]
-            if deg[u] <= k:
+            if degree <= k:
                 heapq.heappush(ready, u)
             else:
-                bucket[u] = _bucket_index(deg[u] - k, imax)
+                bucket[u] = _bucket_index(degree - k, imax)
 
-    # nothing is bucketed, so nothing is detected again: each removal left
-    # pops the heap and sends the three empty fields, which both sides know
-    order += sorted(ready)
-    yield ("repeat", len(ready),
-           (("A", no_pairs), ("B", no_reply), ("A", no_halves)))
-    yield ("output", Accept(order))
+    if bucket:
+        yield ("output", Reject(frozenset(bucket)))
+    else:
+        # nothing is bucketed, so each removal left pops the heap and
+        # sends the three empty fields, which both sides know
+        order += sorted(ready)
+        yield ("repeat", len(ready),
+               (("A", no_pairs), ("B", no_reply), ("A", no_halves)))
+        yield ("output", Accept(order))
     if stats is not None:
         _fill_update_stats(stats, updates, n)
 
@@ -254,48 +252,43 @@ def degen_search(part: EdgePartition,
     the rejecting run at k = kappa - 1 (the whole vertex set when kappa = 0).
     ``stats``, when given, gets the probe list as "decisions" next to what
     ``decide`` filled in on its accepting run at kappa (nothing when n = 0).
+    A decider that rejects the k the search ends on raises ProtocolError.
     """
     n = part.n
     total = CommLedger()
-    probes: list[tuple[int, str]] = []
     if n == 0:
         if stats is not None:
-            stats["decisions"] = probes
+            stats["decisions"] = []
         return 0, [], frozenset(), total
 
-    stats_at: dict[int, dict | None] = {}
+    runs: dict[int, tuple[Decision, dict | None]] = {}  # k -> run, in probe order
 
     def probe(k):
-        stats_at[k] = None if stats is None else {}
-        out, led = decide(part, k, stats=stats_at[k])
+        run_stats = None if stats is None else {}
+        out, led = decide(part, k, stats=run_stats)
         total.merge(led)
-        probes.append((k, "accept" if isinstance(out, Accept) else "reject"))
+        runs[k] = out, run_stats
         return out
 
+    # lo only moves past a rejected mid and hi only onto an accepted one,
+    # so runs[lo - 1] is a Reject when lo > 0, and runs[lo] is missing only
+    # when hi never moved (every probe rejected, or n = 1)
     lo, hi = 0, n - 1
-    best_accept: tuple[int, list[int]] | None = None
-    best_reject: tuple[int, frozenset[int]] | None = None
     while lo < hi:
         mid = (lo + hi) // 2
-        out = probe(mid)
-        if isinstance(out, Accept):
+        if isinstance(probe(mid), Accept):
             hi = mid
-            best_accept = (mid, out.ordering)
         else:
             lo = mid + 1
-            best_reject = (mid, out.core)
 
-    kappa = lo
-    if best_accept is None or best_accept[0] != kappa:
-        out = probe(kappa)
-        assert isinstance(out, Accept)
-        best_accept = (kappa, out.ordering)
-    if kappa == 0:
-        core = frozenset(range(n))
-    else:
-        assert best_reject is not None and best_reject[0] == kappa - 1
-        core = best_reject[1]
+    if lo not in runs:
+        probe(lo)
+    out, kappa_stats = runs[lo]
+    if not isinstance(out, Accept):
+        raise ProtocolError(f"decider rejected k = {lo}, where the search ended")
+    core = frozenset(range(n)) if lo == 0 else runs[lo - 1][0].core
     if stats is not None:
-        stats.update(stats_at[kappa])
-        stats["decisions"] = probes
-    return kappa, best_accept[1], core, total
+        stats.update(kappa_stats)
+        stats["decisions"] = [(k, "accept" if isinstance(d, Accept) else "reject")
+                              for k, (d, _) in runs.items()]
+    return lo, out.ordering, core, total

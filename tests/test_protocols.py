@@ -6,8 +6,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from degencomm.comm import (
+    CommLedger,
     EdgePartition,
     Field,
+    ProtocolError,
     random_partition,
     run_two_party,
     uint,
@@ -277,6 +279,96 @@ def test_cycle_search():
     kappa, _, core, _ = degen_search(_split(cycle_graph(6), 4))
     assert kappa == 2
     assert core == frozenset(range(6))
+
+
+def test_search_fails_closed_when_the_decider_rejects_kappa():
+    def reject_every_k(part, k, stats=None):
+        return Reject(frozenset(range(part.n))), CommLedger()
+
+    with pytest.raises(ProtocolError, match="k = 4"):
+        degen_search(_split(complete_graph(5), 0), decide=reject_every_k)
+
+
+# A search that tracks its probes in four structures (a probe list, the
+# stats per k, the best accept and the best reject); degen_search, which
+# keeps one table of runs, must return exactly what it returns.
+
+
+def reference_search(part, decide=degen_decide_fast, stats=None):
+    """Binary-search the smallest accepted k; return kappa with witnesses.
+
+    The ordering comes from the accepting run at k = kappa and the core from
+    the rejecting run at k = kappa - 1 (the whole vertex set when kappa = 0).
+    ``stats``, when given, gets the probe list as "decisions" next to what
+    ``decide`` filled in on its accepting run at kappa (nothing when n = 0).
+    """
+    n = part.n
+    total = CommLedger()
+    probes: list[tuple[int, str]] = []
+    if n == 0:
+        if stats is not None:
+            stats["decisions"] = probes
+        return 0, [], frozenset(), total
+
+    stats_at: dict[int, dict | None] = {}
+
+    def probe(k):
+        stats_at[k] = None if stats is None else {}
+        out, led = decide(part, k, stats=stats_at[k])
+        total.merge(led)
+        probes.append((k, "accept" if isinstance(out, Accept) else "reject"))
+        return out
+
+    lo, hi = 0, n - 1
+    best_accept: tuple[int, list[int]] | None = None
+    best_reject: tuple[int, frozenset[int]] | None = None
+    while lo < hi:
+        mid = (lo + hi) // 2
+        out = probe(mid)
+        if isinstance(out, Accept):
+            hi = mid
+            best_accept = (mid, out.ordering)
+        else:
+            lo = mid + 1
+            best_reject = (mid, out.core)
+
+    kappa = lo
+    if best_accept is None or best_accept[0] != kappa:
+        out = probe(kappa)
+        assert isinstance(out, Accept)
+        best_accept = (kappa, out.ordering)
+    if kappa == 0:
+        core = frozenset(range(n))
+    else:
+        assert best_reject is not None and best_reject[0] == kappa - 1
+        core = best_reject[1]
+    if stats is not None:
+        stats.update(stats_at[kappa])
+        stats["decisions"] = probes
+    return kappa, best_accept[1], core, total
+
+
+@pytest.mark.parametrize("with_stats", [False, True])
+@pytest.mark.parametrize("decide", PROTOCOLS)
+def test_search_matches_the_reference_search(decide, with_stats):
+    rng = random.Random(4242)
+    for n in (0, 1, 2, 3, 5, 8, 13, 20, 40):
+        for _ in range(4):
+            g = gnm_random_graph(n, rng.randrange(0, n * (n - 1) // 2 + 1), rng)
+            part = random_partition(g, rng)
+            stats = {} if with_stats else None
+            ref_stats = {} if with_stats else None
+            kappa, ordering, core, ledger = degen_search(part, decide, stats)
+            ref_kappa, ref_ordering, ref_core, ref_ledger = reference_search(
+                part, decide, ref_stats)
+            assert (kappa, ordering, core) == (ref_kappa, ref_ordering, ref_core)
+            assert ledger.to_json() == ref_ledger.to_json()
+            assert (ledger.intra_bits, ledger.cross_bits) == (
+                ref_ledger.intra_bits, ref_ledger.cross_bits)
+            assert stats == ref_stats
+            if with_stats:
+                probed = [k for k, _ in stats["decisions"]]
+                assert len(probed) == len(set(probed))
 
 
 # ---------------------------------------------------------------------------
