@@ -23,6 +23,14 @@ vertices ready for deletion, both delete the least id; the ready set is
 a heap of ids, so a pick costs O(log n). A vertex enters it at most once
 while it can still be picked (sqrt rebuilds it each block, fast only
 readies bucketed vertices), so the heap needs no lazy deletion.
+
+``degen_search`` turns a decider into kappa, the degeneracy itself. Its
+own messages are the two sides' edge counts, one each way. Their sum m
+bounds kappa from below by the least k whose k-degenerate graphs can have
+m edges, and from above by the largest k whose k-core (at least k+1
+vertices of degree at least k) fits in m edges (DECISIONS.md D4). It runs
+the decider from the low end of that bracket up, galloping, and bisects
+with what is left of its probe budget.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from .comm import (
     lp_pairs,
     lp_uints,
     run_two_party,
+    uint,
     uints,
     vec,
 )
@@ -239,20 +248,60 @@ def _fill_update_stats(stats, updates, n):
 
 
 # ---------------------------------------------------------------------------
-# binary-search wrapper
+# bracketed search
+
+
+def _kappa_bounds(n: int, m: int) -> tuple[int, int]:
+    """(L, U) with L <= kappa <= U for every graph on n >= 1 vertices and m
+    edges (DECISIONS.md D4).
+
+    A k-degenerate graph has at most k*n - k(k+1)/2 edges, so L is the
+    least k that allows m. A nonempty k-core has at least k+1 vertices of
+    degree at least k, so U is the largest k with k(k+1)/2 <= m, and at
+    most n - 1.
+    """
+    # the real root of k*n - k(k+1)/2 = m below n, rounded down at most
+    # one short of L
+    lo = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * m)) // 2
+    if lo * (2 * n - 1 - lo) < 2 * m:
+        lo += 1
+    return lo, min(n - 1, (math.isqrt(8 * m + 1) - 1) // 2)
+
+
+def _exchange_edge_counts(part: EdgePartition, ledger: CommLedger) -> int:
+    """Alice sends her edge count, then Bob his; return their sum, m.
+
+    Each count is an integer in [0, n(n-1)/2], and each message is one
+    round on ``ledger``, charged there directly.
+    """
+    bound = part.n * (part.n - 1) // 2 + 1
+    m = 0
+    for sender, receiver, adj in (("A", "B", part.adj_a), ("B", "A", part.adj_b)):
+        count = uint(sum(map(len, adj)) // 2, bound)
+        ledger.rounds += 1
+        ledger.record(sender, receiver, count.bits)
+        m += count.value
+    return m
 
 
 def degen_search(part: EdgePartition,
                  decide: Callable[..., tuple[Decision, CommLedger]] = degen_decide_fast,
                  stats: dict | None = None,
                  ) -> tuple[int, list[int], frozenset[int], CommLedger]:
-    """Binary-search the smallest accepted k; return kappa with witnesses.
+    """Search the smallest accepted k in the edge-count bracket; return
+    kappa with witnesses.
 
+    Alice and Bob first exchange their edge counts (not when n < 2, where
+    m = 0), which bounds kappa to [L, U] (``_kappa_bounds``). The search
+    probes L, L+1, L+3, L+7, ... while a reject would still leave room to
+    bisect the rest within ceil(log2 n) + 1 probes, then bisects.
     The ordering comes from the accepting run at k = kappa and the core from
-    the rejecting run at k = kappa - 1 (the whole vertex set when kappa = 0).
+    the rejecting run at k = kappa - 1 (the whole vertex set when kappa = 0),
+    which is one more probe when kappa = L > 0.
     ``stats``, when given, gets the probe list as "decisions" next to what
     ``decide`` filled in on its accepting run at kappa (nothing when n = 0).
-    A decider that rejects the k the search ends on raises ProtocolError.
+    A decider that rejects the k the search ends on, or accepts L - 1,
+    raises ProtocolError.
     """
     n = part.n
     total = CommLedger()
@@ -270,22 +319,36 @@ def degen_search(part: EdgePartition,
         runs[k] = out, run_stats
         return out
 
-    # lo only moves past a rejected mid and hi only onto an accepted one,
-    # so runs[lo - 1] is a Reject when lo > 0, and runs[lo] is missing only
-    # when hi never moved (every probe rejected, or n = 1)
-    lo, hi = 0, n - 1
+    # lo only moves past a rejected probe and hi only onto an accepted one,
+    # so runs[lo - 1] is a Reject unless lo is still L, and runs[lo] is
+    # missing only when hi is still U. Bisecting [lo, hi] takes at most
+    # bit_length(hi - lo + 1) probes, the last one at lo, or
+    # bit_length(hi - lo) once hi has accepted. The gallop runs while hi is
+    # U and a reject at its next point would leave room for that; an accept
+    # there always does (DECISIONS.md D4).
+    m = _exchange_edge_counts(part, total) if n > 1 else 0
+    bottom, hi = _kappa_bounds(n, m)
+    lo = bottom
+    budget = (n - 1).bit_length() + 1  # ceil(log2 n) + 1
+    step = 1  # the gallop's next probe is L + step - 1; 0 once bisecting
     while lo < hi:
-        mid = (lo + hi) // 2
-        if isinstance(probe(mid), Accept):
-            hi = mid
+        k = bottom + step - 1
+        if step and k < hi and len(runs) + 1 + (hi - k).bit_length() <= budget:
+            step *= 2
         else:
-            lo = mid + 1
+            step, k = 0, (lo + hi) // 2
+        if isinstance(probe(k), Accept):
+            hi = k
+        else:
+            lo = k + 1
 
     if lo not in runs:
         probe(lo)
     out, kappa_stats = runs[lo]
     if not isinstance(out, Accept):
         raise ProtocolError(f"decider rejected k = {lo}, where the search ended")
+    if lo > 0 and lo - 1 not in runs and isinstance(probe(lo - 1), Accept):
+        raise ProtocolError(f"decider accepted k = {lo - 1}, below the bracket")
     core = frozenset(range(n)) if lo == 0 else runs[lo - 1][0].core
     if stats is not None:
         stats.update(kappa_stats)

@@ -49,7 +49,6 @@ from degencomm.protocols import (
     _fill_update_stats,
     _sqrt_party,
     _swap,
-    degen_search,
 )
 from test_graphs import complete_graph, cycle_graph, empty_graph
 from test_hpc import frozenset_instance, reference_misaligned_party
@@ -1105,15 +1104,15 @@ def test_two_party_runner_matches_reference(party):
 
 def _fast_runs():
     """(partition, k): every k from 0 to n on the two-party cases, then the
-    ks a search probes on one seeded G(1024, 4n) split."""
+    ks that a bisection over [0, n-1] probes on one seeded G(1024, 4n)
+    split: from k = 511, where nothing is ever bucketed, down to its
+    reject at 4."""
     for part in _two_party_cases():
         for k in range(part.n + 1):
             yield part, k
     rng = random.Random(18)
     part = random_partition(gnm_random_graph(1024, 4 * 1024, rng), rng)
-    stats = {}
-    degen_search(part, stats=stats)
-    for k, _ in stats["decisions"]:
+    for k in (511, 255, 127, 63, 31, 15, 7, 3, 5, 4):
         yield part, k
 
 

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -20,6 +22,7 @@ from degencomm.graphs import (
     Accept,
     Graph,
     Reject,
+    brute_force_degeneracy,
     degeneracy,
     gnm_random_graph,
     is_k_ordering,
@@ -31,6 +34,7 @@ from degencomm.protocols import (
     _bucket_index,
     _ceil_sqrt,
     _fill_update_stats,
+    _kappa_bounds,
     _swap,
     degen_decide_fast,
     degen_decide_sqrt,
@@ -42,6 +46,7 @@ from test_graphs import (
     cycle_graph,
     disjoint_union,
     empty_graph,
+    gnp_random_graph,
     path_graph,
     star_graph,
 )
@@ -223,7 +228,7 @@ def test_relabeling_keeps_the_decision_and_the_core(decide):
 
 
 # ---------------------------------------------------------------------------
-# binary search
+# the bracket and the search
 
 
 def test_search_k5():
@@ -289,9 +294,87 @@ def test_search_fails_closed_when_the_decider_rejects_kappa():
         degen_search(_split(complete_graph(5), 0), decide=reject_every_k)
 
 
-# A search that tracks its probes in four structures (a probe list, the
-# stats per k, the best accept and the best reject); degen_search, which
-# keeps one table of runs, must return exactly what it returns.
+def test_search_fails_closed_when_the_decider_accepts_below_the_bracket():
+    # K5 has 10 edges, so L = 4; the witness probe at 3 must reject
+    def accept_every_k(part, k, stats=None):
+        return Accept(list(range(part.n))), CommLedger()
+
+    with pytest.raises(ProtocolError, match="k = 3"):
+        degen_search(_split(complete_graph(5), 0), decide=accept_every_k)
+
+
+def test_kappa_bounds_are_the_least_and_largest_k_the_edges_allow():
+    for n in range(1, 49):
+        for m in range(n * (n - 1) // 2 + 1):
+            assert _kappa_bounds(n, m) == (
+                min(k for k in range(n) if k * n - k * (k + 1) // 2 >= m),
+                max(k for k in range(n) if k * (k + 1) // 2 <= m),
+            )
+
+
+def test_kappa_bounds_hold_on_every_small_graph():
+    # Every graph on n vertices is isomorphic to one whose degrees do not
+    # increase with the id, and n, m and kappa do not change under
+    # relabelling, so those graphs stand for all of them.
+    for n in range(1, 7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            edges = [p for i, p in enumerate(pairs) if mask >> i & 1]
+            deg = Counter(itertools.chain.from_iterable(edges))
+            if any(deg[v] < deg[v + 1] for v in range(n - 1)):
+                continue
+            lo, hi = _kappa_bounds(n, len(edges))
+            assert lo <= brute_force_degeneracy(Graph(n, edges)) <= hi
+
+
+def test_kappa_bounds_hold_on_random_graphs():
+    rng = random.Random(77)
+    cases = [complete_graph(n) for n in range(1, 65, 7)]
+    cases += [star_graph(n) for n in range(1, 65, 7)]
+    for _ in range(40):
+        n = rng.randrange(1, 65)
+        cases.append(gnm_random_graph(n, rng.randrange(n * (n - 1) // 2 + 1), rng))
+        cases.append(gnp_random_graph(n, rng.random(), rng))
+    for g in cases:
+        lo, hi = _kappa_bounds(g.n, g.m)
+        assert lo <= degeneracy(g) <= hi
+    for n in range(1, 65):
+        assert _kappa_bounds(n, n * (n - 1) // 2) == (n - 1, n - 1)  # K_n
+        assert _kappa_bounds(n, n - 1)[0] == min(1, n - 1)  # a star's L is 1
+
+
+def _rows(n, edges):
+    """n rows whose lengths sum to twice ``edges``, as one side's rows do."""
+    return [range(2 * edges)] + [()] * (n - 1)
+
+
+def test_search_stays_within_its_probe_budget():
+    # The search reads a partition only through n and each side's row
+    # lengths, and this decider accepts exactly the k >= kappa, so every
+    # kappa that the bracket allows is swept for every n and m.
+    for n in range(1, 49):
+        budget = math.ceil(math.log2(n)) + 1
+        for m in range(n * (n - 1) // 2 + 1):
+            part = SimpleNamespace(n=n, adj_a=_rows(n, m // 2),
+                                   adj_b=_rows(n, m - m // 2))
+            lo, hi = _kappa_bounds(n, m)
+            for kappa in range(lo, hi + 1):
+                def threshold(part, k, stats=None, kappa=kappa):
+                    out = Accept([]) if k >= kappa else Reject(frozenset())
+                    return out, CommLedger()
+
+                stats = {}
+                assert degen_search(part, threshold, stats)[0] == kappa
+                probes = dict(stats["decisions"])
+                assert len(stats["decisions"]) <= budget
+                assert lo - 1 <= min(probes) and max(probes) <= hi
+                assert probes[kappa] == "accept"
+                assert kappa == 0 or probes[kappa - 1] == "reject"
+
+
+# A bisection over [0, n-1] that tracks its probes in four structures (a
+# probe list, the stats per k, the best accept and the best reject). The
+# bracketed degen_search must return exactly its kappa and witnesses.
 
 
 def reference_search(part, decide=degen_decide_fast, stats=None):
@@ -348,6 +431,17 @@ def reference_search(part, decide=degen_decide_fast, stats=None):
     return kappa, best_accept[1], core, total
 
 
+def _edge_count_exchange(part):
+    """The ledger of the search's opening: Alice's edge count, then Bob's."""
+    ledger = CommLedger()
+    if part.n >= 2:
+        width = uint_width(part.n * (part.n - 1) // 2 + 1)
+        ledger.record("A", "B", width)
+        ledger.record("B", "A", width)
+        ledger.rounds = 2
+    return ledger
+
+
 @pytest.mark.parametrize("with_stats", [False, True])
 @pytest.mark.parametrize("decide", PROTOCOLS)
 def test_search_matches_the_reference_search(decide, with_stats):
@@ -358,17 +452,43 @@ def test_search_matches_the_reference_search(decide, with_stats):
             part = random_partition(g, rng)
             stats = {} if with_stats else None
             ref_stats = {} if with_stats else None
-            kappa, ordering, core, ledger = degen_search(part, decide, stats)
-            ref_kappa, ref_ordering, ref_core, ref_ledger = reference_search(
+            probed = []
+
+            def recording(part, k, stats=None):
+                probed.append(k)
+                return decide(part, k, stats=stats)
+
+            kappa, ordering, core, ledger = degen_search(part, recording, stats)
+            ref_kappa, ref_ordering, ref_core, _ = reference_search(
                 part, decide, ref_stats)
             assert (kappa, ordering, core) == (ref_kappa, ref_ordering, ref_core)
-            assert ledger.to_json() == ref_ledger.to_json()
+            assert len(probed) == len(set(probed))
+            want = _edge_count_exchange(part)
+            decisions = []
+            for k in probed:
+                out, led = decide(part, k)
+                want.merge(led)
+                decisions.append((k, "accept" if isinstance(out, Accept) else "reject"))
+            assert ledger.to_json() == want.to_json()
             assert (ledger.intra_bits, ledger.cross_bits) == (
-                ref_ledger.intra_bits, ref_ledger.cross_bits)
-            assert stats == ref_stats
+                want.intra_bits, want.cross_bits)
             if with_stats:
-                probed = [k for k, _ in stats["decisions"]]
-                assert len(probed) == len(set(probed))
+                assert stats.pop("decisions") == decisions
+                ref_stats.pop("decisions")
+            assert stats == ref_stats
+
+
+def test_search_brackets_a_sparse_random_graph_in_two_probes():
+    # test_comm._fast_runs' G(1024, 4n) split: 4096 edges give L = 5 = kappa,
+    # so the search accepts L and rejects L - 1 for the core
+    rng = random.Random(18)
+    part = random_partition(gnm_random_graph(1024, 4 * 1024, rng), rng)
+    stats = {}
+    kappa, ordering, core, ledger = degen_search(part, stats=stats)
+    ref_kappa, ref_ordering, ref_core, ref_ledger = reference_search(part)
+    assert (kappa, ordering, core) == (ref_kappa, ref_ordering, ref_core)
+    assert stats["decisions"] == [(5, "accept"), (4, "reject")]
+    assert ledger.bits_total <= 0.3 * ref_ledger.bits_total
 
 
 # ---------------------------------------------------------------------------
