@@ -511,16 +511,38 @@ def save_graph(g: Graph, path: str) -> None:
 
 
 def gnm_random_graph(n: int, m: int, rng: random.Random) -> Graph:
-    """Uniform graph with exactly m edges (rejection-sampled pairs)."""
+    """Uniform graph with exactly m edges (rejection-sampled pairs).
+
+    Draws ordered pairs (u, v) of vertices until m distinct edges are in
+    hand, skipping loops and repeats. Each endpoint is getrandbits at
+    n's bit length, redrawn while it is n or more: that is what
+    rng.randrange(n) does for random.Random itself (its
+    _randbelow_with_getrandbits), so the same pairs come out and rng
+    ends in the same state, without randrange's call overhead. An edge
+    is kept as the int u * n + v with u < v, and the rows are filled
+    from those and packed once.
+    """
     limit = n * (n - 1) // 2
     if m > limit:
         raise ValueError(f"m={m} exceeds max {limit} for n={n}")
-    chosen: set[tuple[int, int]] = set()
+    bits, width = rng.getrandbits, n.bit_length()
+    chosen: set[int] = set()
+    add = chosen.add
     while len(chosen) < m:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u == v:
-            continue
-        chosen.add((min(u, v), max(u, v)))
-    return Graph(n, chosen)
+        u = bits(width)
+        while u >= n:
+            u = bits(width)
+        v = bits(width)
+        while v >= n:
+            v = bits(width)
+        if u < v:
+            add(u * n + v)
+        elif v < u:
+            add(v * n + u)
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for x in chosen:
+        u, v = divmod(x, n)
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph.from_rows(rows)
 

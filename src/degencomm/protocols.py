@@ -6,10 +6,15 @@ consistent after deletions; the two protocols here differ in how lazily
 they do that:
 
 * ``degen_decide_sqrt`` re-exchanges all degrees every ceil(sqrt(n))
-  deletions and tracks a single "low" band exactly in between.
+  deletions and tracks a single "low" band exactly in between. Its state
+  is flat: each block makes one pass over the sorted live ids that fills
+  the joint counts, the ready heap and a bytearray of low-band flags,
+  and each removal walks its row once, decrementing its own counts and
+  collecting the low neighbours it sends.
 * ``degen_decide_fast`` buckets vertices by their gap above k and only
   re-communicates a degree when one side's private count has dropped far
-  enough to matter for that bucket. No message reads the private count
+  enough to matter for that bucket, read from a table of
+  ``_bucket_index`` built once per run. No message reads the private count
   of a vertex outside the buckets, so only bucketed counts are kept, and
   the live vertices are the ready ones plus the bucketed ones. A removal
   in which neither side detected anything sends fields built once per run.
@@ -98,43 +103,59 @@ def degen_decide_sqrt(part: EdgePartition, k: int,
 
 
 def _sqrt_party(role, adj, n, k, stats):
-    live = set(range(n))
-    my_deg = [len(adj[u]) for u in range(n)]
+    # per-vertex state in flat arrays: alive and low are flags, and deg
+    # holds the joint count, read only while its vertex is low
+    my_deg = [len(row) for row in adj]
+    alive = bytearray(b"\1") * n
+    deg = [0] * n
+    lv = list(range(n))  # the live ids, ascending
     order: list[int] = []
     s = _ceil_sqrt(n)
+    no_low = lp_uints((), n, n)
+    push, pop = heapq.heappush, heapq.heappop
 
-    while live:
-        lv = sorted(live)
+    while lv:
         theirs = yield from _swap(role, uints([my_deg[u] for u in lv], n))
-        deg = {u: my_deg[u] + d for u, d in zip(lv, theirs)}
-        ready = [u for u in lv if deg[u] <= k]  # ascending, so a heap
-        low = {u for u in lv if k + 1 <= deg[u] <= k + s}
+        ready = []  # ascending, so a heap
+        low = bytearray(n)
+        for u, d in zip(lv, theirs):
+            d += my_deg[u]
+            if d <= k:
+                ready.append(u)
+            elif d <= k + s:
+                low[u] = 1
+                deg[u] = d
         if stats is not None:
-            stats.setdefault("blocks", []).append(
-                {"safe": {u for u in lv if deg[u] > k + s}, "deleted": []}
-            )
+            deleted = []
+            stats.setdefault("blocks", []).append({"safe": {
+                u for u, d in zip(lv, theirs) if my_deg[u] + d > k + s},
+                "deleted": deleted})
 
-        for _ in range(s):
-            if not live:
-                break
+        for _ in range(min(s, len(lv))):
             if not ready:
-                yield ("output", Reject(frozenset(live)))
+                yield ("output", Reject(frozenset(u for u in lv if alive[u])))
                 return
-            v = heapq.heappop(ready)
-            live.discard(v)
+            v = pop(ready)
+            alive[v] = 0
             order.append(v)
             if stats is not None:
-                stats["blocks"][-1]["deleted"].append(v)
+                deleted.append(v)
+            mine = []
             for w in adj[v]:
-                if w in live:
+                if alive[w]:
                     my_deg[w] -= 1
-            mine = [w for w in adj[v] if w in low]
-            others = yield from _swap(role, lp_uints(mine, n, n))
-            for w in mine + list(others):
-                deg[w] -= 1
-                if deg[w] <= k:
-                    low.discard(w)
-                    heapq.heappush(ready, w)
+                    if low[w]:
+                        mine.append(w)
+            others = yield from _swap(role, lp_uints(mine, n, n)
+                                      if mine else no_low)
+            for batch in (mine, others):
+                for w in batch:
+                    d = deg[w] - 1
+                    deg[w] = d
+                    if d <= k:
+                        low[w] = 0
+                        push(ready, w)
+        lv = [u for u in lv if alive[u]]
 
     yield ("output", Accept(order))
 
@@ -177,7 +198,10 @@ def _fast_party(role, adj, n, k, stats):
     deg = [mine + d for mine, d in zip(my_deg, theirs)]
     last_mine = my_deg[:]
     ready = [u for u in range(n) if deg[u] <= k]  # ascending, so a heap
-    bucket = {u: _bucket_index(deg[u] - k, imax) for u in range(n) if deg[u] > k}
+    # degrees only go down, so every gap read below is at most this top
+    index = [0] + [_bucket_index(gap, imax)
+                   for gap in range(1, max(deg, default=0) - k + 1)]
+    bucket = {u: index[deg[u] - k] for u in range(n) if deg[u] > k}
 
     while bucket and ready:
         v = heapq.heappop(ready)
@@ -223,11 +247,11 @@ def _fast_party(role, adj, n, k, stats):
         for u, degree in known.items():
             last_mine[u] = my_deg[u]
             updates[u] += 1
-            del bucket[u]
             if degree <= k:
+                del bucket[u]
                 heapq.heappush(ready, u)
             else:
-                bucket[u] = _bucket_index(degree - k, imax)
+                bucket[u] = index[degree - k]
 
     if bucket:
         yield ("output", Reject(frozenset(bucket)))

@@ -421,6 +421,22 @@ def test_verify_catches_a_missing_edge():
     assert any(ch.isdigit() for ch in bad["degree-targets"])
 
 
+def test_verify_names_an_aux_vertex_below_its_target():
+    # aux padding may overshoot a target by one, so the dropped aux-aux
+    # edge is one whose lower endpoint sits exactly at its target; the
+    # audit reads ids in order, so that endpoint is the one it names
+    m, r = 4, 1
+    gg = build_gadget(sample_bmhpc(m, r, random.Random(9)))
+    g, aux = gg.graph, gg.aux_ids
+    u, v = next((u, v) for u, v in g.edges() if u in aux and v in aux
+                and g.degree(u) == _target_degree(u, m, r))
+    want = _target_degree(u, m, r)
+    edges = [e for e in g.edges() if e != (u, v)]
+    report = verify_gadget(dataclasses.replace(gg, graph=Graph(g.n, edges)))
+    assert {c.name: c.detail for c in report.failed()} == {
+        "degree-targets": f"aux vertex {u} has degree {want - 1} < {want}"}
+
+
 def test_verify_catches_swapped_bit_wiring():
     gg = build_gadget(sample_bmhpc(4, 1, random.Random(10)))
     last = 2 * gg.r

@@ -944,3 +944,46 @@ def test_a_narrow_graph_equals_the_same_rows_held_wide():
         wide = G.Graph.from_csr(array("i", g.offsets), array("i", g.nbrs))
         assert wide == g and g == wide and wide.edges() == g.edges()
         assert G.peel(wide) == G.peel(g)
+
+
+# ---------------------------------------------------------------------------
+# random graphs
+
+
+def reference_gnm_random_graph(n, m, rng):
+    """Uniform graph with exactly m edges (rejection-sampled pairs)."""
+    limit = n * (n - 1) // 2
+    if m > limit:
+        raise ValueError(f"m={m} exceeds max {limit} for n={n}")
+    chosen: set[tuple[int, int]] = set()
+    while len(chosen) < m:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u == v:
+            continue
+        chosen.add((min(u, v), max(u, v)))
+    return G.Graph(n, chosen)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 64, 1000, 1024, 1025])
+def test_gnm_random_graph_draws_what_randrange_draws(n):
+    # the sampler takes each endpoint by getrandbits rejection, which is
+    # what randrange does on this interpreter: the same graph comes out
+    # and the rng ends in the same state. A complete graph costs a
+    # coupon collector's draws, so m = limit runs only where that is
+    # cheap; the bit-length edges 1023/1024/1025 run at m = 4n
+    limit = n * (n - 1) // 2
+    ms = {0, 1, min(4 * n, limit)} | ({limit} if n <= 64 else set())
+    for seed in range(5):
+        for m in sorted(x for x in ms if x <= limit):
+            rng, ref = random.Random(seed), random.Random(seed)
+            assert G.gnm_random_graph(n, m, rng) == \
+                reference_gnm_random_graph(n, m, ref), (n, m, seed)
+            assert rng.getstate() == ref.getstate(), (n, m, seed)
+        rng, ref = random.Random(seed), random.Random(seed)
+        with pytest.raises(ValueError) as err:
+            G.gnm_random_graph(n, limit + 1, rng)
+        with pytest.raises(ValueError) as ref_err:
+            reference_gnm_random_graph(n, limit + 1, ref)
+        assert str(err.value) == str(ref_err.value)
+        assert rng.getstate() == ref.getstate()

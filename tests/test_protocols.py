@@ -710,7 +710,10 @@ def _decider_cases():
 
 def _decider_runs():
     """(partition, k): every k up to the top degree + 1 on the cases
-    above, and kappa - 1, kappa, 15 and 511 on two G(1024, 4n) splits."""
+    above, 0, kappa - 1, kappa, 15 and 511 on two G(1024, 4n) splits,
+    and 0 and 1 on a split star with 39 leaves. At small k the vertex of
+    largest degree reads the top entry of the fast decider's bucket
+    table, which runs up to that degree minus k."""
     for part in _decider_cases():
         top = max((part.base.degree(v) for v in range(part.n)), default=0) + 1
         for k in range(top + 1):
@@ -720,8 +723,11 @@ def _decider_runs():
         g = gnm_random_graph(1024, 4 * 1024, rng)
         part = random_partition(g, rng)
         kappa = degeneracy(g)
-        for k in sorted({kappa - 1, kappa, 15, 511}):
+        for k in sorted({0, kappa - 1, kappa, 15, 511}):
             yield part, k
+    star = random_partition(star_graph(40), random.Random(40))
+    for k in (0, 1):
+        yield star, k
 
 
 def _run_both(decide, reference, part, k):
